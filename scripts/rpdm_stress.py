@@ -14,7 +14,7 @@ all 4096), and records the largest finite |P| entry against two
 reference lines: 3 M n^(1-beta), and the radius-derived ceiling
 2 ceil(s_final M) < 6 M n^(1-beta) + 2 that the builder actually
 guarantees. Products default to the naive kernel; every --fast-every-th
-trial rebuilds with the encoded kernel and asserts the matrices agree.
+trial rebuilds with the bounded fast kernel and asserts the matrices agree.
 
 Example:
     python3 scripts/rpdm_stress.py --trials 100
@@ -62,7 +62,7 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=40,
                     help="property-2 pairs per trial, largest edge counts first")
     ap.add_argument("--fast-every", type=int, default=50,
-                    help="cross-check the encoded kernel every this many trials")
+                    help="cross-check the bounded fast kernel every this many trials")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 on any property violation")
     args = ap.parse_args()

@@ -2,7 +2,7 @@
 
 Entries of the partial matrix are divided by the level granularity k
 (rounding toward +inf), the scaled matrix is squared through a fresh
-vertex sample with the encoded min-plus product, and the result is
+vertex sample with the bounded min-plus product, and the result is
 multiplied back by k. For pairs in the level's edge-count band the
 estimate lands in [dist, dist + 2k].
 """
@@ -28,7 +28,7 @@ class LevelEstimate:
 
 
 def additive_approximate(pdm: PartialDistanceMatrix, level: Level, rng: Rng,
-                         kernel: str = "schoolbook",
+                         kernel: str = "numpy",
                          strassen_cutoff: int = 64) -> LevelEstimate:
     n = pdm.n
     k = level.k

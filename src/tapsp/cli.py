@@ -43,14 +43,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, default=None,
                    help="matrix multiplication exponent used by the schedule")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--kernel", choices=KERNELS, default=None)
+    p.add_argument("--kernel", choices=KERNELS, default=None,
+                   help="product kernel: numpy (default) or the encoded ring "
+                        "products schoolbook/strassen; answers are identical")
     p.add_argument("--mode", choices=MODES, default=None,
                    help="auto picks the deterministic path when all weights are >= 1")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the brute-force oracle (small instances)")
     p.add_argument("--trace", action="store_true", help="print extra run details")
     p.add_argument("--threads", type=int, default=None,
-                   help="thread cap (the kernels are sequential; accepted for sweeps)")
+                   help="thread cap, accepted for sweeps; tapsp starts no threads "
+                        "itself (BLAS may), and output never depends on it")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--force-beta", type=float, default=None,
                    help="override the schedule beta (experiments)")

@@ -42,8 +42,8 @@ def _adjacency(g: Graph, h: np.ndarray, reverse: bool):
 
 
 def _dijkstra_heap(adj, src: int, n: int) -> np.ndarray:
-    dist = np.empty(n, dtype=np.int64)
-    dist.fill(INF)
+    # a plain list: indexing an int64 array boxes a numpy scalar each time
+    dist = [int(INF)] * n
     dist[src] = 0
     heap = [(0, src)]
     while heap:
@@ -55,7 +55,7 @@ def _dijkstra_heap(adj, src: int, n: int) -> np.ndarray:
             if nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
 def _dijkstra_dense(adj, src: int, n: int) -> np.ndarray:
@@ -87,10 +87,15 @@ def sssp_from(g: Graph, h: np.ndarray, src: int, reverse: bool = False,
 
     Forward: out[v] = dist(src, v). Reverse: out[v] = dist(v, src).
     """
-    adj = _adjacency(g, h, reverse)
+    return _sssp(_adjacency(g, h, reverse), h, src, reverse, dense)
+
+
+def _sssp(adj, h: np.ndarray, src: int, reverse: bool, dense: bool) -> np.ndarray:
+    """sssp_from over prebuilt reweighted adjacency lists."""
+    n = len(adj)
     runner = _dijkstra_dense if dense else _dijkstra_heap
-    dp = runner(adj, src, g.n)
-    out = np.empty(g.n, dtype=np.int64)
+    dp = runner(adj, src, n)
+    out = np.empty(n, dtype=np.int64)
     out.fill(INF)
     fin = dp < INF
     if reverse:
@@ -122,10 +127,12 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, dense: bool = False) -> FarDista
                             potentials=np.zeros(1, dtype=np.int64), t=t)
     h = johnson_potentials(g)
     xs = hitting_set(n, t, rng)
+    fwd = _adjacency(g, h, reverse=False)
+    rev = _adjacency(g, h, reverse=True)
     delta = full_inf(n, n)
     for x in xs:
-        row = sssp_from(g, h, int(x), reverse=False, dense=dense)
-        col = sssp_from(g, h, int(x), reverse=True, dense=dense)
+        row = _sssp(fwd, h, int(x), reverse=False, dense=dense)
+        col = _sssp(rev, h, int(x), reverse=True, dense=dense)
         ok = (col < INF)[:, None] & (row < INF)[None, :]
         cand = col[:, None] + row[None, :]
         np.copyto(delta, cand, where=ok & (cand < delta))

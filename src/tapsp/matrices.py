@@ -6,11 +6,15 @@ every supported regime (|entry| <= a few million), so masked arithmetic
 never overflows.
 
 Two min-plus product implementations are provided. The naive one loops
-over the inner dimension with numpy broadcasting. The fast one encodes
-bounded entries as arbitrary-precision integers z**e (Yuval's trick) and
-multiplies them over the plain integer ring, so its inner loop is one
-exact integer matrix product; the ring kernel is pluggable between
-schoolbook and Strassen and both give bit-identical results.
+over the inner dimension with numpy broadcasting. The fast one takes a
+kernel. "schoolbook" and "strassen" encode bounded entries as
+arbitrary-precision integers z**e (Yuval's trick) and multiply them over
+the plain integer ring, so the inner loop is one exact integer matrix
+product; the two ring kernels give bit-identical results. "numpy" (the
+default) relaxes the bounded entries directly in blocked int64
+arithmetic. Polynomial squaring takes the same kernel choice: the ring
+kernels square a radix-packed integer matrix, "numpy" runs float32 BLAS
+products over the coefficient slabs.
 """
 
 from __future__ import annotations
@@ -89,7 +93,11 @@ def dist_product_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook",
                 strassen_cutoff: int = 64) -> np.ndarray:
-    """Exact integer matrix product over object arrays of Python ints."""
+    """Exact integer matrix product over object arrays of Python ints.
+
+    This is the ring behind the encoded kernels, so kernel is one of
+    "schoolbook" and "strassen"; the "numpy" kernel never calls it.
+    """
     _check_inner(a, b)
     if kernel == "schoolbook":
         return _schoolbook(a, b)
@@ -155,15 +163,19 @@ def _derive_bound(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
-                      kernel: str = "schoolbook",
+                      kernel: str = "numpy",
                       strassen_cutoff: int = 64) -> np.ndarray:
-    """Min-plus product via integer encoding.
+    """Min-plus product of matrices with bounded finite entries.
 
     Finite entries of both operands must lie in [-bound, bound]; bound
-    defaults to the largest finite magnitude present. Each finite entry
-    e is encoded as z**(bound - e) with radix z = inner_dim + 1 (so digit
-    counts cannot carry) and INF as 0; after one exact integer product,
-    the minimum is 2*bound minus the highest nonzero digit position.
+    defaults to the largest finite magnitude present.
+
+    The ring kernels ("schoolbook", "strassen") encode each finite entry
+    e as z**(bound - e) with radix z = inner_dim + 1 (so digit counts
+    cannot carry) and INF as 0; after one exact integer product, the
+    minimum is 2*bound minus the highest nonzero digit position.
+
+    The "numpy" kernel relaxes in int64 directly, see _minplus_blocked.
     """
     _check_inner(a, b)
     l, m = a.shape
@@ -179,6 +191,8 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
             if fin.size and int(np.abs(fin).max()) > bound:
                 raise EntryBoundError(
                     f"entry magnitude {int(np.abs(fin).max())} exceeds bound {bound}")
+    if kernel == "numpy":
+        return _minplus_blocked(a, b, bound)
     z = m + 1
     pows = [1] * (4 * bound + 2)
     for e in range(1, len(pows)):
@@ -187,6 +201,33 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     enc_b = _encode(b, bound, pows)
     prod = ring_matmul(enc_a, enc_b, kernel=kernel, strassen_cutoff=strassen_cutoff)
     return _decode_min(prod, bound, z, pows, l, n)
+
+
+# elements of the (rows, inner, cols) temporary in one relaxation block
+_BLOCK_ELEMS = 1 << 15
+
+
+def _minplus_blocked(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """Bounded min-plus by blocked int64 relaxation.
+
+    INF becomes the sentinel 3*bound + 1. A sum of two finite entries lies
+    in [-2*bound, 2*bound]; a sum that uses a sentinel is at least
+    3*bound + 1 - bound = 2*bound + 1. Minima above 2*bound are therefore
+    exactly the pairs with no finite term, and map back to INF.
+    """
+    l, m = a.shape
+    n = b.shape[1]
+    COUNTERS.minplus_relaxations += l * m * n
+    sentinel = np.int64(3 * bound + 1)
+    sa = np.where(is_finite(a), a, sentinel)
+    sb = np.where(is_finite(b), b, sentinel)
+    out = np.empty((l, n), dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMS // max(1, m * n))
+    for i0 in range(0, l, rows):
+        i1 = min(i0 + rows, l)
+        (sa[i0:i1, :, None] + sb[None, :, :]).min(axis=1, out=out[i0:i1])
+    out[out > 2 * bound] = INF
+    return out
 
 
 def _encode(mat: np.ndarray, bound: int, pows: list) -> np.ndarray:
@@ -305,16 +346,19 @@ class PolyMatrix:
         return self.coeffs[:, :, q]
 
 
-def poly_square(p: PolyMatrix, kernel: str = "schoolbook",
+def poly_square(p: PolyMatrix, kernel: str = "numpy",
                 strassen_cutoff: int = 64) -> PolyMatrix:
-    """Square a Boolean-polynomial matrix.
+    """Square a Boolean-polynomial matrix. Output has degree 2s - 2.
 
-    Entries are packed into integers with radix n*s + 1: the coefficient
-    of x**q in any product entry counts one term per (inner index, split)
-    pair, at most n*s of them, so digits never carry and the Boolean
-    coefficients of the square are exactly the nonzero digits. Output has
-    degree 2s - 2.
+    The ring kernels pack entries into integers with radix n*s + 1: the
+    coefficient of x**q in any product entry counts one term per (inner
+    index, split) pair, at most n*s of them, so digits never carry and
+    the Boolean coefficients of the square are exactly the nonzero
+    digits. The "numpy" kernel multiplies coefficient slabs in float32,
+    see _poly_square_slabs.
     """
+    if kernel == "numpy":
+        return _poly_square_slabs(p)
     n, s = p.n, p.s
     radix = n * s + 1
     weights = np.empty(s, dtype=object)
@@ -336,3 +380,26 @@ def poly_square(p: PolyMatrix, kernel: str = "schoolbook",
                 oflat[i, q] = True
             q += 1
     return PolyMatrix(out)
+
+
+def _poly_square_slabs(p: PolyMatrix) -> PolyMatrix:
+    """Boolean polynomial square by s float32 BLAS products.
+
+    With A_q the coefficient slab of x**q, coefficient q of the square is
+    the OR over i + j = q of the Boolean products A_i A_j. The slabs are
+    stacked side by side into right = [A_0 | ... | A_{s-1}], so one
+    product A_i @ right yields A_i A_j for every j, which lands on
+    coefficients i .. i + s - 1. Each entry of A_i A_j counts at most n
+    terms and n < 2**24, so float32 holds it exactly.
+    """
+    n, s = p.n, p.s
+    COUNTERS.ring_mults += s * n * n * (s * n)
+    right = np.ascontiguousarray(
+        p.coeffs.transpose(0, 2, 1), dtype=np.float32).reshape(n, s * n)
+    buf = np.empty((n, s * n), dtype=np.float32)
+    # coefficient-major layout so every OR writes one contiguous slab
+    out = np.zeros((n, 2 * s - 1, n), dtype=bool)
+    for i in range(s):
+        np.matmul(right[:, i * n:(i + 1) * n], right, out=buf)
+        out[:, i:i + s, :] |= buf.reshape(n, s, n) > 0
+    return PolyMatrix(out.transpose(0, 2, 1))

@@ -42,7 +42,7 @@ class PartialDistanceMatrix:
 
 
 def build_partial(w: np.ndarray, M: int, beta: float, gamma: float, rng: Rng,
-                  kernel: str = "schoolbook", strassen_cutoff: int = 64,
+                  kernel: str = "numpy", strassen_cutoff: int = 64,
                   use_fast: bool = True) -> PartialDistanceMatrix:
     """Run the bridge-set squaring loop on weight matrix w.
 

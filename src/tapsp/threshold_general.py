@@ -57,10 +57,6 @@ class ThresholdReport:
         return [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(self.reported))]
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -95,7 +91,7 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
 
 
 def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
-                     kernel: str = "schoolbook",
+                     kernel: str = "numpy",
                      strassen_cutoff: int = 64) -> np.ndarray:
     """Exact distances near d recovered from one partial matrix.
 
@@ -104,8 +100,8 @@ def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
     are >= dist everywhere and equal to dist for pairs of the matrix's
     band whose distance lies in (d, d + k_margin]."""
     lo = _ceil_div(d, 2) - k_margin
-    hi = _floor_div(d, 2) + k_margin
-    shift = _floor_div(d, 2) - k_margin
+    hi = d // 2 + k_margin
+    shift = d // 2 - k_margin
     s = window_shift(pdm.P, lo, hi, shift)
     r = dist_product_fast(s, s, bound=2 * k_margin, kernel=kernel,
                           strassen_cutoff=strassen_cutoff)

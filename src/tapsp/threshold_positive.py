@@ -88,7 +88,7 @@ def level_plan(d: int, m_bound: int) -> LevelPlan:
     return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
 
 
-def primal_distances(g: Graph, kernel: str = "schoolbook",
+def primal_distances(g: Graph, kernel: str = "numpy",
                      strassen_cutoff: int = 64) -> dict:
     """A_k for k = 0..M+1 from a repeatedly squared truncated matrix."""
     w = to_matrix(g)
@@ -108,7 +108,7 @@ def primal_distances(g: Graph, kernel: str = "schoolbook",
 
 
 def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
-               kernel: str = "schoolbook", strassen_cutoff: int = 64,
+               kernel: str = "numpy", strassen_cutoff: int = 64,
                apply_short_or: bool = True) -> dict:
     """Matrices for one level from the family of the level below.
 
@@ -155,7 +155,7 @@ class PositiveReport:
         return [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(self.reported))]
 
 
-def threshold_apsp_pos(g: Graph, d: int, kernel: str = "schoolbook",
+def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
                        strassen_cutoff: int = 64,
                        apply_short_or: bool = True) -> PositiveReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic."""

@@ -188,6 +188,41 @@ def test_bench_csv_shape_and_op_determinism(capsys):
         assert int(row[6]) == n ** 3
 
 
+def test_bench_threshold_op_counts_default_kernel(capsys):
+    argv = ["bench", "--ns", "8,16", "--ms", "2", "--densities", "0.5",
+            "--algos", "threshold", "--seed", "1"]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append([ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]])
+    assert len(runs[0]) == 2
+    for first, second in zip(*runs):
+        assert first[:5] + first[6:] == second[:5] + second[6:]
+        ring_mults, relaxations = int(first[6]), int(first[7])
+        assert ring_mults > 0 and relaxations > 0, first
+
+
+def test_output_identical_across_kernels(tmp_path, capsys):
+    from helpers import sc_mixed_graph, sc_positive_graph
+    pos = tmp_path / "pos.gr"
+    pos.write_text(write_graph(sc_positive_graph(12, 0.4, 4, seed=1)))
+    mix = tmp_path / "mix.gr"
+    mix.write_text(write_graph(sc_mixed_graph(12, 0.4, 3, seed=2)))
+    commands = [
+        ["threshold", str(pos), "-d", "9", "--pairs", "--json", "--seed", "5"],
+        ["threshold", str(mix), "-d", "4", "--pairs", "--trace", "--seed", "5"],
+        ["diameter", str(pos), "--trace", "--json", "--seed", "5"],
+        ["diameter", str(mix), "--trace", "--seed", "5"],
+        ["oracle", str(mix), "-d", "3", "--pairs"],
+    ]
+    for args in commands:
+        outs = []
+        for kernel in ("numpy", "schoolbook", "strassen"):
+            assert main(args + ["--kernel", kernel]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2], args
+
+
 def test_bench_unknown_algo_exits_3(capsys):
     assert main(["bench", "--algos", "bogus"]) == 3
     assert "unknown algo" in capsys.readouterr().err

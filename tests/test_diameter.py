@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import mixed_graph, sc_mixed_graph, sc_positive_graph
-from tapsp.config import RunConfig
+from tapsp.config import KERNELS, RunConfig
 from tapsp.diameter import diameter
 from tapsp.graphs import NegativeCycleError, gen_random, make_graph, to_matrix
 from tapsp.matrices import is_finite
@@ -114,3 +114,15 @@ def test_deterministic():
     a = diameter(g, rng=Rng(2))
     b = diameter(g, rng=Rng(2))
     assert a.value == b.value and a.witnesses == b.witnesses and a.probes == b.probes
+
+
+def test_all_kernels_give_identical_diameters():
+    graphs = [sc_positive_graph(10, 0.3, 4, seed=5), sc_mixed_graph(10, 0.3, 3, seed=6)]
+    for g in graphs:
+        want, wit = _oracle_diameter(g)
+        results = [diameter(g, RunConfig(seed=3, kernel=k, strassen_cutoff=4))
+                   for k in KERNELS]
+        for kernel, res in zip(KERNELS, results):
+            assert res.value == want, kernel
+            assert sorted(res.witnesses) == wit, kernel
+            assert res.probes == results[0].probes, kernel

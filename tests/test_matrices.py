@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import minplus_reference, poly_square_direct, rand_dist_matrix
+from tapsp.config import KERNELS
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, PolyMatrix,
                             bool_product, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
@@ -232,3 +233,80 @@ def test_fast_equals_naive_dense_small(a8, b8):
     b = b8.astype(np.int64)
     assert np.array_equal(dist_product_fast(a, b, bound=7),
                           dist_product_naive(a, b))
+
+
+def _minplus_edge_inputs(gen):
+    """Operand pairs with INF rows and columns, negative entries, entries
+    exactly at +-bound, bound 0 and a zero inner dimension."""
+    for _ in range(40):
+        l, m, r = (int(x) for x in gen.integers(1, 11, size=3))
+        bound = int(gen.integers(0, 9))
+        a = rand_dist_matrix(gen, l, m, bound, inf_frac=0.3)
+        b = rand_dist_matrix(gen, m, r, bound, inf_frac=0.3)
+        a[int(gen.integers(l)), :] = INF
+        b[:, int(gen.integers(r))] = INF
+        a[:, int(gen.integers(m))] = INF
+        b[int(gen.integers(m)), 0] = -bound
+        a[0, int(gen.integers(m))] = bound
+        a[-1, -1] = -bound
+        yield a, b, bound
+    yield np.zeros((3, 4), dtype=np.int64), full_inf(4, 2), 0
+    yield np.array([[0, INF]], dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 0
+    yield np.empty((3, 0), dtype=np.int64), np.empty((0, 2), dtype=np.int64), 1
+    yield full_inf(2, 3), full_inf(3, 2), 5
+
+
+def test_fast_kernels_agree_on_edge_inputs():
+    gen = np.random.default_rng(8)
+    for a, b, bound in _minplus_edge_inputs(gen):
+        want = dist_product_naive(a, b)
+        school = dist_product_fast(a, b, bound=bound, kernel="schoolbook")
+        assert np.array_equal(school, want), (a, b, bound)
+        for kernel in KERNELS:
+            got = dist_product_fast(a, b, bound=bound, kernel=kernel,
+                                    strassen_cutoff=2)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (kernel, a, b, bound)
+            assert np.array_equal(dist_product_fast(a, b, kernel=kernel), want)
+
+
+def test_fast_kernels_reject_entries_beyond_bound():
+    a = np.array([[1, INF], [-6, 2]], dtype=np.int64)
+    b = np.array([[0, 1], [2, 3]], dtype=np.int64)
+    for kernel in KERNELS:
+        with pytest.raises(EntryBoundError):
+            dist_product_fast(a, b, bound=5, kernel=kernel)
+        with pytest.raises(EntryBoundError):
+            dist_product_fast(b, a, bound=5, kernel=kernel)
+
+
+def test_poly_square_kernels_match_direct_convolution():
+    gen = np.random.default_rng(9)
+    cases = [np.ones((6, 6, 5), dtype=bool), np.zeros((4, 4, 3), dtype=bool)]
+    for _ in range(40):
+        n = int(gen.integers(1, 21))
+        s = int(gen.integers(1, 20))
+        cases.append(gen.random((n, n, s)) < float(gen.uniform(0.02, 0.6)))
+    for coeffs in cases:
+        want = poly_square_direct(coeffs)
+        for kernel in KERNELS:
+            got = poly_square(PolyMatrix(coeffs.copy()), kernel=kernel,
+                              strassen_cutoff=4)
+            assert got.coeffs.shape == want.shape
+            assert np.array_equal(got.coeffs, want), (kernel, coeffs.shape)
+
+
+def test_numpy_kernel_counts_work():
+    gen = np.random.default_rng(10)
+    a = rand_dist_matrix(gen, 3, 4, 5)
+    b = rand_dist_matrix(gen, 4, 6, 5)
+    COUNTERS.reset()
+    dist_product_fast(a, b, bound=5, kernel="numpy")
+    assert COUNTERS.snapshot() == {"ring_mults": 0,
+                                   "minplus_relaxations": 3 * 4 * 6,
+                                   "bool_ops": 0}
+    n, s = 5, 3
+    COUNTERS.reset()
+    poly_square(PolyMatrix(gen.random((n, n, s)) < 0.5), kernel="numpy")
+    assert COUNTERS.snapshot() == {"ring_mults": s * n * n * (s * n),
+                                   "minplus_relaxations": 0, "bool_ops": 0}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import sc_positive_graph
+from tapsp.config import KERNELS
 from tapsp.graphs import gen_random, make_graph, to_matrix
 from tapsp.oracle import brute_threshold, floyd_warshall
 from tapsp.threshold_positive import (f_set, level_plan, level_step,
@@ -126,6 +127,16 @@ def test_kernel_independent():
         a = threshold_apsp_pos(g, d, kernel="schoolbook")
         b = threshold_apsp_pos(g, d, kernel="strassen", strassen_cutoff=4)
         assert np.array_equal(a.reported, b.reported)
+
+
+def test_all_kernels_give_identical_reports():
+    for seed in range(3):
+        g = sc_positive_graph(13, 0.3, 4, seed=seed + 20)
+        for d in (3, 9, 26, 60):
+            want = _oracle(g, d)
+            for kernel in KERNELS:
+                rep = threshold_apsp_pos(g, d, kernel=kernel, strassen_cutoff=4)
+                assert np.array_equal(rep.reported, want), (seed, d, kernel)
 
 
 def test_level_step_missing_source_raises():
