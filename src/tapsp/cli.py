@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import KERNELS, MODES, RunConfig, config_from_env
+from .config import KERNELS, MODES, RunConfig, config_from_env, pick_mode
 from .diameter import diameter
 from .graphs import (Graph, GraphParseError, NegativeCycleError, gen_random,
                      parse_graph, to_matrix, write_graph)
@@ -99,14 +99,6 @@ def _emit(payload: dict, cfg: RunConfig, text_lines) -> None:
             print(line)
 
 
-def _pick_mode(g: Graph, cfg: RunConfig) -> str:
-    if cfg.mode == "auto":
-        return "positive" if g.positive_weights() else "general"
-    if cfg.mode == "positive" and not g.positive_weights():
-        raise ValueError("positive mode needs all weights >= 1")
-    return cfg.mode
-
-
 def cmd_gen(args) -> int:
     g = gen_random(args.n, args.p, args.wmin, args.wmax, seed=args.seed or 0,
                    require_no_neg_cycle=args.no_neg_cycle)
@@ -129,7 +121,7 @@ def _oracle_report(g: Graph, d: int) -> np.ndarray:
 def cmd_threshold(args) -> int:
     cfg = _config(args)
     g = _read_graph(args.file)
-    mode = _pick_mode(g, cfg)
+    mode = pick_mode(g, cfg)
     if mode == "positive":
         rep = threshold_apsp_pos(g, args.d, kernel=cfg.kernel,
                                  strassen_cutoff=cfg.strassen_cutoff)
@@ -170,8 +162,6 @@ def cmd_threshold(args) -> int:
 def cmd_diameter(args) -> int:
     cfg = _config(args)
     g = _read_graph(args.file)
-    if cfg.mode == "positive" and not g.positive_weights():
-        raise ValueError("positive mode needs all weights >= 1")
     res = diameter(g, config=cfg)
     if cfg.verify and g.n <= cfg.verify_bound:
         dist = floyd_warshall(to_matrix(g))
@@ -262,7 +252,7 @@ def cmd_bench(args) -> int:
                         dist_product_naive(w, w)
                     elif algo == "threshold":
                         d = args.d if args.d is not None else (n * m_bound) // 4
-                        mode = _pick_mode(g, cfg)
+                        mode = pick_mode(g, cfg)
                         if mode == "positive":
                             threshold_apsp_pos(g, d, kernel=cfg.kernel,
                                                strassen_cutoff=cfg.strassen_cutoff)

@@ -53,6 +53,19 @@ class RunConfig:
         return replace(self, **kw)
 
 
+def pick_mode(g, config: RunConfig) -> str:
+    """The path config.mode selects for graph g: "positive" or "general".
+
+    "auto" takes the deterministic path when every weight is >= 1; an
+    explicit "positive" on a graph with a smaller weight is a ValueError.
+    """
+    if config.mode == "auto":
+        return "positive" if g.positive_weights() else "general"
+    if config.mode == "positive" and not g.positive_weights():
+        raise ValueError("positive mode needs all weights >= 1")
+    return config.mode
+
+
 def _env(name: str):
     return os.environ.get(ENV_PREFIX + name)
 

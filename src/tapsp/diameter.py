@@ -3,11 +3,34 @@
 The diameter is the largest finite pairwise distance. Reachability is
 settled first: any unreachable ordered pair makes the diameter +inf and
 no probes run. Otherwise probe(d) asks whether every ordered pair is
-within d, and binary search pins the smallest such d. For positive
-weights each probe is the deterministic path; for general weights the
-randomized path answers, and since a wrong answer can break the
-monotone probe trace, the trace is checked and the whole search retried
-with a fresh derived seed when it is inconsistent.
+within d, and binary search pins the smallest such d.
+
+Reports are one-sided on both paths: a reported pair is always truly
+within d, so a probe that reports every pair proves diameter <= d.
+
+Positive weights: every probe is the deterministic path over one primal
+family built per call, and the search covers [1, M(n-1)].
+
+General weights: one negative-cycle check per call and one
+prepare_general pass per search; a probe is then only
+classify_threshold(run, d). Since dist <= delta_star <= dist + K (the
+upper bound with high probability), the search covers the K-wide window
+[max(0, max delta_star - K), min(M(n-1), max delta_star)], about
+log2(K+1) probes. The diameter is never below 0 (diagonal distances are
+0). If some delta_star entry is infinite the search covers [0, M(n-1)].
+
+Certificate: the answer is checked, not re-sampled, since probes sharing
+one run are correlated. probe(diam) must report every pair. The
+candidates are the pairs it reports that probe(diam - 1) does not; by
+one-sidedness they include every pair at distance diam. A candidate is
+kept only when its exact distance equals diam: the hitting-set distance
+when an endpoint was sampled (exact, as dist(x, x) = 0), otherwise one
+Dijkstra from its source. If the probe trace is not monotone or no
+candidate survives, the whole search is retried with a fresh derived
+seed, so a returned value and witness set are exact (Las Vegas).
+
+The probe trace lists each threshold classified once, in order, the two
+certificate probes included.
 """
 
 from __future__ import annotations
@@ -17,11 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
-from .graphs import Graph, transitive_closure
+from .config import RunConfig, pick_mode
+from .far_pairs import sssp_rows
+from .graphs import (Graph, NegativeCycleError, find_negative_cycle,
+                     transitive_closure)
+from .matrices import INF, is_finite
 from .sampling import Rng
-from .threshold_general import threshold_apsp_neg
-from .threshold_positive import threshold_apsp_pos
+from .threshold_general import GeneralRun, classify_threshold, prepare_general
+from .threshold_positive import primal_distances, threshold_apsp_pos
 
 
 @dataclass
@@ -37,63 +63,77 @@ class DiameterResult:
         return self.value != math.inf
 
 
-def _probe_factory(g: Graph, config: RunConfig, rng: Rng, positive: bool):
-    counter = [0]
+def _window(run: GeneralRun, top: int) -> tuple:
+    """Search range [lo, hi] from delta_star, with top = M(n-1)."""
+    ds = run.delta_star
+    if not is_finite(ds).all():
+        return 0, top
+    best = int(ds.max())
+    return max(0, best - run.schedule.K), min(top, best)
+
+
+def _exact_witnesses(g: Graph, run: GeneralRun, cand: np.ndarray,
+                     diam: int) -> np.ndarray:
+    """The candidates whose exact distance is diam."""
+    sampled = np.zeros(g.n, dtype=bool)
+    sampled[run.far.hitting] = True
+    # delta_t[u, v] = dist(u, v) when u or v was sampled
+    known = sampled[:, None] | sampled[None, :]
+    exact = np.where(known, run.far.delta, INF)
+    rest = np.flatnonzero((cand & ~known).any(axis=1))
+    if rest.size:
+        exact[rest] = sssp_rows(g, run.far.potentials, rest)
+    return cand & (exact == diam)
+
+
+def _search(g: Graph, config: RunConfig, rng: Rng,
+            primal: dict | None) -> DiameterResult | None:
+    """One certified binary search; None when the general path must retry.
+
+    primal selects the positive path; otherwise one general pipeline
+    pass is prepared from rng and every probe classifies against it.
+    """
+    lo, hi = 1, g.M * (g.n - 1)
+    if primal is not None:
+        def classify(d):
+            return threshold_apsp_pos(g, d, kernel=config.kernel,
+                                      strassen_cutoff=config.strassen_cutoff,
+                                      primal=primal).reported
+    else:
+        run = prepare_general(g, config, rng)
+        lo, hi = _window(run, hi)
+
+        def classify(d):
+            return classify_threshold(run, d, config).reported
+
+    reports = {}
 
     def probe(d: int) -> np.ndarray:
-        counter[0] += 1
-        if positive:
-            return threshold_apsp_pos(g, d, kernel=config.kernel,
-                                      strassen_cutoff=config.strassen_cutoff).reported
-        rep = threshold_apsp_neg(g, d, config=config, rng=rng.derive(counter[0]))
-        return rep.reported
+        if d not in reports:
+            reports[d] = classify(d)
+        return reports[d]
 
-    return probe
-
-
-def _search(g: Graph, config: RunConfig, rng: Rng, positive: bool) -> DiameterResult:
-    n = g.n
-    if positive:
-        lo = 0 if n == 1 else 1
-    else:
-        lo = -n * g.M
-    hi = g.M * max(n - 1, 0)
-    probe = _probe_factory(g, config, rng, positive)
-    probes = []
-
-    def all_within(d: int) -> bool:
-        rep = probe(d)
-        ok = bool(rep.all())
-        probes.append((d, ok))
-        return ok
-
-    # the closure check already certified hi is an upper bound
-    result_lo, result_hi = lo, hi
-    while result_lo < result_hi:
-        mid = (result_lo + result_hi) // 2
-        if all_within(mid):
-            result_hi = mid
+    # the top of the range is an upper bound (closure check or delta_star);
+    # the certificate below confirms whatever the search settles on
+    a, b = lo, hi
+    while a < b:
+        mid = (a + b) // 2
+        if probe(mid).all():
+            b = mid
         else:
-            result_lo = mid + 1
-    diam = result_lo
-
-    # the trace must be monotone: every probe below diam False, at or
-    # above diam True
-    for (d, ok) in probes:
-        if ok != (d >= diam):
-            if positive:
-                raise RuntimeError("inconsistent probe trace on the deterministic path")
-            return None  # caller retries with a fresh seed
-
-    # confirm the answer with two fresh probes; they double as the
-    # witness computation
+            a = mid + 1
+    diam = a
     at = probe(diam)
     below = probe(diam - 1)
-    if not at.all() or below.all():
-        if positive:
-            raise RuntimeError("confirmation probes disagree on the deterministic path")
+    probes = [(d, bool(rep.all())) for d, rep in reports.items()]
+    # every probe below diam False, at or above diam True
+    if any(ok != (d >= diam) for (d, ok) in probes):
         return None
     wit = at & ~below
+    if primal is None:
+        wit = _exact_witnesses(g, run, wit, diam)
+    if not wit.any():
+        return None
     witnesses = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(wit))]
     return DiameterResult(value=diam, witnesses=witnesses, probes=probes,
                           lo=lo, hi=hi)
@@ -105,20 +145,28 @@ def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterRes
         config = RunConfig()
     if rng is None:
         rng = Rng(config.seed)
+    positive = pick_mode(g, config) == "positive"
     closure = transitive_closure(g)
     if not closure.all():
         missing = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(~closure))]
         return DiameterResult(value=math.inf, witnesses=missing, probes=[],
                               lo=0, hi=0)
-    if config.mode == "positive" and not g.positive_weights():
-        raise ValueError("positive mode needs all weights >= 1")
-    if config.mode == "auto":
-        positive = g.positive_weights()
-    else:
-        positive = config.mode == "positive"
-    retries = max(config.max_attempts, 1)
-    for attempt in range(retries):
-        out = _search(g, config, rng.derive(1000 + attempt), positive)
+    if not positive:
+        cycle = find_negative_cycle(g)
+        if cycle is not None:
+            raise NegativeCycleError(cycle=cycle)
+    if g.n == 1:
+        return DiameterResult(value=0, witnesses=[(1, 1)])
+    if positive:
+        primal = primal_distances(g, kernel=config.kernel,
+                                  strassen_cutoff=config.strassen_cutoff)
+        out = _search(g, config, rng, primal)
+        if out is None:
+            raise RuntimeError("inconsistent probe trace on the deterministic path")
+        return out
+    for attempt in range(config.max_attempts):
+        out = _search(g, config, rng.derive(1000 + attempt), None)
         if out is not None:
             return out
-    raise RuntimeError(f"probe trace stayed inconsistent after {retries} searches")
+    raise RuntimeError(f"diameter search failed its certificate after "
+                       f"{config.max_attempts} searches")

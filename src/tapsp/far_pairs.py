@@ -58,43 +58,24 @@ def _dijkstra_heap(adj, src: int, n: int) -> np.ndarray:
     return np.array(dist, dtype=np.int64)
 
 
-def _dijkstra_dense(adj, src: int, n: int) -> np.ndarray:
-    # O(n^2) selection variant, kept for instrumentation parity
-    dist = np.empty(n, dtype=np.int64)
-    dist.fill(INF)
-    dist[src] = 0
-    done = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        x = -1
-        best = INF
-        for i in range(n):
-            if not done[i] and dist[i] < best:
-                best = dist[i]
-                x = i
-        if x < 0:
-            break
-        done[x] = True
-        for (y, w) in adj[x]:
-            nd = dist[x] + w
-            if nd < dist[y]:
-                dist[y] = nd
-    return dist
-
-
-def sssp_from(g: Graph, h: np.ndarray, src: int, reverse: bool = False,
-              dense: bool = False) -> np.ndarray:
+def sssp_from(g: Graph, h: np.ndarray, src: int, reverse: bool = False) -> np.ndarray:
     """Distances from (or, reversed, to) 0-based vertex src.
 
     Forward: out[v] = dist(src, v). Reverse: out[v] = dist(v, src).
     """
-    return _sssp(_adjacency(g, h, reverse), h, src, reverse, dense)
+    return _sssp(_adjacency(g, h, reverse), h, src, reverse)
 
 
-def _sssp(adj, h: np.ndarray, src: int, reverse: bool, dense: bool) -> np.ndarray:
+def sssp_rows(g: Graph, h: np.ndarray, sources) -> list:
+    """dist(src, .) for each 0-based source, over one adjacency build."""
+    adj = _adjacency(g, h, reverse=False)
+    return [_sssp(adj, h, int(src), reverse=False) for src in sources]
+
+
+def _sssp(adj, h: np.ndarray, src: int, reverse: bool) -> np.ndarray:
     """sssp_from over prebuilt reweighted adjacency lists."""
     n = len(adj)
-    runner = _dijkstra_dense if dense else _dijkstra_heap
-    dp = runner(adj, src, n)
+    dp = _dijkstra_heap(adj, src, n)
     out = np.empty(n, dtype=np.int64)
     out.fill(INF)
     fin = dp < INF
@@ -114,7 +95,7 @@ class FarDistances:
     t: int
 
 
-def compute_delta_t(g: Graph, t: int, rng: Rng, dense: bool = False) -> FarDistances:
+def compute_delta_t(g: Graph, t: int, rng: Rng) -> FarDistances:
     """delta_t[u,v] = min over sampled x of dist(u,x) + dist(x,v).
 
     Exact (= dist) for every pair whose shortest path has >= t edges,
@@ -131,8 +112,8 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, dense: bool = False) -> FarDista
     rev = _adjacency(g, h, reverse=True)
     delta = full_inf(n, n)
     for x in xs:
-        row = _sssp(fwd, h, int(x), reverse=False, dense=dense)
-        col = _sssp(rev, h, int(x), reverse=True, dense=dense)
+        row = _sssp(fwd, h, int(x), reverse=False)
+        col = _sssp(rev, h, int(x), reverse=True)
         ok = (col < INF)[:, None] & (row < INF)[None, :]
         cand = col[:, None] + row[None, :]
         np.copyto(delta, cand, where=ok & (cand < delta))

@@ -157,13 +157,20 @@ class PositiveReport:
 
 def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
                        strassen_cutoff: int = 64,
-                       apply_short_or: bool = True) -> PositiveReport:
-    """Ordered pairs at distance <= d for weights in {1..M}. Deterministic."""
+                       apply_short_or: bool = True,
+                       primal: dict | None = None) -> PositiveReport:
+    """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
+
+    primal, when given, must be primal_distances(g); callers probing
+    several d on one graph pass it to build the family once. It is
+    only read, never modified.
+    """
     n = g.n
     if d < 0:
         rep = np.zeros((n, n), dtype=bool)
         return PositiveReport(reported=rep, d=d, stats={"edge_case": "negative_d"})
-    primal = primal_distances(g, kernel=kernel, strassen_cutoff=strassen_cutoff)
+    if primal is None:
+        primal = primal_distances(g, kernel=kernel, strassen_cutoff=strassen_cutoff)
     if d <= g.M + 1:
         return PositiveReport(reported=primal[d].copy(), d=d,
                               stats={"edge_case": "primal", "levels": 0})

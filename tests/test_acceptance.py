@@ -190,26 +190,29 @@ def test_criterion_4_worked_example():
 
 def test_criterion_5_kernel_equivalence():
     start = time.monotonic()
-    gen = np.random.default_rng(11)
-
+    kernels = ("numpy", "schoolbook")
     minplus_trials = 10_000
-    for _ in range(minplus_trials):
-        l = int(gen.integers(1, 33))
-        m = int(gen.integers(1, 33))
-        r = int(gen.integers(1, 33))
-        a = rand_dist_matrix(gen, l, m, bound=16, inf_frac=0.25)
-        b = rand_dist_matrix(gen, m, r, bound=16, inf_frac=0.25)
-        assert np.array_equal(dist_product_fast(a, b), dist_product_naive(a, b))
-
     poly_trials = 10_000
-    for t in range(poly_trials):
-        if t % 100 == 99:
-            n, s = int(gen.integers(9, 17)), int(gen.integers(1, 9))
-        else:
-            n, s = int(gen.integers(1, 9)), int(gen.integers(1, 7))
-        coeffs = gen.random((n, n, s)) < 0.35
-        got = poly_square(PolyMatrix(coeffs.copy()))
-        assert np.array_equal(got.coeffs, poly_square_direct(coeffs))
+    for kernel in kernels:
+        # the same trials for every kernel
+        gen = np.random.default_rng(11)
+        for _ in range(minplus_trials):
+            l = int(gen.integers(1, 33))
+            m = int(gen.integers(1, 33))
+            r = int(gen.integers(1, 33))
+            a = rand_dist_matrix(gen, l, m, bound=16, inf_frac=0.25)
+            b = rand_dist_matrix(gen, m, r, bound=16, inf_frac=0.25)
+            assert np.array_equal(dist_product_fast(a, b, kernel=kernel),
+                                  dist_product_naive(a, b)), kernel
+
+        for t in range(poly_trials):
+            if t % 100 == 99:
+                n, s = int(gen.integers(9, 17)), int(gen.integers(1, 9))
+            else:
+                n, s = int(gen.integers(1, 9)), int(gen.integers(1, 7))
+            coeffs = gen.random((n, n, s)) < 0.35
+            got = poly_square(PolyMatrix(coeffs.copy()), kernel=kernel)
+            assert np.array_equal(got.coeffs, poly_square_direct(coeffs)), kernel
 
     strassen_trials = 1_000
     for t in range(strassen_trials):
@@ -228,9 +231,9 @@ def test_criterion_5_kernel_equivalence():
         assert np.array_equal(school, stras)
 
     wall = time.monotonic() - start
-    _verdict(5, f"{minplus_trials} min-plus, {poly_trials} polynomial, "
-                f"{strassen_trials} Strassen trials, zero mismatches, "
-                f"{wall:.1f}s")
+    _verdict(5, f"{minplus_trials} min-plus and {poly_trials} polynomial "
+                f"trials per kernel ({', '.join(kernels)}), {strassen_trials} "
+                f"Strassen trials, zero mismatches, {wall:.1f}s")
 
 
 def test_criterion_6_component_lemmas():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,10 +7,17 @@ import pytest
 from helpers import mixed_graph, sc_mixed_graph, sc_positive_graph
 from tapsp.config import KERNELS, RunConfig
 from tapsp.diameter import diameter
+from tapsp.far_pairs import compute_delta_t
 from tapsp.graphs import NegativeCycleError, gen_random, make_graph, to_matrix
 from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
 from tapsp.sampling import Rng
+from tapsp.schedule import build_schedule
+from tapsp.threshold_general import prepare_general
+
+# the package re-exports the function under the module's name
+dia_mod = importlib.import_module("tapsp.diameter")
+pos_mod = importlib.import_module("tapsp.threshold_positive")
 
 
 def _oracle_diameter(g):
@@ -126,3 +134,140 @@ def test_all_kernels_give_identical_diameters():
             assert res.value == want, kernel
             assert sorted(res.witnesses) == wit, kernel
             assert res.probes == results[0].probes, kernel
+
+
+def _count_calls(monkeypatch, module, name, calls, edit=None):
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        out = orig(*args, **kwargs)
+        return edit(out, calls[name]) if edit else out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_general_search_prepares_once(monkeypatch):
+    calls = {}
+    for name in ("prepare_general", "_search", "find_negative_cycle"):
+        _count_calls(monkeypatch, dia_mod, name, calls)
+    for seed in range(4):
+        g = sc_mixed_graph(12, 0.3, 3, seed=seed + 60)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g, RunConfig(seed=seed))
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert calls == {"prepare_general": 1, "_search": 1,
+                         "find_negative_cycle": 1}
+
+
+def test_general_search_stays_in_k_window():
+    cfg = RunConfig()
+    for seed in range(8):
+        g = sc_mixed_graph(14, 0.3, 4, seed=seed + 70)
+        k_margin = build_schedule(g.n, g.M, omega=cfg.omega).K
+        res = diameter(g, cfg.with_(seed=seed))
+        assert 0 <= res.lo <= res.value <= res.hi <= res.lo + k_margin
+        assert len(res.probes) <= math.ceil(math.log2(k_margin + 1)) + 2
+        assert len({d for (d, _) in res.probes}) == len(res.probes)
+
+
+def test_window_holds_at_the_k_bound(monkeypatch):
+    # delta_star = dist + K everywhere is still within its bound, so the
+    # window must contain the diameter and one search must answer
+    def shift_by_k(run, call):
+        run.delta_star = run.delta_star + run.schedule.K
+        return run
+
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, shift_by_k)
+    for seed in range(4):
+        g = sc_mixed_graph(12, 0.35, 3, seed=seed + 80)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g, RunConfig(seed=seed))
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert res.lo <= want <= res.hi
+        assert calls["prepare_general"] == 1
+
+
+def test_broken_first_run_is_caught_and_searched_again(monkeypatch):
+    # delta_star shifted up by K + 1 puts the whole window above the
+    # diameter; the certificate must reject it and a fresh run answer
+    def shift_first(run, call):
+        if call == 1:
+            run.delta_star = run.delta_star + run.schedule.K + 1
+        return run
+
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, shift_first)
+    for seed in range(4):
+        g = sc_mixed_graph(12, 0.35, 3, seed=seed + 80)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g, RunConfig(seed=seed))
+        assert res.value == want
+        assert sorted(res.witnesses) == wit
+        assert calls["prepare_general"] == 2
+
+
+def test_exact_under_forced_beta():
+    for beta in (0.4, 0.6):
+        for seed in range(4):
+            g = sc_mixed_graph(48, 3.0 / 48, 4, seed=seed + 90)
+            want, wit = _oracle_diameter(g)
+            res = diameter(g, RunConfig(seed=seed, force_beta=beta))
+            assert res.value == want, (beta, seed)
+            assert sorted(res.witnesses) == wit, (beta, seed)
+
+
+def test_certificate_exact_with_sampled_hitting_set():
+    # a large t samples only a few hitting vertices; pairs touching none
+    # of them are settled by Dijkstra
+    for seed in range(5):
+        g = sc_mixed_graph(12, 0.3, 3, seed=seed + 100)
+        dist = floyd_warshall(to_matrix(g))
+        run = prepare_general(g, RunConfig(), Rng(seed))
+        run.far = compute_delta_t(g, 10 * g.n, Rng(seed + 1))
+        assert 0 < run.far.hitting.size < g.n
+        everything = np.ones((g.n, g.n), dtype=bool)
+        for d in np.unique(dist):
+            got = dia_mod._exact_witnesses(g, run, everything, int(d))
+            assert np.array_equal(got, dist == d), (seed, d)
+
+
+def test_certificate_runs_dijkstra_for_unsampled_sources(monkeypatch):
+    def forget_hitting(run, call):
+        run.far.hitting = run.far.hitting[:0]
+        return run
+
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, forget_hitting)
+    _count_calls(monkeypatch, dia_mod, "sssp_rows", calls)
+    for seed in range(4):
+        g = sc_mixed_graph(12, 0.3, 3, seed=seed + 110)
+        want, wit = _oracle_diameter(g)
+        res = diameter(g, RunConfig(seed=seed))
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+    assert calls["sssp_rows"] == calls["prepare_general"] >= 4
+
+
+def test_primal_family_built_once_per_positive_diameter(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "primal_distances", calls)
+    _count_calls(monkeypatch, pos_mod, "primal_distances", calls)
+    for seed in range(4):
+        g = sc_positive_graph(12, 0.35, 4, seed=seed)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g)
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert calls == {"primal_distances": 1}
+        assert len(res.probes) >= 2
+
+
+def test_mode_checked_before_reachability():
+    g = make_graph(3, [(1, 2, -1), (2, 1, 2)])
+    assert diameter(g).value == math.inf
+    with pytest.raises(ValueError):
+        diameter(g, config=RunConfig(mode="positive"))

@@ -49,16 +49,6 @@ def test_sssp_reverse_matches_oracle():
             assert np.array_equal(got, dist[:, src]), (seed, src)
 
 
-def test_dense_and_heap_dijkstra_agree():
-    for seed in range(10):
-        g = mixed_graph(17, 0.3, 3, seed + 100)
-        h = johnson_potentials(g)
-        for src in (0, g.n // 2, g.n - 1):
-            a = sssp_from(g, h, src, dense=False)
-            b = sssp_from(g, h, src, dense=True)
-            assert np.array_equal(a, b)
-
-
 def test_delta_t_dominates_and_caps_exactly():
     # with the sample capped to every vertex the combine is plain exact
     for seed in range(10):

@@ -143,3 +143,17 @@ def test_level_step_missing_source_raises():
     fam = {2: np.eye(3, dtype=bool)}
     with pytest.raises(ValueError):
         level_step(fam, (2, 4), targets=(5, 6), m_bound=1)
+
+
+def test_shared_primal_family_gives_identical_reports():
+    for seed in range(3):
+        g = sc_positive_graph(12, 0.3, 4, seed=seed + 40)
+        primal = primal_distances(g)
+        before = {k: a.copy() for k, a in primal.items()}
+        for d in (-1, 0, 2, 5, 6, 17, 44):
+            shared = threshold_apsp_pos(g, d, primal=primal)
+            fresh = threshold_apsp_pos(g, d)
+            assert np.array_equal(shared.reported, fresh.reported), (seed, d)
+            assert shared.stats == fresh.stats
+        # the family is only read
+        assert all(np.array_equal(primal[k], before[k]) for k in before)
