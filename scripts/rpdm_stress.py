@@ -13,8 +13,8 @@ pairs with the largest min-edge counts (the quadratic DP is too slow for
 all 4096), and records the largest finite |P| entry against two
 reference lines: 3 M n^(1-beta), and the radius-derived ceiling
 2 ceil(s_final M) < 6 M n^(1-beta) + 2 that the builder actually
-guarantees. Products default to the naive kernel; every --fast-every-th
-trial rebuilds with the bounded fast kernel and asserts the matrices agree.
+guarantees. Products run on the default numpy kernel; kernel equivalence
+is covered by tests.
 
 Example:
     python3 scripts/rpdm_stress.py --trials 100
@@ -61,8 +61,6 @@ def main() -> None:
     ap.add_argument("--gamma", type=float, default=0.1)
     ap.add_argument("--pairs", type=int, default=40,
                     help="property-2 pairs per trial, largest edge counts first")
-    ap.add_argument("--fast-every", type=int, default=50,
-                    help="cross-check the bounded fast kernel every this many trials")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 on any property violation")
     args = ap.parse_args()
@@ -88,8 +86,7 @@ def main() -> None:
         dist = floyd_warshall(w)
         counts = min_edge_counts(w, dist)
         rng = Rng(10_000 + trial)
-        pdm = build_partial(w, m_bound, args.beta, args.gamma, rng,
-                            use_fast=False)
+        pdm = build_partial(w, m_bound, args.beta, args.gamma, rng)
         bridge_sizes.append(len(pdm.bridge))
         fin = pdm.P < INF
         entry_max = max(entry_max, int(np.abs(pdm.P[fin]).max()))
@@ -109,11 +106,6 @@ def main() -> None:
         if v2:
             bad2 += 1
             print(f"trial {trial}: property 2 violated on {v2}")
-
-        if args.fast_every and trial % args.fast_every == 0:
-            again = build_partial(w, m_bound, args.beta, args.gamma,
-                                  Rng(10_000 + trial), use_fast=True)
-            assert np.array_equal(pdm.P, again.P), "kernels disagree"
 
     sizes = np.array(bridge_sizes)
     print(f"\n{args.trials} trials: property-1 violations {bad1}, "

@@ -14,8 +14,8 @@ else is worth investigating).
 
 Instances are sparse strongly connected mixed-weight graphs, picked so
 that long shortest paths (large edge counts) actually occur. Products
-run on the naive kernel: kernel equivalence is covered by tests, and
-the plain kernel keeps the trial count high.
+run on the default numpy kernel; kernel equivalence is covered by
+tests.
 
 Example:
     python3 scripts/success_rate.py --trials 40
@@ -45,8 +45,7 @@ def percentile_ds(dist: np.ndarray) -> list:
 
 def run_config(n: int, m_bound: int, density: float, force_beta,
                trials: int) -> dict:
-    cfg = RunConfig(verify=True, verify_bound=n, use_fast_products=False,
-                    force_beta=force_beta)
+    cfg = RunConfig(verify=True, verify_bound=n, force_beta=force_beta)
     probe = prepare_general(gen_mixed_ncf(n, density, m_bound, seed=0,
                                           backbone=True),
                             cfg, Rng(0))

@@ -28,15 +28,13 @@ class LevelEstimate:
 
 
 def additive_approximate(pdm: PartialDistanceMatrix, level: Level, rng: Rng,
-                         kernel: str = "numpy",
-                         strassen_cutoff: int = 64) -> LevelEstimate:
+                         kernel: str = "numpy") -> LevelEstimate:
     n = pdm.n
     k = level.k
     scaled = scale_div_ceil(pdm.P, k)
     count = 12.0 * n ** (1.0 - level.gamma) * math.log(n) if n > 1 else 1.0
     xs = sample(np.arange(n), count, rng)
-    q = dist_product_fast(scaled[:, xs], scaled[xs, :], kernel=kernel,
-                          strassen_cutoff=strassen_cutoff)
+    q = dist_product_fast(scaled[:, xs], scaled[xs, :], kernel=kernel)
     delta = np.empty((n, n), dtype=np.int64)
     delta.fill(INF)
     fin = is_finite(q)

@@ -113,6 +113,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _verify_due(g: Graph, cfg: RunConfig) -> bool:
+    """Whether --verify checks g against the oracle; above verify_bound
+    the check is skipped, and stderr says so."""
+    if cfg.verify and g.n > cfg.verify_bound:
+        print(f"verify skipped: n={g.n} above bound {cfg.verify_bound}",
+              file=sys.stderr)
+        return False
+    return cfg.verify
+
+
 def _oracle_report(g: Graph, d: int) -> np.ndarray:
     dist = floyd_warshall(to_matrix(g))
     return brute_threshold(dist, d)
@@ -123,19 +133,14 @@ def cmd_threshold(args) -> int:
     g = _read_graph(args.file)
     mode = pick_mode(g, cfg)
     if mode == "positive":
-        rep = threshold_apsp_pos(g, args.d, kernel=cfg.kernel,
-                                 strassen_cutoff=cfg.strassen_cutoff)
-        if cfg.verify:
-            if g.n <= cfg.verify_bound:
-                if not np.array_equal(rep.reported, _oracle_report(g, args.d)):
-                    raise VerifyMismatchError(
-                        "positive-path report disagrees with the oracle")
-            else:
-                print(f"verify skipped: n={g.n} above bound {cfg.verify_bound}",
-                      file=sys.stderr)
+        rep = threshold_apsp_pos(g, args.d, kernel=cfg.kernel)
+        if (_verify_due(g, cfg)
+                and not np.array_equal(rep.reported, _oracle_report(g, args.d))):
+            raise VerifyMismatchError("positive-path report disagrees with the oracle")
     else:
-        # verify-retry lives inside the general path
+        # verify-retry lives inside the general path, under the same bound
         rep = threshold_apsp_neg(g, args.d, config=cfg)
+        _verify_due(g, cfg)
     payload = {
         "command": "threshold",
         "mode": mode,
@@ -163,7 +168,7 @@ def cmd_diameter(args) -> int:
     cfg = _config(args)
     g = _read_graph(args.file)
     res = diameter(g, config=cfg)
-    if cfg.verify and g.n <= cfg.verify_bound:
+    if _verify_due(g, cfg):
         dist = floyd_warshall(to_matrix(g))
         fin = is_finite(dist)
         want = int(dist[fin].max()) if fin.all() else math.inf
@@ -254,8 +259,7 @@ def cmd_bench(args) -> int:
                         d = args.d if args.d is not None else (n * m_bound) // 4
                         mode = pick_mode(g, cfg)
                         if mode == "positive":
-                            threshold_apsp_pos(g, d, kernel=cfg.kernel,
-                                               strassen_cutoff=cfg.strassen_cutoff)
+                            threshold_apsp_pos(g, d, kernel=cfg.kernel)
                         else:
                             threshold_apsp_neg(g, d, config=cfg)
                     else:

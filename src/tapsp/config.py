@@ -5,7 +5,8 @@ Every field can be seeded from the environment with the TAPSP_ prefix
 TAPSP_VERIFY); explicit CLI flags win over the environment. TAPSP_KERNEL
 takes one of KERNELS: "numpy" (the default, BLAS and blocked int64
 products) or the paper's encoded ring products "schoolbook" and
-"strassen"; all three give identical answers.
+"strassen"; all three give identical answers. The kernel is the only
+product setting that reaches the pipeline.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class RunConfig:
     omega: float = 2.376
     seed: int = 0
     kernel: str = "numpy"
-    strassen_cutoff: int = 64
     mode: str = "auto"
     output: str = "text"
     verify: bool = False
@@ -35,7 +35,6 @@ class RunConfig:
     trace: bool = False
     force_beta: float | None = None
     force_levels: int | None = None
-    use_fast_products: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:

@@ -97,7 +97,6 @@ def _search(g: Graph, config: RunConfig, rng: Rng,
     if primal is not None:
         def classify(d):
             return threshold_apsp_pos(g, d, kernel=config.kernel,
-                                      strassen_cutoff=config.strassen_cutoff,
                                       primal=primal).reported
     else:
         run = prepare_general(g, config, rng)
@@ -158,8 +157,7 @@ def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterRes
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
     if positive:
-        primal = primal_distances(g, kernel=config.kernel,
-                                  strassen_cutoff=config.strassen_cutoff)
+        primal = primal_distances(g, kernel=config.kernel)
         out = _search(g, config, rng, primal)
         if out is None:
             raise RuntimeError("inconsistent probe trace on the deterministic path")

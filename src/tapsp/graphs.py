@@ -18,6 +18,15 @@ import numpy as np
 from .matrices import INF, bool_product
 from .sampling import Rng
 
+# Largest accepted n * M. Apart from the masked INF + INF, the largest
+# int64 value a kernel forms is a sentinel sum in
+# matrices._minplus_blocked, 2 * (3 * bound + 1), and the largest bound
+# is 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
+# build_partial uses radius <= 3 n M, the primal family M + 1, the scaled
+# estimates about 6 n). n M <= INF >> 5 keeps 24 n M + 2 below INF, so no
+# sum overflows and no finite value reads as INF.
+MAX_SPAN = int(INF) >> 5
+
 
 class GraphParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -46,6 +55,8 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if self.M < 1:
             raise ValueError("weight bound M must be a positive integer")
+        if self.n * self.M > MAX_SPAN:
+            raise ValueError(f"n*M = {self.n * self.M} exceeds the limit {MAX_SPAN}")
         seen = set()
         for (u, v, w) in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -264,10 +275,6 @@ def find_negative_cycle(g: Graph):
         y = pred[y]
     cycle.reverse()
     return [c + 1 for c in cycle]
-
-
-def detect_negative_cycle(g: Graph) -> bool:
-    return _bellman_ford(g)[2] is not None
 
 
 def johnson_potentials(g: Graph) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Distance-matrix kernels.
 
 Weight matrices are square or rectangular numpy int64 arrays where the
-sentinel INF stands for "no path". Finite entries stay far below INF in
-every supported regime (|entry| <= a few million), so masked arithmetic
-never overflows.
+sentinel INF stands for "no path". graphs.MAX_SPAN caps n*M so that every
+value the kernels form stays below INF, and masked arithmetic never
+overflows.
 
 Two min-plus product implementations are provided. The naive one loops
 over the inner dimension with numpy broadcasting. The fast one takes a
@@ -14,7 +14,9 @@ product; the two ring kernels give bit-identical results. "numpy" (the
 default) relaxes the bounded entries directly in blocked int64
 arithmetic. Polynomial squaring takes the same kernel choice: the ring
 kernels square a radix-packed integer matrix, "numpy" runs float32 BLAS
-products over the coefficient slabs.
+products over the coefficient slabs. The "strassen" kernel recurses
+until blocks have at most STRASSEN_CUTOFF rows and multiplies those by
+schoolbook.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INF = np.int64(1) << np.int64(60)
+
+# largest operand side the "strassen" kernel multiplies by schoolbook
+STRASSEN_CUTOFF = 64
 
 
 class EntryBoundError(ValueError):
@@ -92,7 +97,7 @@ def dist_product_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook",
-                strassen_cutoff: int = 64) -> np.ndarray:
+                strassen_cutoff: int = STRASSEN_CUTOFF) -> np.ndarray:
     """Exact integer matrix product over object arrays of Python ints.
 
     This is the ring behind the encoded kernels, so kernel is one of
@@ -163,8 +168,7 @@ def _derive_bound(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
-                      kernel: str = "numpy",
-                      strassen_cutoff: int = 64) -> np.ndarray:
+                      kernel: str = "numpy") -> np.ndarray:
     """Min-plus product of matrices with bounded finite entries.
 
     Finite entries of both operands must lie in [-bound, bound]; bound
@@ -199,7 +203,7 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
         pows[e] = pows[e - 1] * z
     enc_a = _encode(a, bound, pows)
     enc_b = _encode(b, bound, pows)
-    prod = ring_matmul(enc_a, enc_b, kernel=kernel, strassen_cutoff=strassen_cutoff)
+    prod = ring_matmul(enc_a, enc_b, kernel, STRASSEN_CUTOFF)
     return _decode_min(prod, bound, z, pows, l, n)
 
 
@@ -295,18 +299,12 @@ def window_shift(a: np.ndarray, lo: int, hi: int, shift: int) -> np.ndarray:
     return np.where(keep, a - shift, INF)
 
 
-def bool_product(a: np.ndarray, b: np.ndarray, method: str = "bitset") -> np.ndarray:
-    """Boolean matrix product. Bitset rows by default; a ring-backed
-    variant exists for cross-checking and both agree everywhere."""
+def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product over bitset rows."""
     _check_inner(a, b)
     l, m = a.shape
     n = b.shape[1]
     COUNTERS.bool_ops += l * m
-    if method == "ring":
-        prod = ring_matmul(a.astype(object) * 1, b.astype(object) * 1)
-        return np.not_equal(prod, 0)
-    if method != "bitset":
-        raise ValueError(f"unknown bool method {method!r}")
     if m == 0 or n == 0:
         return np.zeros((l, n), dtype=bool)
     nbytes = (n + 7) // 8
@@ -346,8 +344,7 @@ class PolyMatrix:
         return self.coeffs[:, :, q]
 
 
-def poly_square(p: PolyMatrix, kernel: str = "numpy",
-                strassen_cutoff: int = 64) -> PolyMatrix:
+def poly_square(p: PolyMatrix, kernel: str = "numpy") -> PolyMatrix:
     """Square a Boolean-polynomial matrix. Output has degree 2s - 2.
 
     The ring kernels pack entries into integers with radix n*s + 1: the
@@ -367,7 +364,7 @@ def poly_square(p: PolyMatrix, kernel: str = "numpy",
         weights[q] = w
         w *= radix
     enc = np.dot(p.coeffs.reshape(n * n, s).astype(object), weights).reshape(n, n)
-    prod = ring_matmul(enc, enc, kernel=kernel, strassen_cutoff=strassen_cutoff)
+    prod = ring_matmul(enc, enc, kernel, STRASSEN_CUTOFF)
     out = np.zeros((n, n, 2 * s - 1), dtype=bool)
     flat = prod.ravel()
     oflat = out.reshape(n * n, 2 * s - 1)

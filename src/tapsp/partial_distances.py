@@ -42,8 +42,7 @@ class PartialDistanceMatrix:
 
 
 def build_partial(w: np.ndarray, M: int, beta: float, gamma: float, rng: Rng,
-                  kernel: str = "numpy", strassen_cutoff: int = 64,
-                  use_fast: bool = True) -> PartialDistanceMatrix:
+                  kernel: str = "numpy") -> PartialDistanceMatrix:
     """Run the bridge-set squaring loop on weight matrix w.
 
     Phase one shrinks the bridge set while s = (3/2)^ell climbs to
@@ -62,12 +61,6 @@ def build_partial(w: np.ndarray, M: int, beta: float, gamma: float, rng: Rng,
     l_shrink = max(0, math.ceil((1.0 - beta - gamma) * math.log(n) / log15)) if n > 1 else 0
     l_total = max(l_shrink, math.ceil(math.log(2.0 * n ** (1.0 - beta)) / log15))
 
-    def product(a, b, bound):
-        if use_fast:
-            return dist_product_fast(a, b, bound=bound, kernel=kernel,
-                                     strassen_cutoff=strassen_cutoff)
-        return dist_product_naive(a, b)
-
     s = Fraction(1)
     for ell in range(1, l_total + 1):
         s = s * Fraction(3, 2)
@@ -75,11 +68,11 @@ def build_partial(w: np.ndarray, M: int, beta: float, gamma: float, rng: Rng,
         if ell <= l_shrink:
             bridge = sample(bridge, 9.0 * n * math.log(n) / float(s), rng)
         bb = np.ix_(bridge, bridge)
-        left = product(truncate(P[:, bridge], radius), truncate(P[bb], radius),
-                       bound=radius)
+        left = dist_product_fast(truncate(P[:, bridge], radius), truncate(P[bb], radius),
+                                 bound=radius, kernel=kernel)
         P[:, bridge] = np.minimum(P[:, bridge], left)
-        right = product(truncate(P[bb], radius), truncate(P[bridge, :], radius),
-                        bound=radius)
+        right = dist_product_fast(truncate(P[bb], radius), truncate(P[bridge, :], radius),
+                                  bound=radius, kernel=kernel)
         P[bridge, :] = np.minimum(P[bridge, :], right)
     return PartialDistanceMatrix(P=P, beta=beta, gamma=gamma, bridge=bridge, M=M)
 

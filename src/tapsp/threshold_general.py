@@ -74,12 +74,9 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
     delta_star = far.delta.copy()
     for lev in sched.levels:
         pdm = build_partial(w, g.M, lev.beta, lev.gamma, rng.derive(100 + lev.index),
-                            kernel=config.kernel,
-                            strassen_cutoff=config.strassen_cutoff,
-                            use_fast=config.use_fast_products)
+                            kernel=config.kernel)
         est = additive_approximate(pdm, lev, rng.derive(200 + lev.index),
-                                   kernel=config.kernel,
-                                   strassen_cutoff=config.strassen_cutoff)
+                                   kernel=config.kernel)
         partials.append(pdm)
         estimates.append(est)
         delta_star = min_merge(delta_star, est.delta)
@@ -91,8 +88,7 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
 
 
 def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
-                     kernel: str = "numpy",
-                     strassen_cutoff: int = 64) -> np.ndarray:
+                     kernel: str = "numpy") -> np.ndarray:
     """Exact distances near d recovered from one partial matrix.
 
     Keeps only entries within k_margin of d/2, shifts them down so the
@@ -103,8 +99,7 @@ def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
     hi = d // 2 + k_margin
     shift = d // 2 - k_margin
     s = window_shift(pdm.P, lo, hi, shift)
-    r = dist_product_fast(s, s, bound=2 * k_margin, kernel=kernel,
-                          strassen_cutoff=strassen_cutoff)
+    r = dist_product_fast(s, s, bound=2 * k_margin, kernel=kernel)
     out = np.empty_like(r)
     out.fill(INF)
     fin = is_finite(r)
@@ -132,8 +127,7 @@ def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdR
         exact = run.far.delta.copy()
         for pdm in run.partials:
             exact = min_merge(exact, target_distances(
-                pdm, d, k_margin, kernel=config.kernel,
-                strassen_cutoff=config.strassen_cutoff))
+                pdm, d, k_margin, kernel=config.kernel))
         keep = window & (exact <= d)
         reported = reported | keep
         stats["window_reported"] = int(keep.sum())

@@ -88,8 +88,7 @@ def level_plan(d: int, m_bound: int) -> LevelPlan:
     return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
 
 
-def primal_distances(g: Graph, kernel: str = "numpy",
-                     strassen_cutoff: int = 64) -> dict:
+def primal_distances(g: Graph, kernel: str = "numpy") -> dict:
     """A_k for k = 0..M+1 from a repeatedly squared truncated matrix."""
     w = to_matrix(g)
     for (_, _, wt) in g.edges:
@@ -99,8 +98,7 @@ def primal_distances(g: Graph, kernel: str = "numpy",
     d = truncate(w, cap)
     rounds = math.ceil(math.log2(g.M + 1)) + 1
     for _ in range(rounds):
-        sq = dist_product_fast(d, d, bound=cap, kernel=kernel,
-                               strassen_cutoff=strassen_cutoff)
+        sq = dist_product_fast(d, d, bound=cap, kernel=kernel)
         d = truncate(min_merge(d, sq), cap)
     family = {k: (d <= k) for k in range(cap + 1)}
     family[0] = np.eye(g.n, dtype=bool)
@@ -108,15 +106,17 @@ def primal_distances(g: Graph, kernel: str = "numpy",
 
 
 def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
-               kernel: str = "numpy", strassen_cutoff: int = 64,
-               apply_short_or: bool = True) -> dict:
+               kernel: str = "numpy") -> dict:
     """Matrices for one level from the family of the level below.
 
     family must contain A_i for every i in the source interval. One
     polynomial squaring yields, for target k, the union over splits
-    i + (k - i) = k with both halves in the source window. A_t for the
-    smallest source index t is also ORed in whenever t <= k; pairs
-    closer than the window bottom are already certified by it.
+    i + (k - i) = k with both halves in the source window [t_lo, t_hi].
+    That union already holds every pair closer than the window bottom:
+    k lies in [2 t_lo, 2 t_hi], so i = max(t_lo, k - t_hi) puts both i
+    and k - i in the window, and since every A_j contains the identity
+    (diagonal distances are 0), A_i A_(k-i) contains A_i, which contains
+    A_(t_lo).
     """
     t_lo, t_hi = source
     for i in range(t_lo, t_hi + 1):
@@ -125,8 +125,7 @@ def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
     width = t_hi - t_lo + 1
     n = family[t_lo].shape[0]
     coeffs = np.stack([family[t_lo + q] for q in range(width)], axis=2)
-    sq = poly_square(PolyMatrix(coeffs), kernel=kernel,
-                     strassen_cutoff=strassen_cutoff)
+    sq = poly_square(PolyMatrix(coeffs), kernel=kernel)
     out = {}
     for k in range(targets[0], targets[1] + 1):
         if k <= m_bound + 1:
@@ -134,10 +133,7 @@ def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
         idx = k - 2 * t_lo
         if not (0 <= idx <= 2 * width - 2):
             raise ValueError(f"target {k} outside convolution range of {source}")
-        a_k = sq.coefficient(idx).copy()
-        if apply_short_or and t_lo <= k:
-            a_k |= family[t_lo]
-        out[k] = a_k
+        out[k] = sq.coefficient(idx).copy()
     return out
 
 
@@ -156,8 +152,6 @@ class PositiveReport:
 
 
 def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
-                       strassen_cutoff: int = 64,
-                       apply_short_or: bool = True,
                        primal: dict | None = None) -> PositiveReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
 
@@ -170,7 +164,7 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
         rep = np.zeros((n, n), dtype=bool)
         return PositiveReport(reported=rep, d=d, stats={"edge_case": "negative_d"})
     if primal is None:
-        primal = primal_distances(g, kernel=kernel, strassen_cutoff=strassen_cutoff)
+        primal = primal_distances(g, kernel=kernel)
     if d <= g.M + 1:
         return PositiveReport(reported=primal[d].copy(), d=d,
                               stats={"edge_case": "primal", "levels": 0})
@@ -179,8 +173,7 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
     for j in range(plan.depth - 2, -1, -1):
         computed = level_step(family, source=plan.interval(j + 1),
                               targets=plan.interval(j), m_bound=g.M,
-                              kernel=kernel, strassen_cutoff=strassen_cutoff,
-                              apply_short_or=apply_short_or)
+                              kernel=kernel)
         family.update(computed)
     return PositiveReport(reported=family[d], d=d,
                           stats={"levels": plan.depth, "edge_case": None})

@@ -6,9 +6,26 @@ that agreement between the two is meaningful evidence.
 
 import numpy as np
 
+from tapsp import matrices
 from tapsp.graphs import Graph, gen_mixed_ncf, make_graph
 from tapsp.matrices import INF, dist_product_naive
 from tapsp.sampling import Rng
+
+
+def lower_strassen_cutoff(monkeypatch, cutoff: int) -> dict:
+    """Set matrices.STRASSEN_CUTOFF to cutoff so that small products under
+    the "strassen" kernel recurse. The returned dict counts the calls to
+    matrices._strassen under the key "calls"."""
+    counted = {"calls": 0}
+    orig = matrices._strassen
+
+    def wrapper(*args, **kwargs):
+        counted["calls"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "STRASSEN_CUTOFF", cutoff)
+    monkeypatch.setattr(matrices, "_strassen", wrapper)
+    return counted
 
 
 def mixed_graph(n: int, density: float, M: int, seed: int) -> Graph:

@@ -223,6 +223,51 @@ def test_output_identical_across_kernels(tmp_path, capsys):
         assert outs[0] == outs[1] == outs[2], args
 
 
+def test_verify_above_bound_says_so_on_every_path(tmp_path, capsys):
+    n = 129
+    path = tmp_path / "ring.gr"
+    path.write_text(write_graph(make_graph(n, [(u, u % n + 1, 1)
+                                               for u in range(1, n + 1)])))
+    commands = [
+        ["threshold", str(path), "-d", "40"],
+        ["threshold", str(path), "-d", "40", "--mode", "general"],
+        ["diameter", str(path)],
+        ["diameter", str(path), "--mode", "general"],
+    ]
+    for args in commands:
+        assert main(args) == 0
+        plain = capsys.readouterr()
+        assert main(args + ["--verify"]) == 0
+        checked = capsys.readouterr()
+        assert plain.err == ""
+        assert checked.err == f"verify skipped: n={n} above bound 128\n", args
+        assert checked.out == plain.out, args
+
+
+@pytest.mark.parametrize("weight", [2**60, 2**63])
+def test_weight_past_the_headroom_exits_3(tmp_path, capsys, weight):
+    path = tmp_path / "big.gr"
+    path.write_text(f"p sp 3 3\na 1 2 {weight}\na 2 3 1\na 3 1 1\n")
+    for args in (["oracle", str(path)], ["threshold", str(path), "-d", "5"],
+                 ["diameter", str(path)]):
+        assert main(args) == 3, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tapsp: error: n*M = "), args
+
+
+def test_weights_within_the_headroom_run(tmp_path, capsys):
+    path = tmp_path / "small.gr"
+    path.write_text("p sp 3 3\na 1 2 8\na 2 3 1\na 3 1 1\n")
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == "0 8 9\n2 0 1\n1 9 0\n"
+    assert main(["threshold", str(path), "-d", "8", "--verify"]) == 0
+    assert "count: 7\n" in capsys.readouterr().out
+    assert main(["diameter", str(path), "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "diameter: 9", "witness: 1 3", "witness: 3 2"]
+
+
 def test_bench_unknown_algo_exits_3(capsys):
     assert main(["bench", "--algos", "bogus"]) == 3
     assert "unknown algo" in capsys.readouterr().err

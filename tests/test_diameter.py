@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mixed_graph, sc_mixed_graph, sc_positive_graph
+from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
+                     sc_positive_graph)
 from tapsp.config import KERNELS, RunConfig
 from tapsp.diameter import diameter
 from tapsp.far_pairs import compute_delta_t
-from tapsp.graphs import NegativeCycleError, gen_random, make_graph, to_matrix
+from tapsp.graphs import (MAX_SPAN, NegativeCycleError, gen_random, make_graph,
+                          to_matrix)
 from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
 from tapsp.sampling import Rng
 from tapsp.schedule import build_schedule
-from tapsp.threshold_general import prepare_general
+from tapsp.threshold_general import prepare_general, threshold_apsp_neg
 
 # the package re-exports the function under the module's name
 dia_mod = importlib.import_module("tapsp.diameter")
@@ -124,16 +126,30 @@ def test_deterministic():
     assert a.value == b.value and a.witnesses == b.witnesses and a.probes == b.probes
 
 
-def test_all_kernels_give_identical_diameters():
+def test_general_path_exact_at_the_headroom_limit():
+    # n*M = MAX_SPAN (rounded down): the largest sums the numpy kernel
+    # forms are still int64 and below INF
+    for n in (2, 3, 5):
+        M = MAX_SPAN // n
+        g = make_graph(n, [(u, u % n + 1, M if u > 1 else -M)
+                           for u in range(1, n + 1)], M=M)
+        dist = floyd_warshall(to_matrix(g))
+        assert diameter(g).value == int(dist.max())
+        for d in (int(dist.min()), 0, int(dist.max()) - 1):
+            assert np.array_equal(threshold_apsp_neg(g, d).reported, dist <= d), (n, d)
+
+
+def test_all_kernels_give_identical_diameters(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 4)
     graphs = [sc_positive_graph(10, 0.3, 4, seed=5), sc_mixed_graph(10, 0.3, 3, seed=6)]
     for g in graphs:
         want, wit = _oracle_diameter(g)
-        results = [diameter(g, RunConfig(seed=3, kernel=k, strassen_cutoff=4))
-                   for k in KERNELS]
+        results = [diameter(g, RunConfig(seed=3, kernel=k)) for k in KERNELS]
         for kernel, res in zip(KERNELS, results):
             assert res.value == want, kernel
             assert sorted(res.witnesses) == wit, kernel
             assert res.probes == results[0].probes, kernel
+    assert strassen["calls"] > 0
 
 
 def _count_calls(monkeypatch, module, name, calls, edit=None):

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mixed_graph, squaring_apsp
-from tapsp.graphs import (Graph, GraphParseError, NegativeCycleError,
-                          detect_negative_cycle, find_negative_cycle,
-                          gen_random, johnson_potentials, make_graph,
-                          parse_graph, to_matrix, transitive_closure,
-                          write_graph)
+from tapsp.graphs import (MAX_SPAN, Graph, GraphParseError, NegativeCycleError,
+                          find_negative_cycle, gen_random, johnson_potentials,
+                          make_graph, parse_graph, to_matrix,
+                          transitive_closure, write_graph)
 from tapsp.matrices import INF
 from tapsp.oracle import floyd_warshall
 
@@ -81,12 +80,12 @@ def test_gen_random_deterministic():
 
 def test_gen_random_no_neg_cycle_flag():
     g = gen_random(10, 0.3, -3, 3, seed=7, require_no_neg_cycle=True)
-    assert not detect_negative_cycle(g)
+    assert find_negative_cycle(g) is None
 
 
 def test_detect_negative_cycle_two_cycles():
-    assert detect_negative_cycle(make_graph(2, [(1, 2, -1), (2, 1, -1)]))
-    assert not detect_negative_cycle(make_graph(2, [(1, 2, -1), (2, 1, 1)]))
+    assert find_negative_cycle(make_graph(2, [(1, 2, -1), (2, 1, -1)])) is not None
+    assert find_negative_cycle(make_graph(2, [(1, 2, -1), (2, 1, 1)])) is None
 
 
 def test_find_negative_cycle_returns_real_cycle():
@@ -128,7 +127,7 @@ def test_negative_cycle_enumeration_cross_check():
                         break
             if brute:
                 break
-        assert detect_negative_cycle(g) == brute
+        assert (find_negative_cycle(g) is not None) == brute
 
 
 def test_johnson_path_example():
@@ -208,6 +207,18 @@ def test_make_graph_infers_bound():
     g = make_graph(3, [(1, 2, -4), (2, 3, 2)])
     assert g.M == 4
     assert make_graph(2, []).M == 1
+
+
+def test_weights_past_the_headroom_are_rejected():
+    # n*M may reach MAX_SPAN and no further
+    assert make_graph(2, [(1, 2, MAX_SPAN // 2)]).M == MAX_SPAN // 2
+    for w in (MAX_SPAN // 2 + 1, -(MAX_SPAN // 2 + 1), 2**60, 2**63):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            make_graph(2, [(1, 2, w)])
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        Graph(n=3, edges=(), M=MAX_SPAN // 3 + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_graph(f"p sp 3 1\na 1 2 {2**63}\n")
 
 
 @given(st.integers(min_value=1, max_value=12),

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import minplus_reference, poly_square_direct, rand_dist_matrix
+from helpers import (lower_strassen_cutoff, minplus_reference,
+                     poly_square_direct, rand_dist_matrix)
 from tapsp.config import KERNELS
+from tapsp.graphs import MAX_SPAN
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, PolyMatrix,
                             bool_product, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
@@ -140,11 +142,13 @@ def test_strassen_handles_big_integers():
     assert np.array_equal(school, stras)
 
 
-def test_fast_product_through_strassen_kernel():
+def test_fast_product_through_strassen_kernel(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 4)
     gen = np.random.default_rng(5)
     a = rand_dist_matrix(gen, 9, 9, 7)
-    fast = dist_product_fast(a, a, bound=7, kernel="strassen", strassen_cutoff=4)
+    fast = dist_product_fast(a, a, bound=7, kernel="strassen")
     assert np.array_equal(fast, dist_product_naive(a, a))
+    assert strassen["calls"] > 0
 
 
 def test_min_merge_elementwise():
@@ -190,11 +194,9 @@ def test_bool_product_methods_agree():
         r = int(gen.integers(1, 20))
         a = gen.random((n, m)) < 0.3
         b = gen.random((m, r)) < 0.3
-        bit = bool_product(a, b, method="bitset")
-        ring = bool_product(a, b, method="ring")
+        bit = bool_product(a, b)
         want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
         assert np.array_equal(bit, want)
-        assert np.array_equal(ring, want)
 
 
 def test_poly_square_matches_direct_convolution():
@@ -256,18 +258,30 @@ def _minplus_edge_inputs(gen):
     yield full_inf(2, 3), full_inf(3, 2), 5
 
 
-def test_fast_kernels_agree_on_edge_inputs():
+def test_fast_kernels_agree_on_edge_inputs(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 2)
     gen = np.random.default_rng(8)
     for a, b, bound in _minplus_edge_inputs(gen):
         want = dist_product_naive(a, b)
         school = dist_product_fast(a, b, bound=bound, kernel="schoolbook")
         assert np.array_equal(school, want), (a, b, bound)
         for kernel in KERNELS:
-            got = dist_product_fast(a, b, bound=bound, kernel=kernel,
-                                    strassen_cutoff=2)
+            got = dist_product_fast(a, b, bound=bound, kernel=kernel)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (kernel, a, b, bound)
             assert np.array_equal(dist_product_fast(a, b, kernel=kernel), want)
+    assert strassen["calls"] > 0
+
+
+def test_numpy_kernel_exact_at_the_largest_pipeline_bound():
+    # target_distances multiplies at bound 2K <= 4 n M, and graphs keep
+    # n M <= MAX_SPAN: sentinel sums stay int64, finite results below INF
+    bound = 4 * MAX_SPAN
+    a = np.array([[bound, INF], [INF, -bound]], dtype=np.int64)
+    got = dist_product_fast(a, a, bound=bound, kernel="numpy")
+    want = np.array([[2 * bound, INF], [INF, -2 * bound]], dtype=np.int64)
+    assert np.array_equal(got, want)
+    assert is_finite(got[0, 0])
 
 
 def test_fast_kernels_reject_entries_beyond_bound():
@@ -280,7 +294,8 @@ def test_fast_kernels_reject_entries_beyond_bound():
             dist_product_fast(b, a, bound=5, kernel=kernel)
 
 
-def test_poly_square_kernels_match_direct_convolution():
+def test_poly_square_kernels_match_direct_convolution(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 4)
     gen = np.random.default_rng(9)
     cases = [np.ones((6, 6, 5), dtype=bool), np.zeros((4, 4, 3), dtype=bool)]
     for _ in range(40):
@@ -290,10 +305,10 @@ def test_poly_square_kernels_match_direct_convolution():
     for coeffs in cases:
         want = poly_square_direct(coeffs)
         for kernel in KERNELS:
-            got = poly_square(PolyMatrix(coeffs.copy()), kernel=kernel,
-                              strassen_cutoff=4)
+            got = poly_square(PolyMatrix(coeffs.copy()), kernel=kernel)
             assert got.coeffs.shape == want.shape
             assert np.array_equal(got.coeffs, want), (kernel, coeffs.shape)
+    assert strassen["calls"] > 0
 
 
 def test_numpy_kernel_counts_work():

@@ -113,15 +113,6 @@ def test_builder_deterministic():
     assert np.array_equal(a.bridge, b.bridge)
 
 
-def test_fast_and_naive_products_build_identical_matrices():
-    g = mixed_graph(13, 0.35, 3, seed=21)
-    w = to_matrix(g)
-    fast = build_partial(w, g.M, 0.3, 0.3, Rng(5), use_fast=True)
-    slow = build_partial(w, g.M, 0.3, 0.3, Rng(5), use_fast=False)
-    assert np.array_equal(fast.P, slow.P)
-    assert np.array_equal(fast.bridge, slow.bridge)
-
-
 def test_single_vertex_matrix():
     w = to_matrix(make_graph(1, []))
     pdm = build_partial(w, 1, 0.0, 0.0, Rng(0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mixed_graph, sc_mixed_graph
+from helpers import lower_strassen_cutoff, mixed_graph, sc_mixed_graph
 from tapsp.config import KERNELS, RunConfig
 from tapsp.graphs import NegativeCycleError, make_graph, to_matrix
 from tapsp.matrices import INF, is_finite
@@ -139,18 +139,19 @@ def test_runs_are_deterministic():
     assert a.stats == b.stats
 
 
-def test_all_kernels_give_identical_reports():
+def test_all_kernels_give_identical_reports(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 4)
     for seed in range(3):
         g = sc_mixed_graph(14, 0.3, 3, seed=seed + 30)
         for d in (-3, 0, 4, 10):
-            reps = [threshold_apsp_neg(g, d, config=RunConfig(kernel=k, strassen_cutoff=4),
-                                       rng=Rng(seed))
+            reps = [threshold_apsp_neg(g, d, config=RunConfig(kernel=k), rng=Rng(seed))
                     for k in KERNELS]
             assert np.array_equal(reps[0].reported, _oracle(g, d)), (seed, d)
             for rep in reps[1:]:
                 assert np.array_equal(rep.reported, reps[0].reported), (seed, d)
                 assert rep.stats == reps[0].stats
                 assert rep.window_exact == reps[0].window_exact
+    assert strassen["calls"] > 0
 
 
 def test_report_pairs_are_one_based():

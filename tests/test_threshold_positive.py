@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import sc_positive_graph
+from helpers import lower_strassen_cutoff, sc_positive_graph
 from tapsp.config import KERNELS
 from tapsp.graphs import gen_random, make_graph, to_matrix
 from tapsp.oracle import brute_threshold, floyd_warshall
@@ -81,23 +81,12 @@ def test_level_step_equals_split_union():
         family = {i: brute_threshold(dist, i) for i in range(source[0], source[1] + 1)}
         got = level_step(family, source, targets=(9, 14), m_bound=g.M)
         for k, a_k in got.items():
-            want = family[source[0]] if source[0] <= k else np.zeros_like(a_k)
+            want = np.zeros_like(a_k)
             for i in range(source[0], source[1] + 1):
                 j = k - i
                 if source[0] <= j <= source[1]:
                     want = want | bool_product(family[i], family[j])
             assert np.array_equal(a_k, want), (seed, k)
-
-
-def test_short_or_is_redundant_for_plan_windows():
-    # pairs below the window bottom are already covered by the
-    # convolution through a midpoint; flag any counterexample
-    for seed in range(10):
-        g = sc_positive_graph(14, 0.35, 4, seed)
-        for d in (11, 23, 57):
-            with_or = threshold_apsp_pos(g, d, apply_short_or=True)
-            without = threshold_apsp_pos(g, d, apply_short_or=False)
-            assert np.array_equal(with_or.reported, without.reported), (seed, d)
 
 
 def test_matches_oracle_various_thresholds():
@@ -121,22 +110,27 @@ def test_zero_threshold_is_diagonal():
     assert np.array_equal(rep.reported, np.eye(9, dtype=bool))
 
 
-def test_kernel_independent():
+def test_kernel_independent(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 4)
     g = sc_positive_graph(11, 0.3, 3, seed=6)
     for d in (4, 15, 33):
         a = threshold_apsp_pos(g, d, kernel="schoolbook")
-        b = threshold_apsp_pos(g, d, kernel="strassen", strassen_cutoff=4)
+        b = threshold_apsp_pos(g, d, kernel="strassen")
         assert np.array_equal(a.reported, b.reported)
+    # the module constant reaches the ring products of the pipeline
+    assert strassen["calls"] > 0
 
 
-def test_all_kernels_give_identical_reports():
+def test_all_kernels_give_identical_reports(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 4)
     for seed in range(3):
         g = sc_positive_graph(13, 0.3, 4, seed=seed + 20)
         for d in (3, 9, 26, 60):
             want = _oracle(g, d)
             for kernel in KERNELS:
-                rep = threshold_apsp_pos(g, d, kernel=kernel, strassen_cutoff=4)
+                rep = threshold_apsp_pos(g, d, kernel=kernel)
                 assert np.array_equal(rep.reported, want), (seed, d, kernel)
+    assert strassen["calls"] > 0
 
 
 def test_level_step_missing_source_raises():
