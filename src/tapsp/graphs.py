@@ -15,16 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import INF, bool_product
+from .matrices import COUNTERS, INF
 from .sampling import Rng
 
 # Largest accepted n * M. Apart from the masked INF + INF, the largest
-# int64 value a kernel forms is a sentinel sum in
-# matrices._minplus_blocked, 2 * (3 * bound + 1), and the largest bound
-# is 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
-# build_partial uses radius <= 3 n M, the primal family M + 1, the scaled
-# estimates about 6 n). n M <= INF >> 5 keeps 24 n M + 2 below INF, so no
-# sum overflows and no finite value reads as INF.
+# value a kernel forms is a sentinel sum in matrices._minplus_blocked,
+# 2 * (3 * bound + 1); it also picks the relaxation dtype (int16, int32 or
+# int64, the narrowest that holds it). The largest bound is
+# 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
+# build_partial uses radius <= 3 n M, the primal family M + 1, the level
+# steps at most 2M + 2, the scaled estimates about 6 n). n M <= INF >> 5
+# keeps 24 n M + 2 below INF, so no sum overflows int64 and no finite
+# value reads as INF.
 MAX_SPAN = int(INF) >> 5
 
 
@@ -286,12 +288,18 @@ def johnson_potentials(g: Graph) -> np.ndarray:
 
 
 def transitive_closure(g: Graph) -> np.ndarray:
-    """Boolean reachability matrix (diagonal true)."""
+    """Boolean reachability matrix (diagonal true).
+
+    Repeated squaring with numpy's Boolean matmul; the true diagonal makes
+    each square contain the previous matrix, so ceil(log2 n) squarings
+    reach paths of every length.
+    """
     n = g.n
     reach = np.eye(n, dtype=bool)
     for (u, v, _) in g.edges:
         reach[u - 1, v - 1] = True
     steps = 1 if n <= 2 else int(np.ceil(np.log2(n)))
     for _ in range(steps):
-        reach = bool_product(reach, reach) | reach
+        COUNTERS.bool_ops += n * n
+        reach = reach @ reach
     return reach

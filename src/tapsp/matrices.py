@@ -5,23 +5,22 @@ sentinel INF stands for "no path". graphs.MAX_SPAN caps n*M so that every
 value the kernels form stays below INF, and masked arithmetic never
 overflows.
 
-Two min-plus product implementations are provided. The naive one loops
-over the inner dimension with numpy broadcasting. The fast one takes a
-kernel. "schoolbook" and "strassen" encode bounded entries as
-arbitrary-precision integers z**e (Yuval's trick) and multiply them over
-the plain integer ring, so the inner loop is one exact integer matrix
-product; the two ring kernels give bit-identical results. "numpy" (the
-default) relaxes the bounded entries directly in blocked int64
-arithmetic. Polynomial squaring takes the same kernel choice: the ring
-kernels square a radix-packed integer matrix, "numpy" runs float32 BLAS
-products over the coefficient slabs. The "strassen" kernel recurses
+Bounded min-plus is the one product in the package. The naive version
+loops over the inner dimension with numpy broadcasting and is the test
+reference. The fast one takes a kernel. "schoolbook" and "strassen"
+encode bounded entries as arbitrary-precision integers z**e (Yuval's
+trick) and multiply them over the plain integer ring, so the inner loop
+is one exact integer matrix product; the two ring kernels give
+bit-identical results. "numpy" (the default) relaxes the bounded entries
+directly in blocked fixed-width arithmetic, in the narrowest integer
+dtype that holds every value formed. The "strassen" kernel recurses
 until blocks have at most STRASSEN_CUTOFF rows and multiplies those by
 schoolbook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,7 +178,7 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     cannot carry) and INF as 0; after one exact integer product, the
     minimum is 2*bound minus the highest nonzero digit position.
 
-    The "numpy" kernel relaxes in int64 directly, see _minplus_blocked.
+    The "numpy" kernel relaxes the entries directly, see _minplus_blocked.
     """
     _check_inner(a, b)
     l, m = a.shape
@@ -212,24 +211,30 @@ _BLOCK_ELEMS = 1 << 15
 
 
 def _minplus_blocked(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Bounded min-plus by blocked int64 relaxation.
+    """Bounded min-plus by blocked fixed-width relaxation.
 
     INF becomes the sentinel 3*bound + 1. A sum of two finite entries lies
     in [-2*bound, 2*bound]; a sum that uses a sentinel is at least
     3*bound + 1 - bound = 2*bound + 1. Minima above 2*bound are therefore
-    exactly the pairs with no finite term, and map back to INF.
+    exactly the pairs with no finite term, and map back to INF. The
+    largest value formed is the double sentinel 2*(3*bound + 1), so the
+    relaxation runs in the narrowest of int16/int32/int64 that holds it.
     """
     l, m = a.shape
     n = b.shape[1]
     COUNTERS.minplus_relaxations += l * m * n
-    sentinel = np.int64(3 * bound + 1)
-    sa = np.where(is_finite(a), a, sentinel)
-    sb = np.where(is_finite(b), b, sentinel)
-    out = np.empty((l, n), dtype=np.int64)
+    top = 2 * (3 * bound + 1)
+    dtype = next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max),
+                 np.int64)
+    sentinel = 3 * bound + 1
+    sa = np.where(is_finite(a), a, sentinel).astype(dtype, copy=False)
+    sb = np.where(is_finite(b), b, sentinel).astype(dtype, copy=False)
+    out = np.empty((l, n), dtype=dtype)
     rows = max(1, _BLOCK_ELEMS // max(1, m * n))
     for i0 in range(0, l, rows):
         i1 = min(i0 + rows, l)
         (sa[i0:i1, :, None] + sb[None, :, :]).min(axis=1, out=out[i0:i1])
+    out = out.astype(np.int64, copy=False)
     out[out > 2 * bound] = INF
     return out
 
@@ -297,106 +302,3 @@ def window_shift(a: np.ndarray, lo: int, hi: int, shift: int) -> np.ndarray:
         raise ValueError("window upper end must be finite")
     keep = (a >= lo) & (a <= hi)
     return np.where(keep, a - shift, INF)
-
-
-def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product over bitset rows."""
-    _check_inner(a, b)
-    l, m = a.shape
-    n = b.shape[1]
-    COUNTERS.bool_ops += l * m
-    if m == 0 or n == 0:
-        return np.zeros((l, n), dtype=bool)
-    nbytes = (n + 7) // 8
-    packed = np.packbits(b.astype(np.uint8), axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[k].tobytes(), "little") for k in range(m)]
-    out = np.zeros((l, n), dtype=bool)
-    for i in range(l):
-        acc = 0
-        for k in np.nonzero(a[i])[0]:
-            acc |= rows[k]
-        if acc:
-            buf = np.frombuffer(acc.to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(buf, count=n, bitorder="little").astype(bool)
-    return out
-
-
-@dataclass
-class PolyMatrix:
-    """Matrix of Boolean-coefficient polynomials, coeffs shape (n, n, s)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.ndim != 3 or self.coeffs.shape[0] != self.coeffs.shape[1]:
-            raise ValueError("coeffs must have shape (n, n, s)")
-        self.coeffs = self.coeffs.astype(bool)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.coeffs.shape[2]
-
-    def coefficient(self, q: int) -> np.ndarray:
-        return self.coeffs[:, :, q]
-
-
-def poly_square(p: PolyMatrix, kernel: str = "numpy") -> PolyMatrix:
-    """Square a Boolean-polynomial matrix. Output has degree 2s - 2.
-
-    The ring kernels pack entries into integers with radix n*s + 1: the
-    coefficient of x**q in any product entry counts one term per (inner
-    index, split) pair, at most n*s of them, so digits never carry and
-    the Boolean coefficients of the square are exactly the nonzero
-    digits. The "numpy" kernel multiplies coefficient slabs in float32,
-    see _poly_square_slabs.
-    """
-    if kernel == "numpy":
-        return _poly_square_slabs(p)
-    n, s = p.n, p.s
-    radix = n * s + 1
-    weights = np.empty(s, dtype=object)
-    w = 1
-    for q in range(s):
-        weights[q] = w
-        w *= radix
-    enc = np.dot(p.coeffs.reshape(n * n, s).astype(object), weights).reshape(n, n)
-    prod = ring_matmul(enc, enc, kernel, STRASSEN_CUTOFF)
-    out = np.zeros((n, n, 2 * s - 1), dtype=bool)
-    flat = prod.ravel()
-    oflat = out.reshape(n * n, 2 * s - 1)
-    for i in range(flat.size):
-        c = flat[i]
-        q = 0
-        while c:
-            c, digit = divmod(c, radix)
-            if digit:
-                oflat[i, q] = True
-            q += 1
-    return PolyMatrix(out)
-
-
-def _poly_square_slabs(p: PolyMatrix) -> PolyMatrix:
-    """Boolean polynomial square by s float32 BLAS products.
-
-    With A_q the coefficient slab of x**q, coefficient q of the square is
-    the OR over i + j = q of the Boolean products A_i A_j. The slabs are
-    stacked side by side into right = [A_0 | ... | A_{s-1}], so one
-    product A_i @ right yields A_i A_j for every j, which lands on
-    coefficients i .. i + s - 1. Each entry of A_i A_j counts at most n
-    terms and n < 2**24, so float32 holds it exactly.
-    """
-    n, s = p.n, p.s
-    COUNTERS.ring_mults += s * n * n * (s * n)
-    right = np.ascontiguousarray(
-        p.coeffs.transpose(0, 2, 1), dtype=np.float32).reshape(n, s * n)
-    buf = np.empty((n, s * n), dtype=np.float32)
-    # coefficient-major layout so every OR writes one contiguous slab
-    out = np.zeros((n, 2 * s - 1, n), dtype=bool)
-    for i in range(s):
-        np.matmul(right[:, i * n:(i + 1) * n], right, out=buf)
-        out[:, i:i + s, :] |= buf.reshape(n, s, n) > 0
-    return PolyMatrix(out.transpose(0, 2, 1))

@@ -4,9 +4,11 @@ A_k denotes the Boolean matrix of pairs at distance <= k. Small k (up to
 M + 1) come straight from a truncated distance matrix, since a shortest
 path of weight at most M + 1 uses at most M + 1 arcs. Large k are built
 top-down: the target set {d} expands level by level into intervals of
-indices roughly halving each time, and one squaring of a Boolean
-polynomial matrix per level turns the family of a deeper level into the
-family of the one above it.
+indices roughly halving each time. The paper turns the family of a deeper
+level into the family of the one above it by squaring a matrix of
+Boolean polynomials; because the family is nested, that square is one
+bounded min-plus product of the "first index" matrix (Yuval 1976), so
+each level costs one dist_product_fast call.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, to_matrix
-from .matrices import (INF, PolyMatrix, dist_product_fast, min_merge,
-                       poly_square, truncate)
+from .matrices import dist_product_fast, full_inf, min_merge, truncate
 
 
 def f_set(k: int, m_bound: int) -> set:
@@ -109,9 +110,25 @@ def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
                kernel: str = "numpy") -> dict:
     """Matrices for one level from the family of the level below.
 
-    family must contain A_i for every i in the source interval. One
-    polynomial squaring yields, for target k, the union over splits
-    i + (k - i) = k with both halves in the source window [t_lo, t_hi].
+    family must contain A_i for every i in the source window
+    [t_lo, t_hi], and the window must be nested, A_i a subset of
+    A_(i+1) (threshold matrices always are). Target k in [2 t_lo, 2 t_hi]
+    is the union over splits i + (k - i) = k with both halves in the
+    window of the Boolean products A_i A_(k-i), which is the coefficient
+    of x**(k - 2 t_lo) in the square of the polynomial matrix
+    sum_q A_(t_lo+q) x**q.
+
+    One min-plus product computes every target. Let C[u, v] be the least
+    i in the window with A_i[u, v], minus t_lo (INF if none), and
+    S = C (min-plus) C. Then (u, v) is in the union for k exactly when
+    S[u, v] <= k - 2 t_lo. If A_i[u, w] and A_j[w, v] with i + j = k,
+    then C[u, w] + C[w, v] <= k - 2 t_lo. Conversely, take w with
+    a = C[u, w] + t_lo, b = C[w, v] + t_lo and a + b <= k. Put
+    i = min(t_hi, k - b) and j = k - i: then t_lo <= a <= i <= t_hi and
+    t_lo <= b <= j <= t_hi (if i = t_hi, j = k - t_hi <= t_hi), and by
+    nesting A_i[u, w] and A_j[w, v] hold, since A_a[u, w] and A_b[w, v]
+    do.
+
     That union already holds every pair closer than the window bottom:
     k lies in [2 t_lo, 2 t_hi], so i = max(t_lo, k - t_hi) puts both i
     and k - i in the window, and since every A_j contains the identity
@@ -122,18 +139,18 @@ def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
     for i in range(t_lo, t_hi + 1):
         if i not in family:
             raise ValueError(f"missing source matrix A_{i}")
-    width = t_hi - t_lo + 1
     n = family[t_lo].shape[0]
-    coeffs = np.stack([family[t_lo + q] for q in range(width)], axis=2)
-    sq = poly_square(PolyMatrix(coeffs), kernel=kernel)
+    first = full_inf(n, n)
+    for i in range(t_hi, t_lo - 1, -1):
+        first[family[i]] = i - t_lo
+    sq = dist_product_fast(first, first, bound=t_hi - t_lo, kernel=kernel)
     out = {}
     for k in range(targets[0], targets[1] + 1):
         if k <= m_bound + 1:
             continue  # primal targets come from the primal family
-        idx = k - 2 * t_lo
-        if not (0 <= idx <= 2 * width - 2):
+        if not 2 * t_lo <= k <= 2 * t_hi:
             raise ValueError(f"target {k} outside convolution range of {source}")
-        out[k] = sq.coefficient(idx).copy()
+        out[k] = sq <= k - 2 * t_lo
     return out
 
 

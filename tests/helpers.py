@@ -10,6 +10,7 @@ from tapsp import matrices
 from tapsp.graphs import Graph, gen_mixed_ncf, make_graph
 from tapsp.matrices import INF, dist_product_naive
 from tapsp.sampling import Rng
+from tapsp.threshold_positive import level_step
 
 
 def lower_strassen_cutoff(monkeypatch, cutoff: int) -> dict:
@@ -88,6 +89,28 @@ def poly_square_direct(coeffs: np.ndarray) -> np.ndarray:
         for q2 in range(s):
             out[:, :, q1 + q2] |= (ints[:, :, q1] @ ints[:, :, q2]) > 0
     return out
+
+
+def nested_coeffs(gen: np.random.Generator, n: int, s: int,
+                  density: float) -> np.ndarray:
+    """Coefficient slabs (n, n, s) of a nested Boolean family: slab q is
+    contained in slab q + 1. A pair enters at a uniform index with
+    probability density and is absent from every slab otherwise."""
+    enters = gen.integers(0, s, size=(n, n))
+    enters[gen.random((n, n)) >= density] = s
+    return enters[:, :, None] <= np.arange(s)
+
+
+def level_step_square(coeffs: np.ndarray, t_lo: int, kernel: str) -> np.ndarray:
+    """level_step over every target of the nested family coeffs, placed at
+    indices t_lo .. t_lo + s - 1, stacked like poly_square_direct's output.
+    t_lo >= 2 keeps every target above the primal range of M = 1."""
+    s = coeffs.shape[2]
+    t_hi = t_lo + s - 1
+    family = {t_lo + q: coeffs[:, :, q] for q in range(s)}
+    got = level_step(family, (t_lo, t_hi), (2 * t_lo, 2 * t_hi), m_bound=1,
+                     kernel=kernel)
+    return np.stack([got[k] for k in range(2 * t_lo, 2 * t_hi + 1)], axis=2)
 
 
 def squaring_apsp(w: np.ndarray) -> np.ndarray:

@@ -14,15 +14,15 @@ import time
 
 import numpy as np
 
-from helpers import (mixed_graph, poly_square_direct, rand_dist_matrix,
-                     sc_mixed_graph, sc_positive_graph)
+from helpers import (level_step_square, mixed_graph, nested_coeffs,
+                     poly_square_direct, rand_dist_matrix, sc_mixed_graph,
+                     sc_positive_graph)
 from tapsp.config import RunConfig
 from tapsp.diameter import diameter
 from tapsp.far_pairs import johnson_potentials
 from tapsp.graphs import Graph, gen_random, make_graph, to_matrix, write_graph
-from tapsp.matrices import (INF, PolyMatrix, dist_product_fast,
-                            dist_product_naive, is_finite, poly_square,
-                            ring_matmul)
+from tapsp.matrices import (INF, dist_product_fast, dist_product_naive,
+                            is_finite, ring_matmul)
 from tapsp.oracle import brute_threshold, floyd_warshall, min_edge_counts
 from tapsp.partial_distances import (check_rpdm_property1,
                                      check_rpdm_property2)
@@ -192,7 +192,7 @@ def test_criterion_5_kernel_equivalence():
     start = time.monotonic()
     kernels = ("numpy", "schoolbook")
     minplus_trials = 10_000
-    poly_trials = 10_000
+    level_trials = 10_000
     for kernel in kernels:
         # the same trials for every kernel
         gen = np.random.default_rng(11)
@@ -205,14 +205,16 @@ def test_criterion_5_kernel_equivalence():
             assert np.array_equal(dist_product_fast(a, b, kernel=kernel),
                                   dist_product_naive(a, b)), kernel
 
-        for t in range(poly_trials):
+        # a level step against the split union of its nested family
+        for t in range(level_trials):
             if t % 100 == 99:
                 n, s = int(gen.integers(9, 17)), int(gen.integers(1, 9))
             else:
                 n, s = int(gen.integers(1, 9)), int(gen.integers(1, 7))
-            coeffs = gen.random((n, n, s)) < 0.35
-            got = poly_square(PolyMatrix(coeffs.copy()), kernel=kernel)
-            assert np.array_equal(got.coeffs, poly_square_direct(coeffs)), kernel
+            coeffs = nested_coeffs(gen, n, s, 0.6)
+            t_lo = int(gen.integers(2, 9))
+            got = level_step_square(coeffs, t_lo, kernel)
+            assert np.array_equal(got, poly_square_direct(coeffs)), kernel
 
     strassen_trials = 1_000
     for t in range(strassen_trials):
@@ -231,7 +233,7 @@ def test_criterion_5_kernel_equivalence():
         assert np.array_equal(school, stras)
 
     wall = time.monotonic() - start
-    _verdict(5, f"{minplus_trials} min-plus and {poly_trials} polynomial "
+    _verdict(5, f"{minplus_trials} min-plus and {level_trials} level-step "
                 f"trials per kernel ({', '.join(kernels)}), {strassen_trials} "
                 f"Strassen trials, zero mismatches, {wall:.1f}s")
 

@@ -189,6 +189,8 @@ def test_bench_csv_shape_and_op_determinism(capsys):
 
 
 def test_bench_threshold_op_counts_default_kernel(capsys):
+    # numpy relaxes every product directly; the encoded kernels count ring
+    # multiplications instead
     argv = ["bench", "--ns", "8,16", "--ms", "2", "--densities", "0.5",
             "--algos", "threshold", "--seed", "1"]
     runs = []
@@ -199,7 +201,12 @@ def test_bench_threshold_op_counts_default_kernel(capsys):
     for first, second in zip(*runs):
         assert first[:5] + first[6:] == second[:5] + second[6:]
         ring_mults, relaxations = int(first[6]), int(first[7])
-        assert ring_mults > 0 and relaxations > 0, first
+        assert ring_mults == 0 and relaxations > 0, first
+    assert main(argv + ["--kernel", "schoolbook"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert int(row[6]) > 0, row
 
 
 def test_output_identical_across_kernels(tmp_path, capsys):

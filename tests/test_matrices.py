@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (lower_strassen_cutoff, minplus_reference,
-                     poly_square_direct, rand_dist_matrix)
+from helpers import (level_step_square, lower_strassen_cutoff,
+                     minplus_reference, nested_coeffs, poly_square_direct,
+                     rand_dist_matrix)
 from tapsp.config import KERNELS
 from tapsp.graphs import MAX_SPAN
-from tapsp.matrices import (COUNTERS, INF, EntryBoundError, PolyMatrix,
-                            bool_product, dist_product_fast,
+from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
-                            min_merge, minplus_identity, poly_square,
-                            ring_matmul, scale_div_ceil, truncate,
-                            window_shift)
+                            min_merge, minplus_identity, ring_matmul,
+                            scale_div_ceil, truncate, window_shift)
+from tapsp.threshold_positive import level_step
 
 
 def test_minplus_worked_example():
@@ -186,47 +186,6 @@ def test_window_shift_keeps_only_window():
     assert np.array_equal(got, want)
 
 
-def test_bool_product_methods_agree():
-    gen = np.random.default_rng(6)
-    for _ in range(80):
-        n = int(gen.integers(1, 20))
-        m = int(gen.integers(1, 20))
-        r = int(gen.integers(1, 20))
-        a = gen.random((n, m)) < 0.3
-        b = gen.random((m, r)) < 0.3
-        bit = bool_product(a, b)
-        want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
-        assert np.array_equal(bit, want)
-
-
-def test_poly_square_matches_direct_convolution():
-    gen = np.random.default_rng(7)
-    for _ in range(60):
-        n = int(gen.integers(1, 9))
-        s = int(gen.integers(1, 7))
-        coeffs = gen.random((n, n, s)) < 0.35
-        got = poly_square(PolyMatrix(coeffs))
-        want = poly_square_direct(coeffs)
-        assert got.coeffs.shape == want.shape
-        assert np.array_equal(got.coeffs, want)
-
-
-def test_poly_square_dense_coefficients_no_carry():
-    # all-ones polynomials maximize digit counts; any radix carry would
-    # corrupt neighbouring coefficients
-    n, s = 6, 5
-    coeffs = np.ones((n, n, s), dtype=bool)
-    got = poly_square(PolyMatrix(coeffs))
-    assert got.coeffs.all()
-
-
-def test_poly_matrix_validation():
-    with pytest.raises(ValueError):
-        PolyMatrix(np.zeros((2, 3, 1), dtype=bool))
-    with pytest.raises(ValueError):
-        PolyMatrix(np.zeros((2, 2), dtype=bool))
-
-
 @given(arrays(np.int8, (4, 4), elements=st.integers(min_value=-7, max_value=7)),
        arrays(np.int8, (4, 4), elements=st.integers(min_value=-7, max_value=7)))
 @settings(max_examples=100, deadline=None)
@@ -237,9 +196,23 @@ def test_fast_equals_naive_dense_small(a8, b8):
                           dist_product_naive(a, b))
 
 
+def _dtype_edge_input(bound):
+    """Entries at +-bound, an INF row in a and an INF column in b, so the
+    double sentinel 2*(3*bound + 1) is formed."""
+    a = np.array([[bound, -bound], [INF, INF], [-bound, INF]], dtype=np.int64)
+    b = np.array([[-bound, INF, bound], [bound, INF, INF]], dtype=np.int64)
+    return a, b, bound
+
+
+# the last bound whose double sentinel fits int16, int32, and the first past it
+INT16_EDGE = (5460, 5461)
+INT32_EDGE = (357913940, 357913941)
+
+
 def _minplus_edge_inputs(gen):
     """Operand pairs with INF rows and columns, negative entries, entries
-    exactly at +-bound, bound 0 and a zero inner dimension."""
+    exactly at +-bound, bound 0, a zero inner dimension and the bounds
+    where the numpy kernel's relaxation dtype widens from int16."""
     for _ in range(40):
         l, m, r = (int(x) for x in gen.integers(1, 11, size=3))
         bound = int(gen.integers(0, 9))
@@ -256,6 +229,8 @@ def _minplus_edge_inputs(gen):
     yield np.array([[0, INF]], dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 0
     yield np.empty((3, 0), dtype=np.int64), np.empty((0, 2), dtype=np.int64), 1
     yield full_inf(2, 3), full_inf(3, 2), 5
+    for bound in INT16_EDGE:
+        yield _dtype_edge_input(bound)
 
 
 def test_fast_kernels_agree_on_edge_inputs(monkeypatch):
@@ -271,6 +246,12 @@ def test_fast_kernels_agree_on_edge_inputs(monkeypatch):
             assert np.array_equal(got, want), (kernel, a, b, bound)
             assert np.array_equal(dist_product_fast(a, b, kernel=kernel), want)
     assert strassen["calls"] > 0
+    # the encoded kernels cannot reach the int32 edge: their power table
+    # would hold 4*bound + 2 bigints of up to 4*bound*log2(m + 1) bits
+    for bound in INT32_EDGE:
+        a, b, _ = _dtype_edge_input(bound)
+        got = dist_product_fast(a, b, bound=bound, kernel="numpy")
+        assert np.array_equal(got, dist_product_naive(a, b)), bound
 
 
 def test_numpy_kernel_exact_at_the_largest_pipeline_bound():
@@ -294,21 +275,26 @@ def test_fast_kernels_reject_entries_beyond_bound():
             dist_product_fast(b, a, bound=5, kernel=kernel)
 
 
-def test_poly_square_kernels_match_direct_convolution(monkeypatch):
+def test_level_step_kernels_match_direct_convolution(monkeypatch):
+    # a level step is the square of the family's polynomial matrix; the
+    # all-ones family has the densest coefficients, the all-zeros one none
     strassen = lower_strassen_cutoff(monkeypatch, 4)
     gen = np.random.default_rng(9)
     cases = [np.ones((6, 6, 5), dtype=bool), np.zeros((4, 4, 3), dtype=bool)]
     for _ in range(40):
         n = int(gen.integers(1, 21))
         s = int(gen.integers(1, 20))
-        cases.append(gen.random((n, n, s)) < float(gen.uniform(0.02, 0.6)))
+        cases.append(nested_coeffs(gen, n, s, float(gen.uniform(0.02, 0.6))))
     for coeffs in cases:
         want = poly_square_direct(coeffs)
+        t_lo = int(gen.integers(2, 9))
         for kernel in KERNELS:
-            got = poly_square(PolyMatrix(coeffs.copy()), kernel=kernel)
-            assert got.coeffs.shape == want.shape
-            assert np.array_equal(got.coeffs, want), (kernel, coeffs.shape)
+            got = level_step_square(coeffs, t_lo, kernel)
+            assert np.array_equal(got, want), (kernel, coeffs.shape, t_lo)
     assert strassen["calls"] > 0
+    family = {i: np.eye(3, dtype=bool) for i in (2, 3)}
+    with pytest.raises(ValueError):
+        level_step(family, (2, 3), targets=(7, 7), m_bound=1)
 
 
 def test_numpy_kernel_counts_work():
@@ -320,8 +306,3 @@ def test_numpy_kernel_counts_work():
     assert COUNTERS.snapshot() == {"ring_mults": 0,
                                    "minplus_relaxations": 3 * 4 * 6,
                                    "bool_ops": 0}
-    n, s = 5, 3
-    COUNTERS.reset()
-    poly_square(PolyMatrix(gen.random((n, n, s)) < 0.5), kernel="numpy")
-    assert COUNTERS.snapshot() == {"ring_mults": s * n * n * (s * n),
-                                   "minplus_relaxations": 0, "bool_ops": 0}

@@ -72,8 +72,6 @@ def test_primal_matches_oracle_threshold():
 
 def test_level_step_equals_split_union():
     # one squaring step must agree with the explicit union over splits
-    from tapsp.matrices import bool_product
-
     for seed in range(4):
         g = sc_positive_graph(10, 0.3, 3, seed + 2)
         dist = floyd_warshall(to_matrix(g))
@@ -85,7 +83,7 @@ def test_level_step_equals_split_union():
             for i in range(source[0], source[1] + 1):
                 j = k - i
                 if source[0] <= j <= source[1]:
-                    want = want | bool_product(family[i], family[j])
+                    want = want | (family[i] @ family[j])
             assert np.array_equal(a_k, want), (seed, k)
 
 
