@@ -275,9 +275,40 @@ def test_fast_kernels_reject_entries_beyond_bound():
             dist_product_fast(b, a, bound=5, kernel=kernel)
 
 
-def test_level_step_kernels_match_direct_convolution(monkeypatch):
-    # a level step is the square of the family's polynomial matrix; the
-    # all-ones family has the densest coefficients, the all-zeros one none
+def test_poly_square_matches_direct_convolution():
+    # a level step is the square of the family's polynomial matrix
+    gen = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(gen.integers(1, 9))
+        s = int(gen.integers(1, 7))
+        coeffs = nested_coeffs(gen, n, s, 0.35)
+        got = level_step_square(coeffs, int(gen.integers(2, 9)), "numpy")
+        want = poly_square_direct(coeffs)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_poly_square_dense_coefficients_no_carry():
+    # all-ones polynomials maximize digit counts; any radix carry in the
+    # encoded kernels would corrupt neighbouring coefficients
+    n, s = 6, 5
+    coeffs = np.ones((n, n, s), dtype=bool)
+    for kernel in KERNELS:
+        got = level_step_square(coeffs, 2, kernel)
+        assert got.shape == (n, n, 2 * s - 1)
+        assert got.all(), kernel
+
+
+def test_poly_matrix_validation():
+    family = {i: np.eye(3, dtype=bool) for i in (2, 3)}
+    with pytest.raises(ValueError):
+        level_step(family, (2, 3), targets=(7, 7), m_bound=1)
+    with pytest.raises(ValueError):
+        level_step(family, (2, 4), targets=(4, 8), m_bound=1)
+
+
+def test_poly_square_kernels_match_direct_convolution(monkeypatch):
+    # the all-ones family has the densest coefficients, the all-zeros one none
     strassen = lower_strassen_cutoff(monkeypatch, 4)
     gen = np.random.default_rng(9)
     cases = [np.ones((6, 6, 5), dtype=bool), np.zeros((4, 4, 3), dtype=bool)]
@@ -292,9 +323,6 @@ def test_level_step_kernels_match_direct_convolution(monkeypatch):
             got = level_step_square(coeffs, t_lo, kernel)
             assert np.array_equal(got, want), (kernel, coeffs.shape, t_lo)
     assert strassen["calls"] > 0
-    family = {i: np.eye(3, dtype=bool) for i in (2, 3)}
-    with pytest.raises(ValueError):
-        level_step(family, (2, 3), targets=(7, 7), m_bound=1)
 
 
 def test_numpy_kernel_counts_work():
