@@ -3,7 +3,8 @@
 Pairs whose shortest paths use many edges are resolved exactly: a random
 vertex sample large enough to hit every long path (w.h.p.), one Dijkstra
 per sampled vertex in each direction over Johnson-reweighted arcs, and a
-min-plus combine through the sample.
+min-plus combine through the sample; a sample of every vertex needs only
+the n forward Dijkstras, which are the exact distance matrix.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def compute_delta_t(g: Graph, t: int, rng: Rng) -> FarDistances:
 
     Exact (= dist) for every pair whose shortest path has >= t edges,
     with high probability; an upper bound on dist everywhere.
+
+    A sample of all n vertices gives the n forward rows dist(u, .), equal
+    to the combine: each term dist(u, x) + dist(x, v) is >= dist(u, v),
+    the x = u term equals it (dist(u, u) = 0 without negative cycles),
+    and a pair at INF has no finite term.
     """
     n = g.n
     if n == 1:
@@ -108,6 +114,9 @@ def compute_delta_t(g: Graph, t: int, rng: Rng) -> FarDistances:
                             potentials=np.zeros(1, dtype=np.int64), t=t)
     h = johnson_potentials(g)
     xs = hitting_set(n, t, rng)
+    if xs.size == n:
+        return FarDistances(delta=np.stack(sssp_rows(g, h, xs)), hitting=xs,
+                            potentials=h, t=t)
     fwd = _adjacency(g, h, reverse=False)
     rev = _adjacency(g, h, reverse=True)
     delta = full_inf(n, n)

@@ -6,7 +6,8 @@ reported, pairs beyond d + K are rejected outright, and the thin
 uncertainty band in between is resolved exactly by a windowed product
 around d/2. delta_star itself is the pointwise minimum of the hitting
 set distances (long paths) and one scaled estimate per schedule level
-(each level covering one band of path lengths).
+(each covering one band of path lengths), or the hitting set distances
+alone when that set is every vertex and they are exact.
 """
 
 from __future__ import annotations
@@ -63,12 +64,22 @@ def _ceil_div(a: int, b: int) -> int:
 
 def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
     """Everything that does not depend on the threshold: schedule, far
-    distances, one partial matrix and scaled estimate per level."""
+    distances, one partial matrix and scaled estimate per level.
+
+    A hitting set of all n vertices makes far.delta exact, so no level is
+    built (delta_star = far.delta): estimate and target_distances entries
+    are >= dist and could lower neither delta_star nor a window pair's
+    exact value. A capped sample draws nothing and Rng.derive consumes
+    nothing, so uncapped runs keep their random streams.
+    """
     sched = build_schedule(g.n, g.M, omega=config.omega,
                            force_beta=config.force_beta,
                            force_levels=config.force_levels)
-    w = to_matrix(g)
     far = compute_delta_t(g, sched.t_far, rng.derive(0))
+    if far.hitting.size == g.n:
+        return GeneralRun(schedule=sched, far=far, partials=[], estimates=[],
+                          delta_star=far.delta)
+    w = to_matrix(g)
     partials = []
     estimates = []
     delta_star = far.delta.copy()
@@ -131,9 +142,9 @@ def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdR
         keep = window & (exact <= d)
         reported = reported | keep
         stats["window_reported"] = int(keep.sum())
-        for u, v in zip(*np.nonzero(window)):
-            val = exact[u, v]
-            window_exact[(int(u) + 1, int(v) + 1)] = int(val) if val < INF else None
+        us, vs = np.nonzero(window)
+        for u, v, val in zip(us.tolist(), vs.tolist(), exact[us, vs].tolist()):
+            window_exact[(u + 1, v + 1)] = val if val < INF else None
     return ThresholdReport(reported=reported, d=d, stats=stats,
                            window_exact=window_exact)
 

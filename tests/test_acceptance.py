@@ -16,7 +16,7 @@ import numpy as np
 
 from helpers import (level_step_square, mixed_graph, nested_coeffs,
                      poly_square_direct, rand_dist_matrix, sc_mixed_graph,
-                     sc_positive_graph)
+                     sc_positive_graph, schedule_levels)
 from tapsp.config import RunConfig
 from tapsp.diameter import diameter
 from tapsp.far_pairs import johnson_potentials
@@ -28,7 +28,7 @@ from tapsp.partial_distances import (check_rpdm_property1,
                                      check_rpdm_property2)
 from tapsp.sampling import Rng
 from tapsp.threshold_general import (classify_threshold, prepare_general,
-                                     threshold_apsp_neg)
+                                     target_distances, threshold_apsp_neg)
 from tapsp.threshold_positive import f_set, level_plan, threshold_apsp_pos
 
 
@@ -242,6 +242,7 @@ def test_criterion_6_component_lemmas():
     start = time.monotonic()
     instances = 100
     window_pairs_seen = 0
+    levels_checked = 0
     for i in range(instances):
         n = 8 + i % 7
         m_bound = 1 + i % 3
@@ -257,12 +258,14 @@ def test_criterion_6_component_lemmas():
         for (u, v, wt) in g.edges:
             assert wt + int(h[u - 1]) - int(h[v - 1]) >= 0
 
-        for pdm in run.partials:
+        fin = is_finite(dist)
+        # at these sizes the hitting set is capped and prepare_general
+        # builds no levels; build them from its streams to check the lemmas
+        levels = schedule_levels(g, cfg, Rng(9000 + i))
+        levels_checked += len(levels)
+        for lev, pdm, est in levels:
             assert check_rpdm_property1(pdm, dist, counts) == []
             assert check_rpdm_property2(pdm, dist, counts, w) == []
-
-        fin = is_finite(dist)
-        for lev, est in zip(run.schedule.levels, run.estimates):
             band = fin & (counts >= lev.t / 2.0) & (counts < lev.t)
             if not band.any():
                 continue
@@ -285,9 +288,17 @@ def test_criterion_6_component_lemmas():
                 assert val is not None
                 assert val == int(dist[u - 1, v - 1])
                 window_pairs_seen += 1
+            near = fin & (dist > d) & (dist <= d + k_margin)
+            for lev, pdm, _ in levels:
+                t = target_distances(pdm, d, k_margin)
+                assert (t[fin] >= dist[fin]).all()
+                band = near & (counts >= lev.t / 2.0) & (counts < lev.t)
+                assert np.array_equal(t[band], dist[band])
+    assert levels_checked > 0
     wall = time.monotonic() - start
-    _verdict(6, f"{instances} capped-sample instances, properties 1+2 clean, "
-                f"additive and window bounds hold, {window_pairs_seen} "
+    _verdict(6, f"{instances} capped-sample instances, properties 1+2, "
+                f"additive and target_distances band bounds on "
+                f"{levels_checked} levels, window bounds hold, {window_pairs_seen} "
                 f"uncertainty pairs resolved exactly, Johnson reweighting "
                 f"nonnegative, {wall:.1f}s")
 

@@ -228,7 +228,9 @@ def test_broken_first_run_is_caught_and_searched_again(monkeypatch):
 
 
 def test_exact_under_forced_beta():
-    for beta in (0.4, 0.6):
+    # 0.4 and 0.6 cap the hitting set at n = 48; 0.0 samples below n, so
+    # the partial matrices and estimates are built and shape delta_star
+    for beta in (0.0, 0.4, 0.6):
         for seed in range(4):
             g = sc_mixed_graph(48, 3.0 / 48, 4, seed=seed + 90)
             want, wit = _oracle_diameter(g)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import lower_strassen_cutoff, mixed_graph, sc_mixed_graph
+from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
+                     schedule_levels)
+from tapsp import approx, far_pairs, partial_distances, threshold_general
 from tapsp.config import KERNELS, RunConfig
 from tapsp.graphs import NegativeCycleError, make_graph, to_matrix
 from tapsp.matrices import INF, is_finite
 from tapsp.oracle import brute_threshold, floyd_warshall, min_edge_counts
 from tapsp.sampling import Rng
+from tapsp.schedule import build_schedule
 from tapsp.threshold_general import (GeneralRun, VerifyMismatchError,
                                      classify_threshold, prepare_general,
                                      target_distances, threshold_apsp_neg)
@@ -95,18 +98,20 @@ def test_delta_star_window_bound():
 
 def test_target_distances_exact_in_band():
     # pairs whose edge count falls in the level band and whose distance
-    # lies in the probe window must come back exact
+    # lies in the probe window must come back exact; the hitting set is
+    # capped at n = 14, so the levels are built outside prepare_general
+    levels_checked = 0
     for seed in range(6):
         g = sc_mixed_graph(14, 0.35, 3, seed + 11)
         w = to_matrix(g)
         dist = floyd_warshall(w)
         counts = min_edge_counts(w, dist)
         cfg = RunConfig()
-        run = prepare_general(g, cfg, Rng(seed))
-        K = run.schedule.K
+        K = build_schedule(g.n, g.M, omega=cfg.omega).K
         vals = np.unique(dist[is_finite(dist)])
         d = int(vals[2 * vals.size // 3])
-        for lev, pdm in zip(run.schedule.levels, run.partials):
+        for lev, pdm, _ in schedule_levels(g, cfg, Rng(seed)):
+            levels_checked += 1
             t = target_distances(pdm, d, K)
             fin = is_finite(t)
             assert (t[fin] >= dist[fin]).all()
@@ -114,6 +119,7 @@ def test_target_distances_exact_in_band():
             band &= is_finite(dist) & (dist > d) & (dist <= d + K)
             if band.any():
                 assert np.array_equal(t[band], dist[band])
+    assert levels_checked > 0
 
 
 def test_verify_retry_returns_on_agreement():
@@ -140,18 +146,69 @@ def test_runs_are_deterministic():
 
 
 def test_all_kernels_give_identical_reports(monkeypatch):
+    # force_beta=0 keeps the hitting set below n, so the partial matrices
+    # and estimates are built and the window product decides some pairs
     strassen = lower_strassen_cutoff(monkeypatch, 4)
-    for seed in range(3):
-        g = sc_mixed_graph(14, 0.3, 3, seed=seed + 30)
-        for d in (-3, 0, 4, 10):
-            reps = [threshold_apsp_neg(g, d, config=RunConfig(kernel=k), rng=Rng(seed))
-                    for k in KERNELS]
+    window_reported = 0
+    for g, seed in ((sc_mixed_graph(32, 0.1, 3, seed=2), 2),
+                    (mixed_graph(32, 0.1, 3, seed=6), 6)):
+        cfgs = [RunConfig(force_beta=0.0, kernel=k) for k in KERNELS]
+        runs = [prepare_general(g, cfg, Rng(seed)) for cfg in cfgs]
+        assert runs[0].far.hitting.size < g.n
+        for d in (-3, 0, 1, 2, 3, 4, 10):
+            reps = [classify_threshold(run, d, cfg) for run, cfg in zip(runs, cfgs)]
             assert np.array_equal(reps[0].reported, _oracle(g, d)), (seed, d)
             for rep in reps[1:]:
                 assert np.array_equal(rep.reported, reps[0].reported), (seed, d)
                 assert rep.stats == reps[0].stats
                 assert rep.window_exact == reps[0].window_exact
+            window_reported += reps[0].stats["window_reported"]
+    assert window_reported > 0
     assert strassen["calls"] > 0
+
+
+def test_capped_hitting_set_builds_no_levels(monkeypatch):
+    calls = {"dijkstra": 0, "product": 0}
+
+    def count(module, name, key):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(far_pairs, "_dijkstra_heap", "dijkstra")
+    for module in (threshold_general, partial_distances, approx):
+        count(module, "dist_product_fast", "product")
+
+    # capped: n forward Dijkstras, no product, answers still exact
+    for seed in range(3):
+        g = mixed_graph(16, 0.3, 3, seed + 40)
+        dist = floyd_warshall(to_matrix(g))
+        calls.update(dijkstra=0, product=0)
+        cfg = RunConfig()
+        run = prepare_general(g, cfg, Rng(seed))
+        assert run.far.hitting.size == g.n
+        assert run.partials == [] and run.estimates == []
+        assert calls == {"dijkstra": g.n, "product": 0}
+        for d in (-2, 0, 2, 5):
+            rep = classify_threshold(run, d, cfg)
+            assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)
+            assert rep.stats["levels"] == 0
+            for (u, v), got in rep.window_exact.items():
+                want = dist[u - 1, v - 1]
+                assert got == (int(want) if want < INF else None)
+
+    # uncapped: both Dijkstra directions per sampled vertex, and the levels
+    g = sc_mixed_graph(32, 0.1, 3, seed=2)
+    calls.update(dijkstra=0, product=0)
+    run = prepare_general(g, RunConfig(force_beta=0.0), Rng(2))
+    assert run.far.hitting.size < g.n
+    assert len(run.partials) == len(run.estimates) > 0
+    assert calls["dijkstra"] == 2 * run.far.hitting.size
+    assert calls["product"] > 0
 
 
 def test_report_pairs_are_one_based():
