@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .config import KERNELS, MODES, RunConfig, config_from_env, pick_mode
 from .diameter import diameter
-from .graphs import (Graph, GraphParseError, NegativeCycleError, gen_random,
-                     parse_graph, to_matrix, write_graph)
+from .graphs import (Graph, GraphParseError, NegativeCycleError, gen_mixed_ncf,
+                     gen_random, parse_graph, to_matrix, write_graph)
 from .matrices import COUNTERS, INF, dist_product_naive, is_finite
 from .oracle import brute_threshold, floyd_warshall
 from .threshold_general import VerifyMismatchError, threshold_apsp_neg
@@ -245,8 +245,8 @@ def cmd_bench(args) -> int:
         for m_bound in ms:
             for density in densities:
                 wmin = args.wmin if args.wmin is not None else 1
-                g = gen_random(n, density, wmin, m_bound, seed=cfg.seed,
-                               require_no_neg_cycle=wmin < 0)
+                g = (gen_random(n, density, wmin, m_bound, seed=cfg.seed) if wmin >= 1
+                     else gen_mixed_ncf(n, density, max(m_bound, -wmin), cfg.seed))
                 w = to_matrix(g)
                 for algo in algos:
                     COUNTERS.reset()
@@ -317,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ben.add_argument("--algos", default="oracle",
                        help=f"comma-separated subset of {','.join(BENCH_ALGOS)}")
     p_ben.add_argument("--wmin", type=int, default=None,
-                       help="lower weight bound (default 1; negative forces general mode)")
+                       help="lower weight bound (default 1); below 1, graphs come "
+                            "from gen_mixed_ncf: negative-cycle-free, weights in "
+                            "[-W, W] with W = max(M, -wmin)")
     p_ben.add_argument("-d", type=int, default=None,
                        help="threshold for the threshold algo (default n*M/4)")
     _add_common(p_ben)

@@ -9,7 +9,7 @@ Reports are one-sided on both paths: a reported pair is always truly
 within d, so a probe that reports every pair proves diameter <= d.
 
 Positive weights: every probe is the deterministic path over one primal
-family built per call, and the search covers [1, M(n-1)].
+matrix built per call, and the search covers [1, M(n-1)].
 
 General weights: one negative-cycle check per call and one
 prepare_general pass per search; a probe is then only
@@ -87,7 +87,7 @@ def _exact_witnesses(g: Graph, run: GeneralRun, cand: np.ndarray,
 
 
 def _search(g: Graph, config: RunConfig, rng: Rng,
-            primal: dict | None) -> DiameterResult | None:
+            primal: np.ndarray | None) -> DiameterResult | None:
     """One certified binary search; None when the general path must retry.
 
     primal selects the positive path; otherwise one general pipeline

@@ -20,6 +20,7 @@ schoolbook.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,13 @@ INF = np.int64(1) << np.int64(60)
 
 # largest operand side the "strassen" kernel multiplies by schoolbook
 STRASSEN_CUTOFF = 64
+
+# Ceiling on the encoded kernels' power table z**0 .. z**E, E = 4*bound + 1,
+# which holds about log2(z) * E**2 / 2 bits. 2**30 bits (128 MiB) admits
+# bound up to about 9200 at z = 3 and 4700 at z = 65, past the largest
+# encoded product the tests form (bound 5461, z = 3: 3.8e8 bits); a 2 x 2
+# product at bound 10**8 would need 1.3e17 bits.
+MAX_POW_TABLE_BITS = 1 << 30
 
 
 class EntryBoundError(ValueError):
@@ -176,7 +184,8 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     The ring kernels ("schoolbook", "strassen") encode each finite entry
     e as z**(bound - e) with radix z = inner_dim + 1 (so digit counts
     cannot carry) and INF as 0; after one exact integer product, the
-    minimum is 2*bound minus the highest nonzero digit position.
+    minimum is 2*bound minus the highest nonzero digit position. A power
+    table past MAX_POW_TABLE_BITS raises ValueError.
 
     The "numpy" kernel relaxes the entries directly, see _minplus_blocked.
     """
@@ -197,6 +206,9 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     if kernel == "numpy":
         return _minplus_blocked(a, b, bound)
     z = m + 1
+    if math.log2(z) * (4 * bound + 1) ** 2 / 2 > MAX_POW_TABLE_BITS:
+        raise ValueError(f"encoded product at bound {bound}: power table past "
+                         f"{MAX_POW_TABLE_BITS} bits; use the numpy kernel")
     pows = [1] * (4 * bound + 2)
     for e in range(1, len(pows)):
         pows[e] = pows[e - 1] * z

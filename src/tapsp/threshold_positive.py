@@ -6,9 +6,10 @@ path of weight at most M + 1 uses at most M + 1 arcs. Large k are built
 top-down: the target set {d} expands level by level into intervals of
 indices roughly halving each time. The paper turns the family of a deeper
 level into the family of the one above it by squaring a matrix of
-Boolean polynomials; because the family is nested, that square is one
-bounded min-plus product of the "first index" matrix (Yuval 1976), so
-each level costs one dist_product_fast call.
+Boolean polynomials. A nested family is one integer matrix D with
+(D <= k) = A_k, so each level is carried as such a matrix, and the
+square is one bounded min-plus product of the "first index" matrix
+(Yuval 1976): each level costs one dist_product_fast call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, to_matrix
-from .matrices import dist_product_fast, full_inf, min_merge, truncate
+from .matrices import INF, dist_product_fast, is_finite, min_merge, truncate
 
 
 def f_set(k: int, m_bound: int) -> set:
@@ -59,13 +60,6 @@ class LevelPlan:
     M: int
     levels: tuple  # (lo, hi) index intervals, level 0 first
 
-    def interval(self, j: int) -> tuple:
-        return self.levels[j]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
 
 def level_plan(d: int, m_bound: int) -> LevelPlan:
     """Intervals of indices touched per recursion level, top down.
@@ -89,8 +83,9 @@ def level_plan(d: int, m_bound: int) -> LevelPlan:
     return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
 
 
-def primal_distances(g: Graph, kernel: str = "numpy") -> dict:
-    """A_k for k = 0..M+1 from a repeatedly squared truncated matrix."""
+def primal_distances(g: Graph, kernel: str = "numpy") -> np.ndarray:
+    """Distances up to M + 1 (INF beyond) from a repeatedly squared
+    truncated matrix, so that (primal <= k) = A_k for k = 0..M+1."""
     w = to_matrix(g)
     for (_, _, wt) in g.edges:
         if wt < 1:
@@ -101,57 +96,45 @@ def primal_distances(g: Graph, kernel: str = "numpy") -> dict:
     for _ in range(rounds):
         sq = dist_product_fast(d, d, bound=cap, kernel=kernel)
         d = truncate(min_merge(d, sq), cap)
-    family = {k: (d <= k) for k in range(cap + 1)}
-    family[0] = np.eye(g.n, dtype=bool)
-    return family
+    return d
 
 
-def level_step(family: dict, source: tuple, targets: tuple, m_bound: int,
-               kernel: str = "numpy") -> dict:
-    """Matrices for one level from the family of the level below.
+def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.ndarray:
+    """One level's matrix R from the matrix dist of the level below.
 
-    family must contain A_i for every i in the source window
-    [t_lo, t_hi], and the window must be nested, A_i a subset of
-    A_(i+1) (threshold matrices always are). Target k in [2 t_lo, 2 t_hi]
-    is the union over splits i + (k - i) = k with both halves in the
-    window of the Boolean products A_i A_(k-i), which is the coefficient
-    of x**(k - 2 t_lo) in the square of the polynomial matrix
-    sum_q A_(t_lo+q) x**q.
+    dist must bound the distances from above, with (dist <= i) = A_i for
+    every i in the source window [t_lo, t_hi]. For k in [2 t_lo, 2 t_hi],
+    (R <= k) is then the union over splits i + (k - i) = k with both
+    halves in the window of A_i A_(k-i): the coefficient of
+    x**(k - 2 t_lo) in the square of sum_q A_(t_lo+q) x**q, which is A_k
+    when the window covers k's expansion interval.
 
-    One min-plus product computes every target. Let C[u, v] be the least
-    i in the window with A_i[u, v], minus t_lo (INF if none), and
-    S = C (min-plus) C. Then (u, v) is in the union for k exactly when
-    S[u, v] <= k - 2 t_lo. If A_i[u, w] and A_j[w, v] with i + j = k,
-    then C[u, w] + C[w, v] <= k - 2 t_lo. Conversely, take w with
-    a = C[u, w] + t_lo, b = C[w, v] + t_lo and a + b <= k. Put
+    Proof. The window is nested (A_i a subset of A_(i+1)), so
+    C = max(dist, t_lo) - t_lo where dist <= t_hi (INF elsewhere) is the
+    least i in the window with A_i[u, v], minus t_lo, and
+    R = (C min-plus C) + 2 t_lo. If A_i[u, w] and A_j[w, v] with
+    i + j = k, then C[u, w] + C[w, v] <= k - 2 t_lo. Conversely, take w
+    with a = C[u, w] + t_lo, b = C[w, v] + t_lo and a + b <= k. Put
     i = min(t_hi, k - b) and j = k - i: then t_lo <= a <= i <= t_hi and
     t_lo <= b <= j <= t_hi (if i = t_hi, j = k - t_hi <= t_hi), and by
     nesting A_i[u, w] and A_j[w, v] hold, since A_a[u, w] and A_b[w, v]
-    do.
+    do. A pair within t_lo is in every such union: C[u, v] = C[u, u] = 0
+    (diagonal distances are 0), so R[u, v] <= 2 t_lo <= k.
 
-    That union already holds every pair closer than the window bottom:
-    k lies in [2 t_lo, 2 t_hi], so i = max(t_lo, k - t_hi) puts both i
-    and k - i in the window, and since every A_j contains the identity
-    (diagonal distances are 0), A_i A_(k-i) contains A_i, which contains
-    A_(t_lo).
+    Soundness: every term of R[u, v] is max(dist[u, w], t_lo) +
+    max(dist[w, v], t_lo) >= dist(u, w) + dist(w, v), so R bounds the
+    distances from above and a pair it reports at any k is within k.
+
+    The caller keeps minimum(primal, R), and (minimum <= k) =
+    (primal <= k) | (R <= k). For k <= M + 1, R <= k implies dist <= k,
+    which primal <= k already holds, so those indices stay exact. For a
+    target k > M + 1, primal <= k only holds pairs within M + 1 < k,
+    which A_k = (R <= k) contains.
     """
     t_lo, t_hi = source
-    for i in range(t_lo, t_hi + 1):
-        if i not in family:
-            raise ValueError(f"missing source matrix A_{i}")
-    n = family[t_lo].shape[0]
-    first = full_inf(n, n)
-    for i in range(t_hi, t_lo - 1, -1):
-        first[family[i]] = i - t_lo
+    first = np.where(dist <= t_hi, np.maximum(dist, t_lo) - t_lo, INF)
     sq = dist_product_fast(first, first, bound=t_hi - t_lo, kernel=kernel)
-    out = {}
-    for k in range(targets[0], targets[1] + 1):
-        if k <= m_bound + 1:
-            continue  # primal targets come from the primal family
-        if not 2 * t_lo <= k <= 2 * t_hi:
-            raise ValueError(f"target {k} outside convolution range of {source}")
-        out[k] = sq <= k - 2 * t_lo
-    return out
+    return np.where(is_finite(sq), sq + 2 * t_lo, INF)
 
 
 @dataclass
@@ -169,28 +152,27 @@ class PositiveReport:
 
 
 def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
-                       primal: dict | None = None) -> PositiveReport:
+                       primal: np.ndarray | None = None) -> PositiveReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
 
     primal, when given, must be primal_distances(g); callers probing
-    several d on one graph pass it to build the family once. It is
-    only read, never modified.
+    several d on one graph pass it to build it once. It is only read,
+    never modified.
     """
-    n = g.n
     if d < 0:
-        rep = np.zeros((n, n), dtype=bool)
-        return PositiveReport(reported=rep, d=d, stats={"edge_case": "negative_d"})
+        return PositiveReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,
+                              stats={"edge_case": "negative_d"})
     if primal is None:
         primal = primal_distances(g, kernel=kernel)
     if d <= g.M + 1:
-        return PositiveReport(reported=primal[d].copy(), d=d,
+        return PositiveReport(reported=primal <= d, d=d,
                               stats={"edge_case": "primal", "levels": 0})
-    plan = level_plan(d, g.M)
-    family = dict(primal)
-    for j in range(plan.depth - 2, -1, -1):
-        computed = level_step(family, source=plan.interval(j + 1),
-                              targets=plan.interval(j), m_bound=g.M,
-                              kernel=kernel)
-        family.update(computed)
-    return PositiveReport(reported=family[d], d=d,
-                          stats={"levels": plan.depth, "edge_case": None})
+    levels = level_plan(d, g.M).levels
+    dist = primal  # walked bottom-up, see level_step
+    for (lo, hi), source in reversed(list(zip(levels, levels[1:]))):
+        low = max(lo, g.M + 2)  # the non-primal targets are low..hi
+        if low <= hi and not 2 * source[0] <= low <= hi <= 2 * source[1]:
+            raise ValueError(f"targets {(low, hi)} outside convolution range of {source}")
+        dist = np.minimum(primal, level_step(dist, source, kernel=kernel))
+    return PositiveReport(reported=dist <= d, d=d,
+                          stats={"levels": len(levels), "edge_case": None})

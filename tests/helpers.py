@@ -125,15 +125,14 @@ def nested_coeffs(gen: np.random.Generator, n: int, s: int,
 
 
 def level_step_square(coeffs: np.ndarray, t_lo: int, kernel: str) -> np.ndarray:
-    """level_step over every target of the nested family coeffs, placed at
-    indices t_lo .. t_lo + s - 1, stacked like poly_square_direct's output.
-    t_lo >= 2 keeps every target above the primal range of M = 1."""
+    """level_step over the nested family coeffs, placed at indices
+    t_lo .. t_lo + s - 1 and read at every target, stacked like
+    poly_square_direct's output."""
     s = coeffs.shape[2]
-    t_hi = t_lo + s - 1
-    family = {t_lo + q: coeffs[:, :, q] for q in range(s)}
-    got = level_step(family, (t_lo, t_hi), (2 * t_lo, 2 * t_hi), m_bound=1,
-                     kernel=kernel)
-    return np.stack([got[k] for k in range(2 * t_lo, 2 * t_hi + 1)], axis=2)
+    # each pair's first index in the family, INF where it never enters
+    first = np.where(coeffs.any(axis=2), t_lo + coeffs.argmax(axis=2), INF)
+    got = level_step(first, (t_lo, t_lo + s - 1), kernel=kernel)
+    return got[:, :, None] <= np.arange(2 * t_lo, 2 * t_lo + 2 * s - 1)
 
 
 def squaring_apsp(w: np.ndarray) -> np.ndarray:

@@ -275,6 +275,30 @@ def test_weights_within_the_headroom_run(tmp_path, capsys):
         "diameter: 9", "witness: 1 3", "witness: 3 2"]
 
 
+def test_bench_general_rows_below_wmin_one(capsys):
+    argv = ["bench", "--ns", "16,32", "--ms", "2", "--densities", "0.2",
+            "--algos", "threshold,diameter", "--wmin", "-2", "--seed", "3"]
+    assert main(argv) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[3]) for r in rows] == [
+        ("16", "threshold"), ("16", "diameter"),
+        ("32", "threshold"), ("32", "diameter")]
+
+
+def test_encoded_power_table_past_the_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "wide.gr"
+    path.write_text("p sp 3 2\na 1 2 1000000\na 2 3 1\n")
+    args = ["threshold", str(path), "-d", "1000002"]
+    for kernel in ("schoolbook", "strassen"):
+        assert main(args + ["--kernel", kernel]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "power table" in captured.err, kernel
+    assert main(args + ["--kernel", "numpy", "--verify", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "count: 6\n" in out and "stat levels: 2\n" in out
+
+
 def test_bench_unknown_algo_exits_3(capsys):
     assert main(["bench", "--algos", "bogus"]) == 3
     assert "unknown algo" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 from helpers import (level_step_square, lower_strassen_cutoff,
                      minplus_reference, nested_coeffs, poly_square_direct,
                      rand_dist_matrix)
+from tapsp import threshold_positive
 from tapsp.config import KERNELS
-from tapsp.graphs import MAX_SPAN
+from tapsp.graphs import MAX_SPAN, make_graph
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
                             min_merge, minplus_identity, ring_matmul,
                             scale_div_ceil, truncate, window_shift)
-from tapsp.threshold_positive import level_step
+from tapsp.threshold_positive import LevelPlan, threshold_apsp_pos
 
 
 def test_minplus_worked_example():
@@ -246,12 +249,23 @@ def test_fast_kernels_agree_on_edge_inputs(monkeypatch):
             assert np.array_equal(got, want), (kernel, a, b, bound)
             assert np.array_equal(dist_product_fast(a, b, kernel=kernel), want)
     assert strassen["calls"] > 0
-    # the encoded kernels cannot reach the int32 edge: their power table
-    # would hold 4*bound + 2 bigints of up to 4*bound*log2(m + 1) bits
+    # the encoded kernels refuse the int32 edge: their power table would
+    # hold 4*bound + 2 bigints of up to 4*bound*log2(m + 1) bits
     for bound in INT32_EDGE:
         a, b, _ = _dtype_edge_input(bound)
         got = dist_product_fast(a, b, bound=bound, kernel="numpy")
         assert np.array_equal(got, dist_product_naive(a, b)), bound
+
+
+def test_encoded_kernels_refuse_an_oversized_power_table():
+    a = np.array([[10 ** 8, 0], [INF, -10 ** 8]], dtype=np.int64)
+    for kernel in ("schoolbook", "strassen"):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="power table"):
+            dist_product_fast(a, a, bound=10 ** 8, kernel=kernel)
+        assert time.monotonic() - start < 1.0, kernel
+    got = dist_product_fast(a, a, bound=10 ** 8, kernel="numpy")
+    assert np.array_equal(got, dist_product_naive(a, a))
 
 
 def test_numpy_kernel_exact_at_the_largest_pipeline_bound():
@@ -299,12 +313,14 @@ def test_poly_square_dense_coefficients_no_carry():
         assert got.all(), kernel
 
 
-def test_poly_matrix_validation():
-    family = {i: np.eye(3, dtype=bool) for i in (2, 3)}
-    with pytest.raises(ValueError):
-        level_step(family, (2, 3), targets=(7, 7), m_bound=1)
-    with pytest.raises(ValueError):
-        level_step(family, (2, 4), targets=(4, 8), m_bound=1)
+def test_poly_matrix_validation(monkeypatch):
+    # a level whose non-primal targets leave [2 lo, 2 hi] of the level below
+    g = make_graph(3, [(1, 2, 1), (2, 3, 1)])
+    for levels in (((7, 7), (2, 3), (1, 2)), ((5, 5), (3, 4), (1, 2))):
+        monkeypatch.setattr(threshold_positive, "level_plan",
+                            lambda d, m, levels=levels: LevelPlan(d, m, levels))
+        with pytest.raises(ValueError):
+            threshold_apsp_pos(g, levels[0][0])
 
 
 def test_poly_square_kernels_match_direct_convolution(monkeypatch):

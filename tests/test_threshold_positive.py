@@ -48,12 +48,21 @@ def test_level_plan_interval_width_bound():
             assert plan.levels[-1][1] <= m + 1
 
 
+def test_level_plan_targets_lie_in_convolution_range():
+    # every non-primal index of a level is a sum of two indices of the next
+    for m in (1, 2, 4, 8):
+        for d in range(m + 2, 10 ** 4 + 1):
+            levels = level_plan(d, m).levels
+            for (lo, hi), (src_lo, src_hi) in zip(levels, levels[1:]):
+                assert 2 * src_lo <= max(lo, m + 2) <= hi <= 2 * src_hi, (d, m)
+
+
 def test_primal_distances_unit_path():
     g = make_graph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    fam = primal_distances(g)
-    assert np.array_equal(fam[0], np.eye(4, dtype=bool))
-    assert fam[1][0, 1] and not fam[1][0, 2]
-    assert fam[2][0, 2] and not fam[2][0, 3]
+    primal = primal_distances(g)
+    assert np.array_equal(primal <= 0, np.eye(4, dtype=bool))
+    assert (primal <= 1)[0, 1] and not (primal <= 1)[0, 2]
+    assert (primal <= 2)[0, 2] and not (primal <= 2)[0, 3]
 
 
 def test_primal_distances_rejects_nonpositive_weight():
@@ -65,9 +74,9 @@ def test_primal_distances_rejects_nonpositive_weight():
 def test_primal_matches_oracle_threshold():
     for seed in range(6):
         g = sc_positive_graph(12, 0.3, 5, seed)
-        fam = primal_distances(g)
+        primal = primal_distances(g)
         for k in range(0, g.M + 2):
-            assert np.array_equal(fam[k], _oracle(g, k)), (seed, k)
+            assert np.array_equal(primal <= k, _oracle(g, k)), (seed, k)
 
 
 def test_level_step_equals_split_union():
@@ -77,8 +86,9 @@ def test_level_step_equals_split_union():
         dist = floyd_warshall(to_matrix(g))
         source = (2, 8)
         family = {i: brute_threshold(dist, i) for i in range(source[0], source[1] + 1)}
-        got = level_step(family, source, targets=(9, 14), m_bound=g.M)
-        for k, a_k in got.items():
+        got = level_step(dist, source)
+        for k in range(9, 15):
+            a_k = got <= k
             want = np.zeros_like(a_k)
             for i in range(source[0], source[1] + 1):
                 j = k - i
@@ -131,21 +141,33 @@ def test_all_kernels_give_identical_reports(monkeypatch):
     assert strassen["calls"] > 0
 
 
-def test_level_step_missing_source_raises():
-    fam = {2: np.eye(3, dtype=bool)}
-    with pytest.raises(ValueError):
-        level_step(fam, (2, 4), targets=(5, 6), m_bound=1)
-
-
 def test_shared_primal_family_gives_identical_reports():
     for seed in range(3):
         g = sc_positive_graph(12, 0.3, 4, seed=seed + 40)
         primal = primal_distances(g)
-        before = {k: a.copy() for k, a in primal.items()}
+        before = primal.copy()
         for d in (-1, 0, 2, 5, 6, 17, 44):
             shared = threshold_apsp_pos(g, d, primal=primal)
             fresh = threshold_apsp_pos(g, d)
             assert np.array_equal(shared.reported, fresh.reported), (seed, d)
             assert shared.stats == fresh.stats
-        # the family is only read
-        assert all(np.array_equal(primal[k], before[k]) for k in before)
+        # the primal matrix is only read
+        assert np.array_equal(primal, before)
+
+
+def test_level_walk_bounds_distances():
+    # every intermediate matrix bounds the distances from above and is
+    # exact at distances <= M + 1 and inside its level's interval
+    for seed in range(6):
+        g = sc_positive_graph(14, 0.2, 2 + seed % 4, seed=seed + 60)
+        dist = floyd_warshall(to_matrix(g))
+        primal = primal_distances(g)
+        for d in (g.M + 2, 17, 40, 3 * g.n * g.M):
+            levels = level_plan(d, g.M).levels
+            cur = primal
+            for j in range(len(levels) - 2, -1, -1):
+                cur = np.minimum(primal, level_step(cur, levels[j + 1]))
+                lo, hi = levels[j]
+                exact = (dist <= g.M + 1) | ((dist >= lo) & (dist <= hi))
+                assert (cur >= dist).all(), (seed, d, j)
+                assert np.array_equal(cur[exact], dist[exact]), (seed, d, j)
