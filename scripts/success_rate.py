@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from tapsp.config import RunConfig
-from tapsp.graphs import gen_mixed_ncf, to_matrix
+from tapsp.graphs import gen_mixed_ncf, johnson_potentials, to_matrix
 from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
 from tapsp.sampling import Rng
@@ -46,9 +46,9 @@ def percentile_ds(dist: np.ndarray) -> list:
 def run_config(n: int, m_bound: int, density: float, force_beta,
                trials: int) -> dict:
     cfg = RunConfig(verify=True, verify_bound=n, force_beta=force_beta)
-    probe = prepare_general(gen_mixed_ncf(n, density, m_bound, seed=0,
-                                          backbone=True),
-                            cfg, Rng(0))
+    first_graph = gen_mixed_ncf(n, density, m_bound, seed=0, backbone=True)
+    probe = prepare_general(first_graph, cfg, Rng(0),
+                            johnson_potentials(first_graph))
     calls = 0
     first = 0
     attempts_total = 0

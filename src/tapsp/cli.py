@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         print(f"tapsp: verify mismatch: {exc}", file=sys.stderr)
         return 2
     except NegativeCycleError as exc:
-        print(f"tapsp: negative cycle: {exc}", file=sys.stderr)
+        print(f"tapsp: {exc}", file=sys.stderr)
         return 4
     except (GraphParseError, OSError, ValueError) as exc:
         print(f"tapsp: error: {exc}", file=sys.stderr)

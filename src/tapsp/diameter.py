@@ -11,10 +11,11 @@ within d, so a probe that reports every pair proves diameter <= d.
 Positive weights: every probe is the deterministic path over one primal
 matrix built per call, and the search covers [1, M(n-1)].
 
-General weights: one negative-cycle check per call and one
-prepare_general pass per search; a probe is then only
-classify_threshold(run, d). Since dist <= delta_star <= dist + K (the
-upper bound with high probability), the search covers the K-wide window
+General weights: one prepare_general pass per search over its Johnson
+potentials, whose Bellman-Ford is also the negative-cycle check; a probe
+is then only classify_threshold(run, d). Since
+dist <= delta_star <= dist + K (the upper bound with high probability),
+the search covers the K-wide window
 [max(0, max delta_star - K), min(M(n-1), max delta_star)], about
 log2(K+1) probes. The diameter is never below 0 (diagonal distances are
 0). If some delta_star entry is infinite the search covers [0, M(n-1)].
@@ -42,8 +43,7 @@ import numpy as np
 
 from .config import RunConfig, pick_mode
 from .far_pairs import sssp_rows
-from .graphs import (Graph, NegativeCycleError, find_negative_cycle,
-                     transitive_closure)
+from .graphs import Graph, johnson_potentials, transitive_closure
 from .matrices import INF, is_finite
 from .sampling import Rng
 from .threshold_general import GeneralRun, classify_threshold, prepare_general
@@ -99,7 +99,7 @@ def _search(g: Graph, config: RunConfig, rng: Rng,
             return threshold_apsp_pos(g, d, kernel=config.kernel,
                                       primal=primal).reported
     else:
-        run = prepare_general(g, config, rng)
+        run = prepare_general(g, config, rng, johnson_potentials(g))
         lo, hi = _window(run, hi)
 
         def classify(d):
@@ -150,10 +150,6 @@ def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterRes
         missing = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(~closure))]
         return DiameterResult(value=math.inf, witnesses=missing, probes=[],
                               lo=0, hi=0)
-    if not positive:
-        cycle = find_negative_cycle(g)
-        if cycle is not None:
-            raise NegativeCycleError(cycle=cycle)
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
     if positive:

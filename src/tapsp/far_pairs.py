@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, johnson_potentials
+from .graphs import Graph
 from .matrices import INF, full_inf
 from .sampling import Rng, sample
 
@@ -59,33 +59,28 @@ def _dijkstra_heap(adj, src: int, n: int) -> np.ndarray:
     return np.array(dist, dtype=np.int64)
 
 
-def sssp_from(g: Graph, h: np.ndarray, src: int, reverse: bool = False) -> np.ndarray:
-    """Distances from (or, reversed, to) 0-based vertex src.
+def sssp_rows(g: Graph, h: np.ndarray, sources, reverse: bool = False) -> list:
+    """Distances from (or, reversed, to) each 0-based source, over one
+    adjacency build.
 
     Forward: out[v] = dist(src, v). Reverse: out[v] = dist(v, src).
     """
-    return _sssp(_adjacency(g, h, reverse), h, src, reverse)
-
-
-def sssp_rows(g: Graph, h: np.ndarray, sources) -> list:
-    """dist(src, .) for each 0-based source, over one adjacency build."""
-    adj = _adjacency(g, h, reverse=False)
-    return [_sssp(adj, h, int(src), reverse=False) for src in sources]
-
-
-def _sssp(adj, h: np.ndarray, src: int, reverse: bool) -> np.ndarray:
-    """sssp_from over prebuilt reweighted adjacency lists."""
-    n = len(adj)
-    dp = _dijkstra_heap(adj, src, n)
-    out = np.empty(n, dtype=np.int64)
-    out.fill(INF)
-    fin = dp < INF
-    if reverse:
-        # reversed reweighted length of v->src is dist(v,src) + h[v] - h[src]
-        out[fin] = dp[fin] - h[fin] + h[src]
-    else:
-        out[fin] = dp[fin] - h[src] + h[fin]
-    return out
+    adj = _adjacency(g, h, reverse)
+    n = g.n
+    rows = []
+    for src in sources:
+        src = int(src)
+        dp = _dijkstra_heap(adj, src, n)
+        out = np.empty(n, dtype=np.int64)
+        out.fill(INF)
+        fin = dp < INF
+        if reverse:
+            # reversed reweighted length of v->src is dist(v,src) + h[v] - h[src]
+            out[fin] = dp[fin] - h[fin] + h[src]
+        else:
+            out[fin] = dp[fin] - h[src] + h[fin]
+        rows.append(out)
+    return rows
 
 
 @dataclass
@@ -96,11 +91,12 @@ class FarDistances:
     t: int
 
 
-def compute_delta_t(g: Graph, t: int, rng: Rng) -> FarDistances:
+def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     """delta_t[u,v] = min over sampled x of dist(u,x) + dist(x,v).
 
-    Exact (= dist) for every pair whose shortest path has >= t edges,
-    with high probability; an upper bound on dist everywhere.
+    h are g's Johnson potentials (graphs.johnson_potentials). Exact
+    (= dist) for every pair whose shortest path has >= t edges, with high
+    probability; an upper bound on dist everywhere.
 
     A sample of all n vertices gives the n forward rows dist(u, .), equal
     to the combine: each term dist(u, x) + dist(x, v) is >= dist(u, v),
@@ -111,18 +107,13 @@ def compute_delta_t(g: Graph, t: int, rng: Rng) -> FarDistances:
     if n == 1:
         return FarDistances(delta=np.zeros((1, 1), dtype=np.int64),
                             hitting=np.zeros(0, dtype=np.int64),
-                            potentials=np.zeros(1, dtype=np.int64), t=t)
-    h = johnson_potentials(g)
+                            potentials=h, t=t)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
         return FarDistances(delta=np.stack(sssp_rows(g, h, xs)), hitting=xs,
                             potentials=h, t=t)
-    fwd = _adjacency(g, h, reverse=False)
-    rev = _adjacency(g, h, reverse=True)
     delta = full_inf(n, n)
-    for x in xs:
-        row = _sssp(fwd, h, int(x), reverse=False)
-        col = _sssp(rev, h, int(x), reverse=True)
+    for row, col in zip(sssp_rows(g, h, xs), sssp_rows(g, h, xs, reverse=True)):
         ok = (col < INF)[:, None] & (row < INF)[None, :]
         cand = col[:, None] + row[None, :]
         np.copyto(delta, cand, where=ok & (cand < delta))

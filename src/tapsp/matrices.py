@@ -30,12 +30,15 @@ INF = np.int64(1) << np.int64(60)
 # largest operand side the "strassen" kernel multiplies by schoolbook
 STRASSEN_CUTOFF = 64
 
-# Ceiling on the encoded kernels' power table z**0 .. z**E, E = 4*bound + 1,
-# which holds about log2(z) * E**2 / 2 bits. 2**30 bits (128 MiB) admits
-# bound up to about 9200 at z = 3 and 4700 at z = 65, past the largest
-# encoded product the tests form (bound 5461, z = 3: 3.8e8 bits); a 2 x 2
-# product at bound 10**8 would need 1.3e17 bits.
-MAX_POW_TABLE_BITS = 1 << 30
+# Ceiling on the bits an encoded product of an l x m by an m x n matrix at
+# bound b holds, with z = m + 1: the power table z**0 .. z**(4b + 1),
+# about log2(z) * (4b + 1)**2 / 2 bits; the l*m + m*n encoded operand
+# entries, up to 2b * log2(z) bits each; and the l*n product entries, up to
+# 4b * log2(z) bits each. 2**30 bits (128 MiB) admits every encoded product
+# the tests form: the largest is 3 x 2 x 3 at bound 5461 (3.8e8 bits, nearly
+# all table), the widest 32 x 32 x 32 at bound 260 (1.3e7 bits). A square
+# product at n = 64 passes up to bound about 3000, at n = 512 about 50.
+MAX_ENCODED_BITS = 1 << 30
 
 
 class EntryBoundError(ValueError):
@@ -184,8 +187,9 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     The ring kernels ("schoolbook", "strassen") encode each finite entry
     e as z**(bound - e) with radix z = inner_dim + 1 (so digit counts
     cannot carry) and INF as 0; after one exact integer product, the
-    minimum is 2*bound minus the highest nonzero digit position. A power
-    table past MAX_POW_TABLE_BITS raises ValueError.
+    minimum is 2*bound minus the highest nonzero digit position. A product
+    whose table, operands and result would hold more than MAX_ENCODED_BITS
+    bits raises ValueError before anything is encoded.
 
     The "numpy" kernel relaxes the entries directly, see _minplus_blocked.
     """
@@ -206,9 +210,13 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     if kernel == "numpy":
         return _minplus_blocked(a, b, bound)
     z = m + 1
-    if math.log2(z) * (4 * bound + 1) ** 2 / 2 > MAX_POW_TABLE_BITS:
-        raise ValueError(f"encoded product at bound {bound}: power table past "
-                         f"{MAX_POW_TABLE_BITS} bits; use the numpy kernel")
+    # base-z digits held by the power table, the operands and the result
+    digits = ((4 * bound + 1) ** 2 / 2 + 2 * bound * (l * m + m * n)
+              + 4 * bound * l * n)
+    if math.log2(z) * digits > MAX_ENCODED_BITS:
+        raise ValueError(f"encoded {l}x{m}x{n} product at bound {bound}: power "
+                         f"table, operands and result past {MAX_ENCODED_BITS} "
+                         f"bits; use the numpy kernel")
     pows = [1] * (4 * bound + 2)
     for e in range(1, len(pows)):
         pows[e] = pows[e - 1] * z

@@ -19,9 +19,9 @@ import numpy as np
 from .approx import additive_approximate
 from .config import RunConfig
 from .far_pairs import FarDistances, compute_delta_t
-from .graphs import (Graph, NegativeCycleError, find_negative_cycle, to_matrix,
-                     transitive_closure)
-from .matrices import INF, dist_product_fast, is_finite, min_merge, window_shift
+from .graphs import Graph, johnson_potentials, to_matrix, transitive_closure
+from .matrices import (INF, dist_product_fast, full_inf, is_finite, min_merge,
+                       window_shift)
 from .oracle import brute_threshold, floyd_warshall
 from .partial_distances import PartialDistanceMatrix, build_partial
 from .sampling import Rng
@@ -39,7 +39,6 @@ class GeneralRun:
     schedule: Schedule
     far: FarDistances
     partials: list
-    estimates: list
     delta_star: np.ndarray
 
 
@@ -48,7 +47,8 @@ class ThresholdReport:
     reported: np.ndarray
     d: int
     stats: dict = field(default_factory=dict)
-    window_exact: dict = field(default_factory=dict)
+    # exact distances on the window pairs, INF elsewhere; None on shortcuts
+    window_exact: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -62,9 +62,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
+def prepare_general(g: Graph, config: RunConfig, rng: Rng,
+                    h: np.ndarray) -> GeneralRun:
     """Everything that does not depend on the threshold: schedule, far
-    distances, one partial matrix and scaled estimate per level.
+    distances, one partial matrix and scaled estimate per level. h are
+    g's Johnson potentials (graphs.johnson_potentials).
 
     A hitting set of all n vertices makes far.delta exact, so no level is
     built (delta_star = far.delta): estimate and target_distances entries
@@ -75,13 +77,12 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
     sched = build_schedule(g.n, g.M, omega=config.omega,
                            force_beta=config.force_beta,
                            force_levels=config.force_levels)
-    far = compute_delta_t(g, sched.t_far, rng.derive(0))
+    far = compute_delta_t(g, sched.t_far, rng.derive(0), h)
     if far.hitting.size == g.n:
-        return GeneralRun(schedule=sched, far=far, partials=[], estimates=[],
+        return GeneralRun(schedule=sched, far=far, partials=[],
                           delta_star=far.delta)
     w = to_matrix(g)
     partials = []
-    estimates = []
     delta_star = far.delta.copy()
     for lev in sched.levels:
         pdm = build_partial(w, g.M, lev.beta, lev.gamma, rng.derive(100 + lev.index),
@@ -89,13 +90,12 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng) -> GeneralRun:
         est = additive_approximate(pdm, lev, rng.derive(200 + lev.index),
                                    kernel=config.kernel)
         partials.append(pdm)
-        estimates.append(est)
         delta_star = min_merge(delta_star, est.delta)
     # distances to self are identically 0 on negative-cycle-free graphs;
     # no level band covers edge count 0, so pin the diagonal directly
     np.fill_diagonal(delta_star, 0)
     return GeneralRun(schedule=sched, far=far, partials=partials,
-                      estimates=estimates, delta_star=delta_star)
+                      delta_star=delta_star)
 
 
 def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
@@ -122,30 +122,26 @@ def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdR
     """Report pairs with delta_star <= d; resolve the (d, d+K] band."""
     k_margin = run.schedule.K
     ds = run.delta_star
-    reported = ds <= d
+    accepted = ds <= d
     window = (ds > d) & (ds <= d + k_margin)
+    window_exact = full_inf(*ds.shape)
+    if window.any():
+        exact = run.far.delta
+        for pdm in run.partials:
+            exact = min_merge(exact, target_distances(
+                pdm, d, k_margin, kernel=config.kernel))
+        window_exact[window] = exact[window]
+    keep = window_exact <= d
     stats = {
-        "accepted": int(reported.sum()),
-        "rejected": int((~reported & ~window).sum()),
+        "accepted": int(accepted.sum()),
+        "rejected": int((~accepted & ~window).sum()),
         "window": int(window.sum()),
-        "window_reported": 0,
+        "window_reported": int(keep.sum()),
         "K": k_margin,
         "levels": len(run.partials),
         "edge_case": None,
     }
-    window_exact = {}
-    if window.any():
-        exact = run.far.delta.copy()
-        for pdm in run.partials:
-            exact = min_merge(exact, target_distances(
-                pdm, d, k_margin, kernel=config.kernel))
-        keep = window & (exact <= d)
-        reported = reported | keep
-        stats["window_reported"] = int(keep.sum())
-        us, vs = np.nonzero(window)
-        for u, v, val in zip(us.tolist(), vs.tolist(), exact[us, vs].tolist()):
-            window_exact[(u + 1, v + 1)] = val if val < INF else None
-    return ThresholdReport(reported=reported, d=d, stats=stats,
+    return ThresholdReport(reported=accepted | keep, d=d, stats=stats,
                            window_exact=window_exact)
 
 
@@ -171,9 +167,7 @@ def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
     """
     config = config or RunConfig()
     rng = rng or Rng(config.seed)
-    cycle = find_negative_cycle(g)
-    if cycle is not None:
-        raise NegativeCycleError(cycle=cycle)
+    h = johnson_potentials(g)
     shortcut = _edge_case_report(g, d)
     if shortcut is not None:
         shortcut.stats["attempts"] = 1
@@ -187,7 +181,7 @@ def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
         oracle_rep = brute_threshold(floyd_warshall(to_matrix(g)), d)
     attempts = config.max_attempts if oracle_rep is not None else 1
     for attempt in range(attempts):
-        run = prepare_general(g, config, rng.derive(attempt))
+        run = prepare_general(g, config, rng.derive(attempt), h)
         report = classify_threshold(run, d, config)
         report.stats["attempts"] = attempt + 1
         if oracle_rep is None or np.array_equal(report.reported, oracle_rep):

@@ -34,7 +34,7 @@ def lower_strassen_cutoff(monkeypatch, cutoff: int) -> dict:
 
 def schedule_levels(g: Graph, config, rng: Rng) -> list:
     """(level, partial matrix, scaled estimate) for every schedule level,
-    built from the derived streams prepare_general(g, config, rng) uses
+    built from the derived streams prepare_general(g, config, rng, h) uses
     when its hitting set is below n. Where the hitting set is capped and
     prepare_general builds no levels, this still builds them all, so the
     level lemmas keep being checked on small instances."""

@@ -19,8 +19,8 @@ from helpers import (level_step_square, mixed_graph, nested_coeffs,
                      sc_positive_graph, schedule_levels)
 from tapsp.config import RunConfig
 from tapsp.diameter import diameter
-from tapsp.far_pairs import johnson_potentials
-from tapsp.graphs import Graph, gen_random, make_graph, to_matrix, write_graph
+from tapsp.graphs import (Graph, gen_random, johnson_potentials, make_graph,
+                          to_matrix, write_graph)
 from tapsp.matrices import (INF, dist_product_fast, dist_product_naive,
                             is_finite, ring_matmul)
 from tapsp.oracle import brute_threshold, floyd_warshall, min_edge_counts
@@ -252,9 +252,8 @@ def test_criterion_6_component_lemmas():
         dist = floyd_warshall(w)
         counts = min_edge_counts(w, dist)
         cfg = RunConfig(seed=i)
-        run = prepare_general(g, cfg, Rng(9000 + i))
-
         h = johnson_potentials(g)
+        run = prepare_general(g, cfg, Rng(9000 + i), h)
         for (u, v, wt) in g.edges:
             assert wt + int(h[u - 1]) - int(h[v - 1]) >= 0
 
@@ -284,10 +283,11 @@ def test_criterion_6_component_lemmas():
         for d in _percentile_ds(dist)[:3]:
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, brute_threshold(dist, d))
-            for (u, v), val in rep.window_exact.items():
-                assert val is not None
-                assert val == int(dist[u - 1, v - 1])
-                window_pairs_seen += 1
+            win = (ds > d) & (ds <= d + k_margin)
+            assert (rep.window_exact[win] < INF).all()
+            assert np.array_equal(rep.window_exact[win], dist[win])
+            assert (rep.window_exact[~win] == INF).all()
+            window_pairs_seen += int(win.sum())
             near = fin & (dist > d) & (dist <= d + k_margin)
             for lev, pdm, _ in levels:
                 t = target_distances(pdm, d, k_margin)

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapsp.cli import main
-from tapsp.graphs import make_graph, parse_graph, to_matrix, write_graph
+from tapsp.graphs import (gen_mixed_ncf, gen_random, make_graph, parse_graph,
+                          to_matrix, write_graph)
 from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
 
@@ -321,6 +328,71 @@ def test_negative_cycle_exits_4(tmp_path, capsys):
     assert main(["threshold", str(path), "-d", "0"]) == 4
     assert "negative cycle" in capsys.readouterr().err
     assert main(["diameter", str(path)]) == 4
+
+
+def test_negative_cycle_stderr_names_the_error_once(tmp_path, capsys):
+    path = tmp_path / "neg.gr"
+    path.write_text(write_graph(make_graph(2, [(1, 2, -2), (2, 1, 1)])))
+    for argv, line in ((["threshold", str(path), "-d", "0"],
+                        "tapsp: negative cycle: 1 -> 2\n"),
+                       (["diameter", str(path)], "tapsp: negative cycle: 1 -> 2\n"),
+                       (["oracle", str(path)], "tapsp: negative cycle reachable\n")):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line), argv[0]
+
+
+@st.composite
+def _cli_graphs(draw):
+    n = draw(st.integers(1, 8))
+    m_bound = draw(st.integers(1, 4))
+    density = draw(st.sampled_from((0.2, 0.5, 0.9)))
+    seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        g = gen_random(n, density, 1, m_bound, seed)
+    else:
+        g = gen_mixed_ncf(n, density, m_bound, seed, backbone=draw(st.booleans()))
+    span = g.n * g.M
+    return g, draw(st.integers(-span - 2, span + 2))
+
+
+def _run_cli(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cli_graphs())
+def test_cli_json_matches_the_oracle(case):
+    # tempfile, not tmp_path: Hypothesis rejects function-scoped fixtures
+    g, d = case
+    dist = floyd_warshall(to_matrix(g))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.gr")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(write_graph(g))
+        thr = json.loads(_run_cli(["threshold", path, "-d", str(d), "--json",
+                                   "--pairs"]))
+        ora = json.loads(_run_cli(["oracle", path, "-d", str(d), "--json",
+                                   "--pairs"]))
+        text = _run_cli(["threshold", path, "-d", str(d), "--pairs"])
+        dia = json.loads(_run_cli(["diameter", path, "--json"]))
+    assert thr["count"] == len(thr["pairs"])
+    assert thr["pairs"] == ora["pairs"]
+    listed = [[int(tok) for tok in ln.split()[1:]]
+              for ln in text.splitlines() if ln.startswith("pair: ")]
+    assert listed == thr["pairs"]
+    fin = is_finite(dist)
+    if fin.all():
+        want = int(dist.max())
+        wit = np.argwhere(dist == want) + 1
+        assert dia["diameter"] == str(want)
+    else:
+        wit = np.argwhere(~fin) + 1
+        assert dia["diameter"] == "inf"
+    assert dia["witnesses"] == wit.tolist()
 
 
 def test_positive_mode_on_mixed_graph_exits_3(tmp_path, capsys):

@@ -6,11 +6,12 @@ import pytest
 
 from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
                      sc_positive_graph)
+from tapsp import graphs
 from tapsp.config import KERNELS, RunConfig
 from tapsp.diameter import diameter
 from tapsp.far_pairs import compute_delta_t
-from tapsp.graphs import (MAX_SPAN, NegativeCycleError, gen_random, make_graph,
-                          to_matrix)
+from tapsp.graphs import (MAX_SPAN, NegativeCycleError, find_negative_cycle,
+                          gen_random, johnson_potentials, make_graph, to_matrix)
 from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
 from tapsp.sampling import Rng
@@ -165,7 +166,7 @@ def _count_calls(monkeypatch, module, name, calls, edit=None):
 
 def test_general_search_prepares_once(monkeypatch):
     calls = {}
-    for name in ("prepare_general", "_search", "find_negative_cycle"):
+    for name in ("prepare_general", "_search", "johnson_potentials"):
         _count_calls(monkeypatch, dia_mod, name, calls)
     for seed in range(4):
         g = sc_mixed_graph(12, 0.3, 3, seed=seed + 60)
@@ -174,7 +175,33 @@ def test_general_search_prepares_once(monkeypatch):
         res = diameter(g, RunConfig(seed=seed))
         assert (res.value, sorted(res.witnesses)) == (want, wit)
         assert calls == {"prepare_general": 1, "_search": 1,
-                         "find_negative_cycle": 1}
+                         "johnson_potentials": 1}
+
+
+@pytest.mark.parametrize("searches", [1, 2])
+def test_one_bellman_ford_per_general_search(monkeypatch, searches):
+    # delta_star shifted up by K + 1 fails the first certificate, so a
+    # second search runs; each search computes the potentials once
+    def shift_first(run, call):
+        if searches == 2 and call == 1:
+            run.delta_star = run.delta_star + run.schedule.K + 1
+        return run
+
+    calls = {}
+    _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
+    _count_calls(monkeypatch, dia_mod, "_search", calls)
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, shift_first)
+    for seed in range(3):
+        g = sc_mixed_graph(12, 0.35, 3, seed=seed + 80)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g, RunConfig(seed=seed))
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert calls["_bellman_ford"] == calls["_search"] == searches
+    neg = make_graph(3, [(1, 2, -2), (2, 3, -2), (3, 1, 1)])
+    with pytest.raises(NegativeCycleError) as exc:
+        diameter(neg)
+    assert exc.value.cycle == find_negative_cycle(neg)
 
 
 def test_general_search_stays_in_k_window():
@@ -245,8 +272,9 @@ def test_certificate_exact_with_sampled_hitting_set():
     for seed in range(5):
         g = sc_mixed_graph(12, 0.3, 3, seed=seed + 100)
         dist = floyd_warshall(to_matrix(g))
-        run = prepare_general(g, RunConfig(), Rng(seed))
-        run.far = compute_delta_t(g, 10 * g.n, Rng(seed + 1))
+        h = johnson_potentials(g)
+        run = prepare_general(g, RunConfig(), Rng(seed), h)
+        run.far = compute_delta_t(g, 10 * g.n, Rng(seed + 1), h)
         assert 0 < run.far.hitting.size < g.n
         everything = np.ones((g.n, g.n), dtype=bool)
         for d in np.unique(dist):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import mixed_graph, sc_mixed_graph
-from tapsp.far_pairs import compute_delta_t, hitting_set, sssp_from
+from tapsp.far_pairs import compute_delta_t, hitting_set, sssp_rows
 from tapsp.graphs import johnson_potentials, make_graph, to_matrix
 from tapsp.matrices import INF, is_finite
 from tapsp.oracle import floyd_warshall, min_edge_counts
@@ -34,8 +34,7 @@ def test_sssp_forward_matches_oracle():
         g = mixed_graph(13, 0.35, 4, seed)
         h = johnson_potentials(g)
         dist = floyd_warshall(to_matrix(g))
-        for src in range(g.n):
-            got = sssp_from(g, h, src)
+        for src, got in enumerate(sssp_rows(g, h, range(g.n))):
             assert np.array_equal(got, dist[src, :]), (seed, src)
 
 
@@ -44,8 +43,7 @@ def test_sssp_reverse_matches_oracle():
         g = mixed_graph(13, 0.35, 4, seed)
         h = johnson_potentials(g)
         dist = floyd_warshall(to_matrix(g))
-        for src in range(g.n):
-            got = sssp_from(g, h, src, reverse=True)
+        for src, got in enumerate(sssp_rows(g, h, range(g.n), reverse=True)):
             assert np.array_equal(got, dist[:, src]), (seed, src)
 
 
@@ -57,7 +55,7 @@ def test_delta_t_dominates_and_caps_exactly():
         for density in (0.4, 0.15):
             g = mixed_graph(10, density, 3, seed)
             dist = floyd_warshall(to_matrix(g))
-            far = compute_delta_t(g, 1, Rng(seed))
+            far = compute_delta_t(g, 1, Rng(seed), johnson_potentials(g))
             assert far.hitting.size == g.n
             assert np.array_equal(far.delta, dist)
             unreachable += int((~is_finite(dist)).sum())
@@ -74,7 +72,7 @@ def test_delta_t_exact_on_long_pairs():
         dist = floyd_warshall(w)
         counts = min_edge_counts(w, dist)
         t = 4
-        far = compute_delta_t(g, t, Rng(seed + 7))
+        far = compute_delta_t(g, t, Rng(seed + 7), johnson_potentials(g))
         long_pairs = counts >= t
         assert np.array_equal(far.delta[long_pairs], dist[long_pairs])
         fin = is_finite(far.delta)
@@ -83,7 +81,7 @@ def test_delta_t_exact_on_long_pairs():
 
 def test_delta_t_single_vertex():
     g = make_graph(1, [])
-    far = compute_delta_t(g, 1, Rng(0))
+    far = compute_delta_t(g, 1, Rng(0), johnson_potentials(g))
     assert far.delta.shape == (1, 1) and far.delta[0, 0] == 0
 
 
@@ -91,6 +89,6 @@ def test_delta_t_never_below_distance():
     for seed in range(10):
         g = mixed_graph(12, 0.3, 4, seed + 40)
         dist = floyd_warshall(to_matrix(g))
-        far = compute_delta_t(g, 5, Rng(seed))
+        far = compute_delta_t(g, 5, Rng(seed), johnson_potentials(g))
         fin = is_finite(far.delta)
         assert (dist[fin] <= far.delta[fin]).all()

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (level_step_square, lower_strassen_cutoff,
                      minplus_reference, nested_coeffs, poly_square_direct,
                      rand_dist_matrix)
-from tapsp import threshold_positive
+from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
 from tapsp.graphs import MAX_SPAN, make_graph
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
@@ -266,6 +266,22 @@ def test_encoded_kernels_refuse_an_oversized_power_table():
         assert time.monotonic() - start < 1.0, kernel
     got = dist_product_fast(a, a, bound=10 ** 8, kernel="numpy")
     assert np.array_equal(got, dist_product_naive(a, a))
+
+
+def test_encoded_budget_counts_the_product_entries(monkeypatch):
+    # at bound 1 and inner dimension 1 the power table holds 12.5 bits and
+    # each result entry 4: a 200 x 1 by 1 x 200 product needs 160,812 bits
+    # in all, a 2 x 1 by 1 x 2 product 36.5
+    monkeypatch.setattr(matrices, "MAX_ENCODED_BITS", 1000)
+    gen = np.random.default_rng(3)
+    wide_a = rand_dist_matrix(gen, 200, 1, 1)
+    wide_b = rand_dist_matrix(gen, 1, 200, 1)
+    a, b = wide_a[:2], wide_b[:, :2]
+    for kernel in ("schoolbook", "strassen"):
+        with pytest.raises(ValueError, match="power table"):
+            dist_product_fast(wide_a, wide_b, bound=1, kernel=kernel)
+        got = dist_product_fast(a, b, bound=1, kernel=kernel)
+        assert np.array_equal(got, dist_product_naive(a, b)), kernel
 
 
 def test_numpy_kernel_exact_at_the_largest_pipeline_bound():

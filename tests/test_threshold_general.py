@@ -3,9 +3,10 @@ import pytest
 
 from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
                      schedule_levels)
-from tapsp import approx, far_pairs, partial_distances, threshold_general
+from tapsp import approx, far_pairs, graphs, partial_distances, threshold_general
 from tapsp.config import KERNELS, RunConfig
-from tapsp.graphs import NegativeCycleError, make_graph, to_matrix
+from tapsp.graphs import (NegativeCycleError, find_negative_cycle,
+                          johnson_potentials, make_graph, to_matrix)
 from tapsp.matrices import INF, is_finite
 from tapsp.oracle import brute_threshold, floyd_warshall, min_edge_counts
 from tapsp.sampling import Rng
@@ -17,6 +18,11 @@ from tapsp.threshold_general import (GeneralRun, VerifyMismatchError,
 
 def _oracle(g, d):
     return brute_threshold(floyd_warshall(to_matrix(g)), d)
+
+
+def _window(run, d):
+    ds = run.delta_star
+    return (ds > d) & (ds <= d + run.schedule.K)
 
 
 def test_matches_oracle_on_small_instances():
@@ -32,6 +38,31 @@ def test_negative_cycle_raises_with_witness():
     with pytest.raises(NegativeCycleError) as exc:
         threshold_apsp_neg(g, 0)
     assert exc.value.cycle is not None
+
+
+def test_one_bellman_ford_per_call(monkeypatch):
+    calls = {"bf": 0}
+    orig = graphs._bellman_ford
+
+    def counted(g):
+        calls["bf"] += 1
+        return orig(g)
+
+    monkeypatch.setattr(graphs, "_bellman_ford", counted)
+    g = mixed_graph(10, 0.4, 2, seed=8)
+    span = g.n * g.M
+    for cfg in (RunConfig(), RunConfig(verify=True, verify_bound=64)):
+        for d, edge_case in ((3, None), (-span - 1, "below_range"),
+                             (span + 1, "closure")):
+            calls["bf"] = 0
+            rep = threshold_apsp_neg(g, d, config=cfg)
+            assert np.array_equal(rep.reported, _oracle(g, d))
+            assert rep.stats["edge_case"] == edge_case
+            assert calls["bf"] == 1, (cfg.verify, d)
+    neg = make_graph(3, [(1, 2, -2), (2, 3, -2), (3, 1, 1)])
+    with pytest.raises(NegativeCycleError) as exc:
+        threshold_apsp_neg(neg, 0)
+    assert exc.value.cycle == find_negative_cycle(neg)
 
 
 def test_d_below_range_reports_nothing():
@@ -72,23 +103,21 @@ def test_window_pairs_get_resolved_exactly():
             continue
         d = int(vals[vals.size // 2])
         cfg = RunConfig()
-        run = prepare_general(g, cfg, Rng(seed))
+        run = prepare_general(g, cfg, Rng(seed), johnson_potentials(g))
         rep = classify_threshold(run, d, cfg)
         assert np.array_equal(rep.reported, _oracle(g, d))
-        for (u, v), got in rep.window_exact.items():
-            want = dist[u - 1, v - 1]
-            if got is None:
-                assert want == INF or want > d
-            else:
-                assert got >= want
-                assert (got <= d) == (want <= d)
+        win = _window(run, d)
+        got, want = rep.window_exact[win], dist[win]
+        assert (got >= want).all()
+        assert np.array_equal(got <= d, want <= d)
+        assert (rep.window_exact[~win] == INF).all()
 
 
 def test_delta_star_window_bound():
     for seed in range(8):
         g = sc_mixed_graph(14, 0.35, 2, seed)
         cfg = RunConfig()
-        run = prepare_general(g, cfg, Rng(seed + 1))
+        run = prepare_general(g, cfg, Rng(seed + 1), johnson_potentials(g))
         dist = floyd_warshall(to_matrix(g))
         fin = is_finite(dist)
         assert (run.delta_star[fin] >= dist[fin]).all()
@@ -153,7 +182,8 @@ def test_all_kernels_give_identical_reports(monkeypatch):
     for g, seed in ((sc_mixed_graph(32, 0.1, 3, seed=2), 2),
                     (mixed_graph(32, 0.1, 3, seed=6), 6)):
         cfgs = [RunConfig(force_beta=0.0, kernel=k) for k in KERNELS]
-        runs = [prepare_general(g, cfg, Rng(seed)) for cfg in cfgs]
+        h = johnson_potentials(g)
+        runs = [prepare_general(g, cfg, Rng(seed), h) for cfg in cfgs]
         assert runs[0].far.hitting.size < g.n
         for d in (-3, 0, 1, 2, 3, 4, 10):
             reps = [classify_threshold(run, d, cfg) for run, cfg in zip(runs, cfgs)]
@@ -161,7 +191,7 @@ def test_all_kernels_give_identical_reports(monkeypatch):
             for rep in reps[1:]:
                 assert np.array_equal(rep.reported, reps[0].reported), (seed, d)
                 assert rep.stats == reps[0].stats
-                assert rep.window_exact == reps[0].window_exact
+                assert np.array_equal(rep.window_exact, reps[0].window_exact)
             window_reported += reps[0].stats["window_reported"]
     assert window_reported > 0
     assert strassen["calls"] > 0
@@ -189,24 +219,24 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         dist = floyd_warshall(to_matrix(g))
         calls.update(dijkstra=0, product=0)
         cfg = RunConfig()
-        run = prepare_general(g, cfg, Rng(seed))
+        run = prepare_general(g, cfg, Rng(seed), johnson_potentials(g))
         assert run.far.hitting.size == g.n
-        assert run.partials == [] and run.estimates == []
+        assert run.partials == []
         assert calls == {"dijkstra": g.n, "product": 0}
         for d in (-2, 0, 2, 5):
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)
             assert rep.stats["levels"] == 0
-            for (u, v), got in rep.window_exact.items():
-                want = dist[u - 1, v - 1]
-                assert got == (int(want) if want < INF else None)
+            win = _window(run, d)
+            assert np.array_equal(rep.window_exact[win], dist[win])
+            assert (rep.window_exact[~win] == INF).all()
 
     # uncapped: both Dijkstra directions per sampled vertex, and the levels
     g = sc_mixed_graph(32, 0.1, 3, seed=2)
     calls.update(dijkstra=0, product=0)
-    run = prepare_general(g, RunConfig(force_beta=0.0), Rng(2))
+    run = prepare_general(g, RunConfig(force_beta=0.0), Rng(2), johnson_potentials(g))
     assert run.far.hitting.size < g.n
-    assert len(run.partials) == len(run.estimates) > 0
+    assert len(run.partials) > 0
     assert calls["dijkstra"] == 2 * run.far.hitting.size
     assert calls["product"] > 0
 
