@@ -3,8 +3,9 @@
 Pairs whose shortest paths use many edges are resolved exactly: a random
 vertex sample large enough to hit every long path (w.h.p.), one Dijkstra
 per sampled vertex in each direction over Johnson-reweighted arcs, and a
-min-plus combine through the sample; a sample of every vertex needs only
-the n forward Dijkstras, which are the exact distance matrix.
+min-plus combine through the sample. A sample of every vertex makes the
+combine the exact distance matrix, which repeated min-plus squaring of the
+weight matrix (matrices.minplus_closure) builds with no Dijkstra.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
-from .matrices import INF, full_inf
+from .graphs import Graph, to_matrix
+from .matrices import INF, full_inf, minplus_closure
 from .sampling import Rng, sample
 
 
@@ -98,10 +99,12 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     (= dist) for every pair whose shortest path has >= t edges, with high
     probability; an upper bound on dist everywhere.
 
-    A sample of all n vertices gives the n forward rows dist(u, .), equal
-    to the combine: each term dist(u, x) + dist(x, v) is >= dist(u, v),
-    the x = u term equals it (dist(u, u) = 0 without negative cycles),
-    and a pair at INF has no finite term.
+    A sample of all n vertices makes the combine dist itself: each term
+    dist(u, x) + dist(x, v) is >= dist(u, v), the x = u term equals it
+    (dist(u, u) = 0 without negative cycles), and a pair at INF has no
+    finite term. Any exact APSP may then build delta; it is min-plus
+    squaring of g's weight matrix at bound (n - 1) M, on the numpy kernel
+    whatever the configured kernel (matrices.minplus_closure).
     """
     n = g.n
     if n == 1:
@@ -110,8 +113,8 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
                             potentials=h, t=t)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
-        return FarDistances(delta=np.stack(sssp_rows(g, h, xs)), hitting=xs,
-                            potentials=h, t=t)
+        delta = minplus_closure(to_matrix(g), (n - 1) * g.M)
+        return FarDistances(delta=delta, hitting=xs, potentials=h, t=t)
     delta = full_inf(n, n)
     for row, col in zip(sssp_rows(g, h, xs), sssp_rows(g, h, xs, reverse=True)):
         ok = (col < INF)[:, None] & (row < INF)[None, :]

@@ -254,11 +254,9 @@ def _bellman_ford(g: Graph):
     return h, pred, relaxable
 
 
-def find_negative_cycle(g: Graph):
-    """A vertex list of some negative cycle, or None."""
-    h, pred, relaxable = _bellman_ford(g)
-    if relaxable is None:
-        return None
+def _trace_cycle(pred: np.ndarray, relaxable) -> list:
+    """The negative cycle behind a Bellman-Ford's relaxable arc (u, v),
+    as 1-based vertices; pred is that run's predecessor array."""
     u, v = relaxable
     pred[v - 1] = u - 1
     # the predecessor walk from v must revisit a vertex within n steps,
@@ -279,11 +277,18 @@ def find_negative_cycle(g: Graph):
     return [c + 1 for c in cycle]
 
 
+def find_negative_cycle(g: Graph):
+    """A vertex list of some negative cycle, or None."""
+    _, pred, relaxable = _bellman_ford(g)
+    return None if relaxable is None else _trace_cycle(pred, relaxable)
+
+
 def johnson_potentials(g: Graph) -> np.ndarray:
-    """Potentials h with w(u,v) + h(u) - h(v) >= 0 for every arc."""
-    h, _, relaxable = _bellman_ford(g)
+    """Potentials h with w(u,v) + h(u) - h(v) >= 0 for every arc; on a
+    negative cycle, NegativeCycleError traced from the same Bellman-Ford."""
+    h, pred, relaxable = _bellman_ford(g)
     if relaxable is not None:
-        raise NegativeCycleError(cycle=find_negative_cycle(g))
+        raise NegativeCycleError(cycle=_trace_cycle(pred, relaxable))
     return h
 
 

@@ -226,6 +226,30 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     return _decode_min(prod, bound, z, pows, l, n)
 
 
+def minplus_closure(w: np.ndarray, bound: int) -> np.ndarray:
+    """All-pairs distances of a square weight matrix w (0 diagonal, INF for
+    no arc, no negative cycle) by repeated squaring with the numpy kernel.
+
+    After k squarings every finite entry is the minimum weight over walks
+    of at most 2**k arcs. Without a negative cycle, cutting the cycles out
+    of a walk raises neither its weight nor its arc count, so that minimum
+    is a simple path's weight: with M bounding |w| it lies in
+    [-(n - 1) M, (n - 1) M], the bound to pass, and EntryBoundError guards
+    it. A shortest simple path has at most n - 1 arcs, so ceil(log2(n - 1))
+    squarings reach dist; a square equal to its operand is a fixed point
+    of squaring, so it is dist already and the loop stops there. May
+    return w itself.
+    """
+    n = w.shape[0]
+    d = w
+    for _ in range(math.ceil(math.log2(n - 1)) if n > 2 else 0):
+        sq = dist_product_fast(d, d, bound=bound)
+        if np.array_equal(sq, d):
+            break
+        d = sq
+    return d
+
+
 # elements of the (rows, inner, cols) temporary in one relaxation block
 _BLOCK_ELEMS = 1 << 15
 

@@ -187,6 +187,8 @@ def test_one_bellman_ford_per_general_search(monkeypatch, searches):
             run.delta_star = run.delta_star + run.schedule.K + 1
         return run
 
+    neg = make_graph(3, [(1, 2, -2), (2, 3, -2), (3, 1, 1)])
+    cycle = find_negative_cycle(neg)
     calls = {}
     _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
     _count_calls(monkeypatch, dia_mod, "_search", calls)
@@ -198,10 +200,11 @@ def test_one_bellman_ford_per_general_search(monkeypatch, searches):
         res = diameter(g, RunConfig(seed=seed))
         assert (res.value, sorted(res.witnesses)) == (want, wit)
         assert calls["_bellman_ford"] == calls["_search"] == searches
-    neg = make_graph(3, [(1, 2, -2), (2, 3, -2), (3, 1, 1)])
+    calls.clear()
     with pytest.raises(NegativeCycleError) as exc:
         diameter(neg)
-    assert exc.value.cycle == find_negative_cycle(neg)
+    assert exc.value.cycle == cycle
+    assert calls["_bellman_ford"] == 1
 
 
 def test_general_search_stays_in_k_window():

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -11,11 +12,13 @@ from helpers import (level_step_square, lower_strassen_cutoff,
                      rand_dist_matrix)
 from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
-from tapsp.graphs import MAX_SPAN, make_graph
+from tapsp.graphs import MAX_SPAN, gen_mixed_ncf, make_graph, to_matrix
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
-                            min_merge, minplus_identity, ring_matmul,
-                            scale_div_ceil, truncate, window_shift)
+                            min_merge, minplus_closure, minplus_identity,
+                            ring_matmul, scale_div_ceil, truncate,
+                            window_shift)
+from tapsp.oracle import floyd_warshall
 from tapsp.threshold_positive import LevelPlan, threshold_apsp_pos
 
 
@@ -293,6 +296,67 @@ def test_numpy_kernel_exact_at_the_largest_pipeline_bound():
     want = np.array([[2 * bound, INF], [INF, -2 * bound]], dtype=np.int64)
     assert np.array_equal(got, want)
     assert is_finite(got[0, 0])
+
+
+def _closure_matches_floyd_warshall(monkeypatch, g):
+    """minplus_closure of g's weight matrix at bound (n - 1) M equals
+    Floyd-Warshall within ceil(log2(n - 1)) products; returns the closure
+    and the product count."""
+    calls = {"product": 0}
+    orig = matrices.dist_product_fast
+
+    def counted(*args, **kwargs):
+        calls["product"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "dist_product_fast", counted)
+    w = to_matrix(g)
+    got = minplus_closure(w, (g.n - 1) * g.M)
+    monkeypatch.setattr(matrices, "dist_product_fast", orig)
+    assert np.array_equal(got, floyd_warshall(w)), g
+    most = math.ceil(math.log2(g.n - 1)) if g.n > 2 else 0
+    assert calls["product"] <= most, (g.n, calls["product"])
+    return got, calls["product"]
+
+
+def test_minplus_closure_on_mixed_graphs_with_unreachable_pairs(monkeypatch):
+    # vertex n has no out-arc and vertex 1 no in-arc: an INF row and column
+    for n in (2, 3, 17, 64):
+        for seed in range(3):
+            full = gen_mixed_ncf(n, min(1.0, 3 / n), 4, seed + 20 * n)
+            arcs = [(u, v, w) for (u, v, w) in full.edges if u != n and v != 1]
+            g = make_graph(n, arcs, M=4)
+            got, _ = _closure_matches_floyd_warshall(monkeypatch, g)
+            assert not is_finite(got[-1, :-1]).any()
+            assert not is_finite(got[1:, 0]).any()
+
+
+def test_minplus_closure_edgeless(monkeypatch):
+    for n in (1, 2, 5):
+        g = make_graph(n, [])
+        _, calls = _closure_matches_floyd_warshall(monkeypatch, g)
+        # the first square equals its operand
+        assert calls == (1 if n > 2 else 0)
+
+
+def test_minplus_closure_long_path_takes_every_squaring(monkeypatch):
+    # one path 1 -> 2 -> ... -> n of n - 1 arcs with mixed signs: its end
+    # pair needs walks of n - 1 arcs, so no square before the last is stable
+    for n in (3, 10, 33):
+        arcs = [(i, i + 1, (-3, 2, -1, 3)[i % 4]) for i in range(1, n)]
+        g = make_graph(n, arcs, M=3)
+        _, calls = _closure_matches_floyd_warshall(monkeypatch, g)
+        assert calls == math.ceil(math.log2(n - 1)), n
+
+
+def test_minplus_closure_at_the_int64_relaxation_bound(monkeypatch):
+    # bound (n - 1) M = 2M near 2 MAX_SPAN / 3 puts the sentinel sums past
+    # int32, so the relaxation runs in int64
+    big = MAX_SPAN // 3
+    g = make_graph(3, [(1, 2, big), (2, 3, big), (3, 1, -big)], M=big)
+    assert 2 * (3 * 2 * big + 1) > np.iinfo(np.int32).max
+    got, _ = _closure_matches_floyd_warshall(monkeypatch, g)
+    assert got[0, 2] == 2 * big and got[2, 1] == 0
 
 
 def test_fast_kernels_reject_entries_beyond_bound():

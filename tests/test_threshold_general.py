@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
                      schedule_levels)
-from tapsp import approx, far_pairs, graphs, partial_distances, threshold_general
+from tapsp import (approx, far_pairs, graphs, matrices, partial_distances,
+                   threshold_general)
 from tapsp.config import KERNELS, RunConfig
 from tapsp.graphs import (NegativeCycleError, find_negative_cycle,
                           johnson_potentials, make_graph, to_matrix)
@@ -41,6 +44,8 @@ def test_negative_cycle_raises_with_witness():
 
 
 def test_one_bellman_ford_per_call(monkeypatch):
+    neg = make_graph(3, [(1, 2, -2), (2, 3, -2), (3, 1, 1)])
+    cycle = find_negative_cycle(neg)
     calls = {"bf": 0}
     orig = graphs._bellman_ford
 
@@ -59,10 +64,11 @@ def test_one_bellman_ford_per_call(monkeypatch):
             assert np.array_equal(rep.reported, _oracle(g, d))
             assert rep.stats["edge_case"] == edge_case
             assert calls["bf"] == 1, (cfg.verify, d)
-    neg = make_graph(3, [(1, 2, -2), (2, 3, -2), (3, 1, 1)])
+    calls["bf"] = 0
     with pytest.raises(NegativeCycleError) as exc:
         threshold_apsp_neg(neg, 0)
-    assert exc.value.cycle == find_negative_cycle(neg)
+    assert exc.value.cycle == cycle
+    assert calls["bf"] == 1
 
 
 def test_d_below_range_reports_nothing():
@@ -198,7 +204,7 @@ def test_all_kernels_give_identical_reports(monkeypatch):
 
 
 def test_capped_hitting_set_builds_no_levels(monkeypatch):
-    calls = {"dijkstra": 0, "product": 0}
+    calls = {"dijkstra": 0, "product": 0, "closure": 0}
 
     def count(module, name, key):
         orig = getattr(module, name)
@@ -212,17 +218,22 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
     count(far_pairs, "_dijkstra_heap", "dijkstra")
     for module in (threshold_general, partial_distances, approx):
         count(module, "dist_product_fast", "product")
+    # every product the far-pairs stage runs goes through matrices' own
+    # binding, which minplus_closure calls
+    count(matrices, "dist_product_fast", "closure")
 
-    # capped: n forward Dijkstras, no product, answers still exact
+    # capped: no Dijkstra, at most ceil(log2(n - 1)) squarings for the
+    # far pairs, no other product, answers still exact
     for seed in range(3):
         g = mixed_graph(16, 0.3, 3, seed + 40)
         dist = floyd_warshall(to_matrix(g))
-        calls.update(dijkstra=0, product=0)
+        calls.update(dijkstra=0, product=0, closure=0)
         cfg = RunConfig()
         run = prepare_general(g, cfg, Rng(seed), johnson_potentials(g))
         assert run.far.hitting.size == g.n
         assert run.partials == []
-        assert calls == {"dijkstra": g.n, "product": 0}
+        assert calls["dijkstra"] == calls["product"] == 0
+        assert 1 <= calls["closure"] <= math.ceil(math.log2(g.n - 1))
         for d in (-2, 0, 2, 5):
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)
