@@ -153,7 +153,7 @@ def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterRes
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
     if positive:
-        primal = primal_distances(g, kernel=config.kernel)
+        primal = primal_distances(g)
         out = _search(g, config, rng, primal)
         if out is None:
             raise RuntimeError("inconsistent probe trace on the deterministic path")

@@ -4,8 +4,9 @@ Pairs whose shortest paths use many edges are resolved exactly: a random
 vertex sample large enough to hit every long path (w.h.p.), one Dijkstra
 per sampled vertex in each direction over Johnson-reweighted arcs, and a
 min-plus combine through the sample. A sample of every vertex makes the
-combine the exact distance matrix, which repeated min-plus squaring of the
-weight matrix (matrices.minplus_closure) builds with no Dijkstra.
+combine the exact distance matrix, which the capped Floyd-Warshall
+closure (matrices.minplus_closure) of the Johnson-reweighted weight
+matrix builds with no Dijkstra.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     A sample of all n vertices makes the combine dist itself: each term
     dist(u, x) + dist(x, v) is >= dist(u, v), the x = u term equals it
     (dist(u, u) = 0 without negative cycles), and a pair at INF has no
-    finite term. Any exact APSP may then build delta; it is min-plus
-    squaring of g's weight matrix at bound (n - 1) M, on the numpy kernel
-    whatever the configured kernel (matrices.minplus_closure).
+    finite term. Any exact APSP may then build delta; it is the closure
+    (matrices.minplus_closure, which takes no kernel) of the weight matrix
+    reweighted by h, shifted back. Reweighted arcs w + h[u] - h[v] are
+    nonnegative, and as h lies in [-(n - 1) M, 0], a reweighted distance
+    dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M, the cap.
     """
     n = g.n
     if n == 1:
@@ -113,7 +116,10 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
                             potentials=h, t=t)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
-        delta = minplus_closure(to_matrix(g), (n - 1) * g.M)
+        w = to_matrix(g)
+        dp = minplus_closure(np.where(w < INF, w + h[:, None] - h[None, :], INF),
+                             2 * (n - 1) * g.M)
+        delta = np.where(dp < INF, dp - h[:, None] + h[None, :], INF)
         return FarDistances(delta=delta, hitting=xs, potentials=h, t=t)
     delta = full_inf(n, n)
     for row, col in zip(sssp_rows(g, h, xs), sssp_rows(g, h, xs, reverse=True)):

@@ -12,6 +12,7 @@ cheapest one. The text format follows the DIMACS shortest-path layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from .sampling import Rng
 # int64, the narrowest that holds it). The largest bound is
 # 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
 # build_partial uses radius <= 3 n M, the primal family M + 1, the level
-# steps at most 2M + 2, the scaled estimates about 6 n). n M <= INF >> 5
+# steps at most 2M + 2, the scaled estimates about 6 n). The largest value
+# matrices.minplus_closure forms is 2 (2 (n - 1) M + 1), its double
+# sentinel at the capped far path's cap 2 (n - 1) M. n M <= INF >> 5
 # keeps 24 n M + 2 below INF, so no sum overflows int64 and no finite
 # value reads as INF.
 MAX_SPAN = int(INF) >> 5
@@ -75,8 +78,17 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def arcs(self) -> tuple:
+        """The edges as read-only int64 arrays (u, v, w), 0-based
+        vertices, in edges order."""
+        a = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T.copy()
+        a[:2] -= 1
+        a.flags.writeable = False
+        return a[0], a[1], a[2]
+
     def positive_weights(self) -> bool:
-        return all(w >= 1 for (_, _, w) in self.edges)
+        return bool((self.arcs[2] >= 1).all())
 
 
 def make_graph(n: int, arcs, M: int | None = None) -> Graph:
@@ -97,8 +109,8 @@ def to_matrix(g: Graph) -> np.ndarray:
     w = np.empty((g.n, g.n), dtype=np.int64)
     w.fill(INF)
     np.fill_diagonal(w, 0)
-    for (u, v, wt) in g.edges:
-        w[u - 1, v - 1] = wt
+    u, v, wt = g.arcs
+    w[u, v] = wt
     return w
 
 
@@ -232,7 +244,33 @@ def gen_mixed_ncf(n: int, density: float, M: int, seed: int,
 
 def _bellman_ford(g: Graph):
     """Super-source Bellman-Ford: h[v] = shortest distance from a virtual
-    source with 0-arcs to every vertex. Returns (h, pred, relaxable)."""
+    source with 0-arcs to every vertex. Returns (h, pred, relaxable);
+    relaxable is an arc (u, v) that still relaxes, None when there is no
+    negative cycle, and pred is then None too.
+
+    Jacobi rounds relax every arc at once: after round r, h holds the
+    least weight of a walk from the virtual source of at most r + 1 arcs.
+    Without a negative cycle shortest paths are simple, of at most n arcs,
+    so some round among the first n changes nothing and h is the distance
+    vector, the one the sequential pass reaches too. A change in round n
+    means a negative cycle; the sequential pass then traces it, so the
+    witness does not depend on the round order.
+    """
+    u, v, w = g.arcs
+    h = np.zeros(g.n, dtype=np.int64)
+    for _ in range(g.n):
+        new = h.copy()
+        np.minimum.at(new, v, h[u] + w)
+        if np.array_equal(new, h):
+            return h, None, None
+        h = new
+    return _bellman_ford_sequential(g)
+
+
+def _bellman_ford_sequential(g: Graph):
+    """_bellman_ford arc by arc in edges order, with predecessors; on a
+    negative cycle, relaxable is the first arc that still relaxes after
+    n - 1 rounds."""
     n = g.n
     h = np.zeros(n, dtype=np.int64)
     pred = np.full(n, -1, dtype=np.int64)
@@ -301,8 +339,8 @@ def transitive_closure(g: Graph) -> np.ndarray:
     """
     n = g.n
     reach = np.eye(n, dtype=bool)
-    for (u, v, _) in g.edges:
-        reach[u - 1, v - 1] = True
+    u, v, _ = g.arcs
+    reach[u, v] = True
     steps = 1 if n <= 2 else int(np.ceil(np.log2(n)))
     for _ in range(steps):
         COUNTERS.bool_ops += n * n

@@ -16,6 +16,10 @@ directly in blocked fixed-width arithmetic, in the narrowest integer
 dtype that holds every value formed. The "strassen" kernel recurses
 until blocks have at most STRASSEN_CUTOFF rows and multiplies those by
 schoolbook.
+
+minplus_closure is the one exact-distance closure: in-place
+Floyd-Warshall on a nonnegative weight matrix, capped, in fixed-width
+arithmetic. It takes no kernel.
 """
 
 from __future__ import annotations
@@ -226,28 +230,43 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     return _decode_min(prod, bound, z, pows, l, n)
 
 
-def minplus_closure(w: np.ndarray, bound: int) -> np.ndarray:
-    """All-pairs distances of a square weight matrix w (0 diagonal, INF for
-    no arc, no negative cycle) by repeated squaring with the numpy kernel.
+def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
+    """Distances up to cap (INF beyond) of a square nonnegative weight
+    matrix w (INF for no arc), by in-place Floyd-Warshall. Raises
+    ValueError on a negative entry.
 
-    After k squarings every finite entry is the minimum weight over walks
-    of at most 2**k arcs. Without a negative cycle, cutting the cycles out
-    of a walk raises neither its weight nor its arc count, so that minimum
-    is a simple path's weight: with M bounding |w| it lies in
-    [-(n - 1) M, (n - 1) M], the bound to pass, and EntryBoundError guards
-    it. A shortest simple path has at most n - 1 arcs, so ceil(log2(n - 1))
-    squarings reach dist; a square equal to its operand is a fixed point
-    of squaring, so it is dist already and the loop stops there. May
-    return w itself.
+    Entries above cap become the sentinel s = cap + 1, and pivot k sets
+    d = min(d, d[:, k] + d[k, :]). Every entry stays in [0, s]: min never
+    raises a value, and a sum that uses s is at least s. So the relaxation
+    runs in the narrowest of int16/int32/int64 that holds the largest sum,
+    2s.
+
+    Exactness. Let D_k[i, j] be the least weight of an arc sequence from i
+    to j, weighed by w, whose inner vertices all lie below k (D_0 = w).
+    Before pivot k, d = D_k where D_k <= cap and d = s elsewhere. At pivot
+    k, a D_(k+1)[i, j] <= cap is either D_k[i, j], already held, or
+    D_k[i, k] + D_k[k, j]; with nonnegative weights both halves are
+    subpaths of weight <= cap, so both are held exactly. Every other sum
+    is the weight of an arc sequence through k, so at least D_(k+1)[i, j],
+    or it uses s and is at least s. If D_(k+1)[i, j] > cap, d[i, j] is s
+    and every sum is at least s. After n pivots d holds D_n, which is the
+    distance matrix when w has a 0 diagonal.
     """
+    if (w < 0).any():
+        raise ValueError("minplus_closure needs nonnegative weights")
     n = w.shape[0]
-    d = w
-    for _ in range(math.ceil(math.log2(n - 1)) if n > 2 else 0):
-        sq = dist_product_fast(d, d, bound=bound)
-        if np.array_equal(sq, d):
-            break
-        d = sq
-    return d
+    COUNTERS.minplus_relaxations += n ** 3
+    s = int(cap) + 1
+    dtype = next((t for t in (np.int16, np.int32) if 2 * s <= np.iinfo(t).max),
+                 np.int64)
+    d = np.where(w <= cap, w, s).astype(dtype)
+    tmp = np.empty_like(d)
+    for k in range(n):
+        np.add(d[:, k, None], d[k], out=tmp)
+        np.minimum(d, tmp, out=d)
+    out = d.astype(np.int64)
+    out[out > cap] = INF
+    return out
 
 
 # elements of the (rows, inner, cols) temporary in one relaxation block

@@ -62,4 +62,4 @@ def min_edge_counts(w: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 def brute_threshold(dist: np.ndarray, d: int) -> np.ndarray:
     """Pairs at distance <= d. INF entries never qualify."""
-    return dist <= d
+    return (dist <= d) & (dist < INF)

@@ -1,8 +1,9 @@
 """Deterministic threshold decisions for weights in {1..M}.
 
 A_k denotes the Boolean matrix of pairs at distance <= k. Small k (up to
-M + 1) come straight from a truncated distance matrix, since a shortest
-path of weight at most M + 1 uses at most M + 1 arcs. Large k are built
+M + 1) come straight from the distances capped at M + 1, one
+Floyd-Warshall closure of the weight matrix (matrices.minplus_closure);
+past n M, A_k is the reachability matrix. Large k in between are built
 top-down: the target set {d} expands level by level into intervals of
 indices roughly halving each time. The paper turns the family of a deeper
 level into the family of the one above it by squaring a matrix of
@@ -14,13 +15,12 @@ square is one bounded min-plus product of the "first index" matrix
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, to_matrix
-from .matrices import INF, dist_product_fast, is_finite, min_merge, truncate
+from .graphs import Graph, to_matrix, transitive_closure
+from .matrices import INF, dist_product_fast, is_finite, minplus_closure
 
 
 def f_set(k: int, m_bound: int) -> set:
@@ -83,20 +83,14 @@ def level_plan(d: int, m_bound: int) -> LevelPlan:
     return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
 
 
-def primal_distances(g: Graph, kernel: str = "numpy") -> np.ndarray:
-    """Distances up to M + 1 (INF beyond) from a repeatedly squared
-    truncated matrix, so that (primal <= k) = A_k for k = 0..M+1."""
-    w = to_matrix(g)
-    for (_, _, wt) in g.edges:
-        if wt < 1:
-            raise ValueError(f"non-positive weight {wt}; this path needs weights in 1..M")
-    cap = g.M + 1
-    d = truncate(w, cap)
-    rounds = math.ceil(math.log2(g.M + 1)) + 1
-    for _ in range(rounds):
-        sq = dist_product_fast(d, d, bound=cap, kernel=kernel)
-        d = truncate(min_merge(d, sq), cap)
-    return d
+def primal_distances(g: Graph) -> np.ndarray:
+    """Distances up to M + 1 (INF beyond), so that (primal <= k) = A_k for
+    k = 0..M+1: the closure of the weight matrix capped at M + 1
+    (matrices.minplus_closure, which takes no kernel)."""
+    bad = g.arcs[2][g.arcs[2] < 1]
+    if bad.size:
+        raise ValueError(f"non-positive weight {bad[0]}; this path needs weights in 1..M")
+    return minplus_closure(to_matrix(g), g.M + 1)
 
 
 def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.ndarray:
@@ -157,13 +151,18 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
 
     primal, when given, must be primal_distances(g); callers probing
     several d on one graph pass it to build it once. It is only read,
-    never modified.
+    never modified. Past n M every reachable pair is within d (a shortest
+    path has at most n - 1 arcs), so the report is the reachability
+    matrix and nothing else is built.
     """
     if d < 0:
         return PositiveReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,
                               stats={"edge_case": "negative_d"})
+    if d > g.n * g.M:
+        return PositiveReport(reported=transitive_closure(g), d=d,
+                              stats={"edge_case": "closure"})
     if primal is None:
-        primal = primal_distances(g, kernel=kernel)
+        primal = primal_distances(g)
     if d <= g.M + 1:
         return PositiveReport(reported=primal <= d, d=d,
                               stats={"edge_case": "primal", "levels": 0})

@@ -69,6 +69,22 @@ def test_threshold_large_d_counts_reachable_pairs(tmp_path, capsys):
     assert payload["count"] == reachable
 
 
+@pytest.mark.parametrize("d", [str(1 << 60), str(10 ** 30)])
+def test_huge_d_counts_only_reachable_pairs(tmp_path, capsys, d):
+    # 1 -> 2 -> 3: six pairs are reachable; INF itself is no distance
+    path = tmp_path / "p.gr"
+    path.write_text(write_graph(make_graph(3, [(1, 2, 1), (2, 3, 1)])))
+    for mode in ("positive", "general"):
+        assert main(["threshold", str(path), "-d", d, "--mode", mode,
+                     "--json"]) == 0
+        payload, _ = _json_out(capsys)
+        assert payload["count"] == 6, mode
+        assert payload["stats"]["edge_case"] == "closure", mode
+    assert main(["oracle", str(path), "-d", d, "--json"]) == 0
+    payload, _ = _json_out(capsys)
+    assert payload["count"] == 6
+
+
 def test_threshold_json_and_text_agree(tmp_path, capsys):
     path = _gen_file(tmp_path, "g.gr", 8, 0.4, 1, 4, seed=2)
     assert main(["threshold", str(path), "-d", "5", "--json"]) == 0
@@ -290,6 +306,18 @@ def test_bench_general_rows_below_wmin_one(capsys):
     assert [(r[0], r[3]) for r in rows] == [
         ("16", "threshold"), ("16", "diameter"),
         ("32", "threshold"), ("32", "diameter")]
+
+
+def test_bench_capped_general_row_counts_one_closure(capsys):
+    # a capped general threshold call is one Floyd-Warshall closure, n**2
+    # relaxations per pivot, and no product
+    argv = ["bench", "--ns", "16", "--ms", "2", "--densities", "0.2",
+            "--algos", "threshold", "--wmin", "-2", "--seed", "3"]
+    assert main(argv) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 1
+    assert int(rows[0][7]) == 16 ** 3
+    assert int(rows[0][6]) == int(rows[0][8]) == 0
 
 
 def test_encoded_power_table_past_the_limit_exits_3(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mixed_graph, squaring_apsp
+from tapsp import graphs
 from tapsp.graphs import (MAX_SPAN, Graph, GraphParseError, NegativeCycleError,
                           find_negative_cycle, gen_random, johnson_potentials,
                           make_graph, parse_graph, to_matrix,
@@ -144,6 +145,41 @@ def test_johnson_nonnegative_everywhere():
         h = johnson_potentials(g)
         for (u, v, w) in g.edges:
             assert w + h[u - 1] - h[v - 1] >= 0
+
+
+def test_arcs_are_the_edges_as_read_only_arrays():
+    g = make_graph(4, [(3, 1, -2), (1, 2, 5), (2, 4, 1)])
+    u, v, w = g.arcs
+    assert list(zip(u + 1, v + 1, w)) == list(g.edges)
+    assert u.dtype == v.dtype == w.dtype == np.int64
+    assert g.arcs is g.arcs
+    with pytest.raises(ValueError):
+        w[0] = 0
+    u, v, w = make_graph(3, []).arcs
+    assert u.size == v.size == w.size == 0
+
+
+def test_jacobi_bellman_ford_matches_the_sequential_pass():
+    # same potentials without a negative cycle; with one, the same witness
+    gen = np.random.default_rng(12)
+    for seed in range(40):
+        g = mixed_graph(int(gen.integers(1, 40)), float(gen.uniform(0.02, 0.5)),
+                        int(gen.integers(1, 6)), seed)
+        h, pred, relaxable = graphs._bellman_ford(g)
+        want = graphs._bellman_ford_sequential(g)
+        assert want[2] is None and pred is None and relaxable is None
+        assert np.array_equal(h, want[0]), seed
+    for seed in range(40):
+        n = int(gen.integers(2, 12))
+        g = gen_random(n, 0.4, -3, 3, seed=seed)
+        want = graphs._bellman_ford_sequential(g)
+        got = graphs._bellman_ford(g)
+        assert (got[2] is None) == (want[2] is None), seed
+        if want[2] is None:
+            assert np.array_equal(got[0], want[0]), seed
+        else:
+            assert got[2] == want[2]
+            assert np.array_equal(got[1], want[1]), seed
 
 
 def test_johnson_raises_on_negative_cycle():

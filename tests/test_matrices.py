@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -12,7 +11,9 @@ from helpers import (level_step_square, lower_strassen_cutoff,
                      rand_dist_matrix)
 from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
-from tapsp.graphs import MAX_SPAN, gen_mixed_ncf, make_graph, to_matrix
+from tapsp.far_pairs import sssp_rows
+from tapsp.graphs import (MAX_SPAN, gen_mixed_ncf, gen_random,
+                          johnson_potentials, make_graph, to_matrix)
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
                             min_merge, minplus_closure, minplus_identity,
@@ -298,65 +299,84 @@ def test_numpy_kernel_exact_at_the_largest_pipeline_bound():
     assert is_finite(got[0, 0])
 
 
-def _closure_matches_floyd_warshall(monkeypatch, g):
-    """minplus_closure of g's weight matrix at bound (n - 1) M equals
-    Floyd-Warshall within ceil(log2(n - 1)) products; returns the closure
-    and the product count."""
-    calls = {"product": 0}
-    orig = matrices.dist_product_fast
-
-    def counted(*args, **kwargs):
-        calls["product"] += 1
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(matrices, "dist_product_fast", counted)
+def _reweighted(g):
+    """g's weight matrix reweighted by its Johnson potentials, the potentials
+    and the closure cap 2 (n - 1) M every reweighted distance stays within."""
+    h = johnson_potentials(g)
     w = to_matrix(g)
-    got = minplus_closure(w, (g.n - 1) * g.M)
-    monkeypatch.setattr(matrices, "dist_product_fast", orig)
-    assert np.array_equal(got, floyd_warshall(w)), g
-    most = math.ceil(math.log2(g.n - 1)) if g.n > 2 else 0
-    assert calls["product"] <= most, (g.n, calls["product"])
-    return got, calls["product"]
+    wp = np.where(is_finite(w), w + h[:, None] - h[None, :], INF)
+    return wp, h, 2 * (g.n - 1) * g.M
 
 
-def test_minplus_closure_on_mixed_graphs_with_unreachable_pairs(monkeypatch):
+def _shift_back(dp, h):
+    return np.where(is_finite(dp), dp - h[:, None] + h[None, :], INF)
+
+
+def _unreachable_corner_graph(n, seed):
     # vertex n has no out-arc and vertex 1 no in-arc: an INF row and column
-    for n in (2, 3, 17, 64):
+    full = gen_mixed_ncf(n, min(1.0, 3 / n), 4, seed)
+    arcs = [(u, v, w) for (u, v, w) in full.edges if u != n and v != 1]
+    return make_graph(n, arcs, M=4)
+
+
+def test_minplus_closure_exact_against_floyd_warshall_and_dijkstra():
+    for n in (1, 2, 3, 17, 64):
         for seed in range(3):
-            full = gen_mixed_ncf(n, min(1.0, 3 / n), 4, seed + 20 * n)
-            arcs = [(u, v, w) for (u, v, w) in full.edges if u != n and v != 1]
-            g = make_graph(n, arcs, M=4)
-            got, _ = _closure_matches_floyd_warshall(monkeypatch, g)
-            assert not is_finite(got[-1, :-1]).any()
-            assert not is_finite(got[1:, 0]).any()
-
-
-def test_minplus_closure_edgeless(monkeypatch):
+            g = _unreachable_corner_graph(n, seed + 20 * n)
+            wp, h, cap = _reweighted(g)
+            got = minplus_closure(wp, cap)
+            assert np.array_equal(got, floyd_warshall(wp)), (n, seed)
+            dist = _shift_back(got, h)
+            assert np.array_equal(dist, floyd_warshall(to_matrix(g))), (n, seed)
+            rows = np.array(sssp_rows(g, h, range(n)))
+            assert np.array_equal(dist, rows), (n, seed)
+            if n > 1:
+                assert not is_finite(got[-1, :-1]).any()
+                assert not is_finite(got[1:, 0]).any()
     for n in (1, 2, 5):
-        g = make_graph(n, [])
-        _, calls = _closure_matches_floyd_warshall(monkeypatch, g)
-        # the first square equals its operand
-        assert calls == (1 if n > 2 else 0)
+        w = to_matrix(make_graph(n, []))
+        assert np.array_equal(minplus_closure(w, 0), w)
 
 
-def test_minplus_closure_long_path_takes_every_squaring(monkeypatch):
-    # one path 1 -> 2 -> ... -> n of n - 1 arcs with mixed signs: its end
-    # pair needs walks of n - 1 arcs, so no square before the last is stable
-    for n in (3, 10, 33):
-        arcs = [(i, i + 1, (-3, 2, -1, 3)[i % 4]) for i in range(1, n)]
-        g = make_graph(n, arcs, M=3)
-        _, calls = _closure_matches_floyd_warshall(monkeypatch, g)
-        assert calls == math.ceil(math.log2(n - 1)), n
+def test_minplus_closure_truncates_at_cap():
+    for n, seed in ((3, 1), (17, 2), (64, 3)):
+        g = gen_random(n, min(1.0, 3 / n), 1, 8, seed=seed)
+        w = to_matrix(g)
+        dist = floyd_warshall(w)
+        for cap in (0, 1, 8, 9, 20, 8 * n):
+            want = np.where(dist <= cap, dist, INF)
+            assert np.array_equal(minplus_closure(w, cap), want), (n, cap)
 
 
-def test_minplus_closure_at_the_int64_relaxation_bound(monkeypatch):
-    # bound (n - 1) M = 2M near 2 MAX_SPAN / 3 puts the sentinel sums past
-    # int32, so the relaxation runs in int64
+def test_minplus_closure_rejects_negative_entries():
+    w = np.array([[0, -1], [INF, 0]], dtype=np.int64)
+    with pytest.raises(ValueError):
+        minplus_closure(w, 5)
+
+
+def test_minplus_closure_past_the_int32_sentinel_sum():
+    # a cap whose doubled sentinel 2 (cap + 1) leaves int32, with distances
+    # that int32 could not hold either
     big = MAX_SPAN // 3
     g = make_graph(3, [(1, 2, big), (2, 3, big), (3, 1, -big)], M=big)
-    assert 2 * (3 * 2 * big + 1) > np.iinfo(np.int32).max
-    got, _ = _closure_matches_floyd_warshall(monkeypatch, g)
+    wp, h, cap = _reweighted(g)
+    assert 2 * (cap + 1) > np.iinfo(np.int32).max
+    got = _shift_back(minplus_closure(wp, cap), h)
+    assert np.array_equal(got, floyd_warshall(to_matrix(g)))
     assert got[0, 2] == 2 * big and got[2, 1] == 0
+
+
+@given(st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_reweighted_closure_matches_the_oracle_property(n, p, m_bound, seed):
+    g = gen_mixed_ncf(n, p, m_bound, seed)
+    wp, h, cap = _reweighted(g)
+    got = minplus_closure(wp, cap)
+    assert np.array_equal(got, floyd_warshall(wp))
+    assert np.array_equal(_shift_back(got, h), floyd_warshall(to_matrix(g)))
 
 
 def test_fast_kernels_reject_entries_beyond_bound():
@@ -395,7 +415,8 @@ def test_poly_square_dense_coefficients_no_carry():
 
 def test_poly_matrix_validation(monkeypatch):
     # a level whose non-primal targets leave [2 lo, 2 hi] of the level below
-    g = make_graph(3, [(1, 2, 1), (2, 3, 1)])
+    # eight vertices keep d <= n M, below the reachability shortcut
+    g = make_graph(8, [(i, i + 1, 1) for i in range(1, 8)])
     for levels in (((7, 7), (2, 3), (1, 2)), ((5, 5), (3, 4), (1, 2))):
         monkeypatch.setattr(threshold_positive, "level_plan",
                             lambda d, m, levels=levels: LevelPlan(d, m, levels))

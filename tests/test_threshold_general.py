@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -216,14 +214,12 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     count(far_pairs, "_dijkstra_heap", "dijkstra")
-    for module in (threshold_general, partial_distances, approx):
+    for module in (threshold_general, partial_distances, approx, matrices):
         count(module, "dist_product_fast", "product")
-    # every product the far-pairs stage runs goes through matrices' own
-    # binding, which minplus_closure calls
-    count(matrices, "dist_product_fast", "closure")
+    count(far_pairs, "minplus_closure", "closure")
 
-    # capped: no Dijkstra, at most ceil(log2(n - 1)) squarings for the
-    # far pairs, no other product, answers still exact
+    # capped: no Dijkstra, one closure for the far pairs, no product,
+    # answers still exact
     for seed in range(3):
         g = mixed_graph(16, 0.3, 3, seed + 40)
         dist = floyd_warshall(to_matrix(g))
@@ -233,7 +229,7 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         assert run.far.hitting.size == g.n
         assert run.partials == []
         assert calls["dijkstra"] == calls["product"] == 0
-        assert 1 <= calls["closure"] <= math.ceil(math.log2(g.n - 1))
+        assert calls["closure"] == 1
         for d in (-2, 0, 2, 5):
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)
