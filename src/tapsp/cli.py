@@ -53,7 +53,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", action="store_true", help="print extra run details")
     p.add_argument("--threads", type=int, default=None,
                    help="thread cap, accepted for sweeps; tapsp starts no threads "
-                        "and output never depends on it")
+                        "of its own (the BLAS library may), and output never "
+                        "depends on either")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--force-beta", type=float, default=None,
                    help="override the schedule beta (experiments)")

@@ -22,7 +22,10 @@ from .sampling import Rng
 # Largest accepted n * M. Apart from the masked INF + INF, the largest
 # value a kernel forms is a sentinel sum in matrices._minplus_blocked,
 # 2 * (3 * bound + 1); it also picks the relaxation dtype (int16, int32 or
-# int64, the narrowest that holds it). The largest bound is
+# int64, the narrowest that holds it). The numpy kernel's float route
+# (matrices._minplus_float) forms entry - lo, lo an operand's least
+# finite entry, at most INF + bound for an INF entry, and lo_a + lo_b, at
+# least -2 * bound. The largest bound is
 # 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
 # build_partial uses radius <= 3 n M, the primal family M + 1, the level
 # steps at most 2M + 2, the scaled estimates about 6 n). The largest value
@@ -333,16 +336,19 @@ def johnson_potentials(g: Graph) -> np.ndarray:
 def transitive_closure(g: Graph) -> np.ndarray:
     """Boolean reachability matrix (diagonal true).
 
-    Repeated squaring with numpy's Boolean matmul; the true diagonal makes
-    each square contain the previous matrix, so ceil(log2 n) squarings
-    reach paths of every length.
+    Repeated squaring; the true diagonal makes each square contain the
+    previous matrix, so ceil(log2 n) squarings reach paths of every length.
+    numpy's Boolean matmul runs no BLAS, so each square is a float32 BLAS
+    product of the 0/1 matrix clipped back to 1: every entry of the product
+    counts walks through at most n middle vertices, an integer below 2**24,
+    so float32 holds it exactly in any summation order.
     """
     n = g.n
-    reach = np.eye(n, dtype=bool)
+    reach = np.eye(n, dtype=np.float32)
     u, v, _ = g.arcs
-    reach[u, v] = True
+    reach[u, v] = 1.0
     steps = 1 if n <= 2 else int(np.ceil(np.log2(n)))
     for _ in range(steps):
         COUNTERS.bool_ops += n * n
-        reach = reach @ reach
-    return reach
+        reach = np.minimum(reach @ reach, 1.0)
+    return reach > 0

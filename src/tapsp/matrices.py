@@ -11,11 +11,14 @@ reference. The fast one takes a kernel. "schoolbook" and "strassen"
 encode bounded entries as arbitrary-precision integers z**e (Yuval's
 trick) and multiply them over the plain integer ring, so the inner loop
 is one exact integer matrix product; the two ring kernels give
-bit-identical results. "numpy" (the default) relaxes the bounded entries
-directly in blocked fixed-width arithmetic, in the narrowest integer
-dtype that holds every value formed. The "strassen" kernel recurses
-until blocks have at most STRASSEN_CUTOFF rows and multiplies those by
-schoolbook.
+bit-identical results. "numpy" (the default) runs the same encoding
+with radix 2**s in float64 exponents, so a product whose operand ranges
+are narrow enough is one BLAS matrix product, exact whatever the BLAS
+summation order or thread count; a wider product relaxes the bounded
+entries directly in blocked fixed-width arithmetic, in the narrowest
+integer dtype that holds every value formed. The "strassen" kernel
+recurses until blocks have at most STRASSEN_CUTOFF rows and multiplies
+those by schoolbook.
 
 minplus_closure is the one exact-distance closure: in-place
 Floyd-Warshall on a nonnegative weight matrix, capped, in fixed-width
@@ -43,6 +46,11 @@ STRASSEN_CUTOFF = 64
 # all table), the widest 32 x 32 x 32 at bound 260 (1.3e7 bits). A square
 # product at n = 64 passes up to bound about 3000, at n = 512 about 50.
 MAX_ENCODED_BITS = 1 << 30
+
+# Largest (range_a + range_b) * s, s the bits per encoded digit, for which
+# the numpy kernel multiplies in float64: every encoded term 2**-x with
+# x <= 1020 stays a normal float64 (the least normal is 2**-1022).
+FLOAT_EXP_BUDGET = 1020
 
 
 class EntryBoundError(ValueError):
@@ -172,13 +180,12 @@ def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def _derive_bound(a: np.ndarray, b: np.ndarray) -> int:
-    best = 0
-    for mat in (a, b):
-        fin = mat[is_finite(mat)]
-        if fin.size:
-            best = max(best, int(np.abs(fin).max()))
-    return best
+def _finite_range(mat: np.ndarray) -> tuple:
+    """Least and largest finite entry of mat, (0, 0) if it has none."""
+    lo = int(mat.min(initial=INF))
+    if lo == INF:
+        return 0, 0
+    return lo, int(np.where(is_finite(mat), mat, lo).max())
 
 
 def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
@@ -195,23 +202,32 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     whose table, operands and result would hold more than MAX_ENCODED_BITS
     bits raises ValueError before anything is encoded.
 
-    The "numpy" kernel relaxes the entries directly, see _minplus_blocked.
+    The "numpy" kernel runs the same encoding in float64 exponents, one
+    BLAS product (see _minplus_float), when the operands' finite ranges
+    fit FLOAT_EXP_BUDGET at s = (4 inner_dim - 1).bit_length() bits per
+    digit; otherwise it relaxes the entries directly, see
+    _minplus_blocked. One min/max scan per distinct operand serves the
+    bound check and the route rule.
     """
     _check_inner(a, b)
     l, m = a.shape
     n = b.shape[1]
     if m == 0:
         return full_inf(l, n)
+    ra = _finite_range(a)
+    rb = ra if b is a else _finite_range(b)
+    mags = [max(-lo, hi) for lo, hi in (ra, rb)]
     if bound is None:
-        bound = _derive_bound(a, b)
+        bound = max(mags)
     else:
         bound = int(bound)
-        for mat in (a, b):
-            fin = mat[is_finite(mat)]
-            if fin.size and int(np.abs(fin).max()) > bound:
-                raise EntryBoundError(
-                    f"entry magnitude {int(np.abs(fin).max())} exceeds bound {bound}")
+        for mag in mags:
+            if mag > bound:
+                raise EntryBoundError(f"entry magnitude {mag} exceeds bound {bound}")
     if kernel == "numpy":
+        s = (4 * m - 1).bit_length()
+        if (ra[1] - ra[0] + rb[1] - rb[0]) * s <= FLOAT_EXP_BUDGET:
+            return _minplus_float(a, ra, b, rb, s)
         return _minplus_blocked(a, b, bound)
     z = m + 1
     # base-z digits held by the power table, the operands and the result
@@ -266,6 +282,58 @@ def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
         np.minimum(d, tmp, out=d)
     out = d.astype(np.int64)
     out[out > cap] = INF
+    return out
+
+
+def _pow2_encode(mat: np.ndarray, lo: int, hi: int, s: int) -> np.ndarray:
+    """2.0**(-(e - lo) * s) for each finite entry e of mat, all in [lo, hi],
+    and 0.0 for INF (whose index e - lo clips to the table's last slot)."""
+    top = hi - lo
+    table = np.zeros(top + 2)
+    table[:-1] = np.ldexp(1.0, -s * np.arange(top + 1))
+    return table.take(mat - lo, mode="clip")
+
+
+def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray, rb: tuple,
+                   s: int) -> np.ndarray:
+    """Bounded min-plus as one float64 matrix product (Yuval's encoding).
+
+    ra and rb are _finite_range of a and b, m is the inner dimension and
+    s = (4m - 1).bit_length(), so 2**s >= 4m. With x = e - (least finite
+    entry of its operand), each finite entry becomes 2**(-x s) and INF
+    becomes 0, and S = ea @ eb is one dgemm. The caller takes this route
+    only when (range_a + range_b) s <= FLOAT_EXP_BUDGET, range being the
+    largest minus the least finite entry.
+
+    Exactness. Each product term is 2**(-(xa + xb) s) with
+    (xa + xb) s <= 1020: an exact power of two and a normal float64
+    (>= 2**-1020), so the multiplications round nothing, and every nonzero
+    partial sum is normal too. Let e* be the least xa + xb over finite
+    pairs. The true sum S has at least one term 2**(-e* s) and at most m
+    terms, none larger, so S lies in [2**(-e* s), m 2**(-e* s)], and
+    m <= 2**(s - 2). dgemm forms each entry as a sum of the m products in
+    some order, with or without FMA (BLAS runs no fast matrix product), and
+    a floating sum of m nonnegative terms, in any order, has relative
+    error at most g = (m - 1) u / (1 - (m - 1) u), u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4), and g < 1/2
+    for every m below 2**51. So the computed sum lies in
+    [2**(-e* s - 1), 2**(s - 1 - e* s)), its frexp exponent E
+    (sum = f 2**E, f in [1/2, 1)) lies in [-e* s, -e* s + s - 1], and
+    (s - 1 - E) // s is exactly e*. BLAS blocking and thread count
+    therefore cannot change the result. The minimum is e* plus both
+    operands' least finite entries; S = 0 exactly where no pair is
+    finite, and that entry is INF.
+    """
+    l, m = a.shape
+    n = b.shape[1]
+    COUNTERS.minplus_relaxations += l * m * n
+    ea = _pow2_encode(a, *ra, s)
+    eb = ea if b is a else _pow2_encode(b, *rb, s)
+    total = ea @ eb
+    _, e = np.frexp(total)
+    out = ((s - 1 - e) // s).astype(np.int64)
+    out += ra[0] + rb[0]
+    np.putmask(out, total == 0, INF)
     return out
 
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -143,6 +145,27 @@ def test_byte_identical_output_across_runs_and_threads(tmp_path, capsys):
                      "--threads", threads, "--json"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_output_independent_of_blas_threads(tmp_path):
+    # bounded products are BLAS matrix products, exact in any summation
+    # order, so the BLAS thread count may change timing but never output
+    path = tmp_path / "g.gr"
+    path.write_text(write_graph(gen_random(128, 0.06, 1, 8, seed=31)))
+    commands = (["threshold", str(path), "-d", "14", "--json", "--pairs"],
+                ["diameter", str(path), "--json"])
+    outs = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("TAPSP_")}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        outs[threads] = [
+            subprocess.run([sys.executable, "-m", "tapsp.cli"] + args,
+                           capture_output=True, env=env, check=True).stdout
+            for args in commands]
+    assert outs["1"] == outs["2"]
+    report, diam = (json.loads(out) for out in outs["1"])
+    assert report["stats"]["levels"] > 0 and 0 < report["count"] < 128 * 128
+    assert diam["diameter"] != "inf" and diam["probes"] > 0
 
 
 def test_diameter_text_and_verify(tmp_path, capsys):

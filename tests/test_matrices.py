@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -297,6 +298,133 @@ def test_numpy_kernel_exact_at_the_largest_pipeline_bound():
     want = np.array([[2 * bound, INF], [INF, -2 * bound]], dtype=np.int64)
     assert np.array_equal(got, want)
     assert is_finite(got[0, 0])
+
+
+def _fallback_calls(monkeypatch) -> list:
+    """Route matrices._minplus_blocked through a wrapper that logs each
+    call, so a test can tell which route the numpy kernel took."""
+    calls = []
+    real = matrices._minplus_blocked
+
+    def logged(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "_minplus_blocked", logged)
+    return calls
+
+
+def _spread_operands(gen, m, lo_a, range_a, lo_b, range_b):
+    """4 x m and m x 4 operands with finite ranges exactly [lo, lo + range]:
+    row 0 and column 0 hold only the least entries and row 3 and column 3
+    only the largest (so the m terms of result [0, 0] tie at exponent sum
+    0, and those of result [3, 3] at the widest one), row 1 and column 1
+    are INF, row 2 and column 2 are random."""
+    a = lo_a + gen.integers(0, range_a + 1, size=(4, m))
+    b = lo_b + gen.integers(0, range_b + 1, size=(m, 4))
+    a[0], b[:, 0] = lo_a, lo_b
+    a[1], b[:, 1] = INF, INF
+    a[3], b[:, 3] = lo_a + range_a, lo_b + range_b
+    return a, b
+
+
+def test_float_route_exact_when_all_terms_tie(monkeypatch):
+    # m terms of the least exponent sum to m 2**(-e* s), and m = 2**(s - 2)
+    # is the largest m at each s: 1, 64, 256 and 1024 sit on that edge
+    fallbacks = _fallback_calls(monkeypatch)
+    gen = np.random.default_rng(21)
+    for m in (1, 2, 3, 63, 64, 65, 255, 256, 257, 1024):
+        s = (4 * m - 1).bit_length()
+        half = matrices.FLOAT_EXP_BUDGET // (2 * s)
+        for lo_a, lo_b in ((0, 0), (-7, 3)):
+            a, b = _spread_operands(gen, m, lo_a, half, lo_b, half)
+            want = dist_product_naive(a, b)
+            assert np.array_equal(dist_product_fast(a, b), want), (m, lo_a)
+            assert want[3, 3] == lo_a + lo_b + 2 * half
+    assert fallbacks == []
+
+
+def test_float_route_rule_at_the_budget(monkeypatch):
+    # (range_a + range_b) * s == FLOAT_EXP_BUDGET takes the float route, and
+    # result [3, 3] sums m terms of 2**-1020; one more unit of range falls
+    # back, and both routes are exact
+    fallbacks = _fallback_calls(monkeypatch)
+    gen = np.random.default_rng(22)
+    for m in (1, 2, 3, 8, 16, 200):
+        s = (4 * m - 1).bit_length()
+        assert matrices.FLOAT_EXP_BUDGET % s == 0, m
+        total = matrices.FLOAT_EXP_BUDGET // s
+        for range_a, lo_a, lo_b in ((total // 2, 0, 0), (total, -50, 9),
+                                    (0, 4, -total)):
+            range_b = total - range_a
+            for extra, routed in ((0, 0), (1, 1)):
+                a, b = _spread_operands(gen, m, lo_a, range_a, lo_b,
+                                        range_b + extra)
+                before = len(fallbacks)
+                got = dist_product_fast(a, b)
+                assert len(fallbacks) - before == routed, (m, range_a, extra)
+                assert np.array_equal(got, dist_product_naive(a, b)), (m, extra)
+
+
+def test_float_route_edge_operands(monkeypatch):
+    fallbacks = _fallback_calls(monkeypatch)
+    gen = np.random.default_rng(23)
+    a = rand_dist_matrix(gen, 6, 6, 9, inf_frac=0.3)
+    a[2, :] = INF
+    a[:, 4] = INF
+    neg = np.where(is_finite(a), a - 40, INF)
+    empty_rows = np.empty((0, 6), dtype=np.int64)
+    empty_cols = np.empty((6, 0), dtype=np.int64)
+    cases = [(a, a), (neg, neg), (neg, a), (a, full_inf(6, 3)),
+             (full_inf(2, 6), a), (full_inf(6, 6), full_inf(6, 6)),
+             (empty_rows, a), (a, empty_cols), (a[:, :1], a[:1, :])]
+    for x, y in cases:
+        want = dist_product_naive(x, y)
+        for bound in (None, 60):
+            got = dist_product_fast(x, y, bound=bound)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want), (x, y, bound)
+    assert fallbacks == []
+
+
+def test_level_steps_take_the_float_route(monkeypatch):
+    # level-step operands lie in [0, 2M + 2]: at n = 64, s = 8, and the
+    # rule admits every M up to 30
+    fallbacks = _fallback_calls(monkeypatch)
+    for m_bound, seed in ((8, 1), (30, 2)):
+        g = gen_random(64, 3 / 64, 1, m_bound, seed=seed)
+        dist = floyd_warshall(to_matrix(g))
+        for d in (m_bound + 2, 3 * m_bound, 10 * m_bound, 64 * m_bound):
+            report = threshold_apsp_pos(g, d)
+            assert report.stats["levels"] > 0
+            assert np.array_equal(report.reported, dist <= d), (m_bound, d)
+    assert fallbacks == []
+
+
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=-10 ** 9, max_value=10 ** 9),
+       st.integers(min_value=0, max_value=40),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=150, deadline=None)
+def test_float_route_matches_naive_property(l, m, r, offset, width, inf_frac,
+                                            seed):
+    # widths up to 40 at m <= 12 (s <= 6) stay inside the float budget,
+    # so the fallback must not run
+    gen = np.random.default_rng(seed)
+    a = offset + gen.integers(0, width + 1, size=(l, m))
+    b = -offset + gen.integers(0, width + 1, size=(m, r))
+    a[gen.random((l, m)) < inf_frac] = INF
+    b[gen.random((m, r)) < inf_frac] = INF
+    with mock.patch.object(matrices, "_minplus_blocked",
+                           side_effect=AssertionError("fell back")):
+        got = dist_product_fast(a, b)
+        square = dist_product_fast(a[:, :l], a[:, :l]) if l <= m else None
+    assert np.array_equal(got, dist_product_naive(a, b))
+    if square is not None:
+        assert np.array_equal(square, dist_product_naive(a[:, :l], a[:, :l]))
 
 
 def _reweighted(g):
