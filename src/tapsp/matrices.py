@@ -20,6 +20,13 @@ integer dtype that holds every value formed. The "strassen" kernel
 recurses until blocks have at most STRASSEN_CUTOFF rows and multiplies
 those by schoolbook.
 
+window_square is the positive path's one product: the min-plus square
+of a matrix's first-index matrix on a window [lo, hi]. Under "numpy",
+when 2 (hi - lo) s <= FLOAT_EXP_BUDGET, it encodes the matrix itself
+with one clipped table lookup and runs one BLAS product, so the
+first-index matrix is never formed; otherwise it forms that matrix and
+calls dist_product_fast.
+
 minplus_closure is the one exact-distance closure: in-place
 Floyd-Warshall on a nonnegative weight matrix, capped, in fixed-width
 arithmetic. It takes no kernel.
@@ -27,6 +34,7 @@ arithmetic. It takes no kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -225,7 +233,7 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
             if mag > bound:
                 raise EntryBoundError(f"entry magnitude {mag} exceeds bound {bound}")
     if kernel == "numpy":
-        s = (4 * m - 1).bit_length()
+        s = _digit_bits(m)
         if (ra[1] - ra[0] + rb[1] - rb[0]) * s <= FLOAT_EXP_BUDGET:
             return _minplus_float(a, ra, b, rb, s)
         return _minplus_blocked(a, b, bound)
@@ -244,6 +252,49 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     enc_b = _encode(b, bound, pows)
     prod = ring_matmul(enc_a, enc_b, kernel, STRASSEN_CUTOFF)
     return _decode_min(prod, bound, z, pows, l, n)
+
+
+def _digit_bits(m: int) -> int:
+    """Bits s per float-route digit at inner dimension m: 2**s >= 4m."""
+    return (4 * m - 1).bit_length()
+
+
+def float_window_admits(n: int, width: int) -> bool:
+    """Whether window_square on an n x n matrix at a window of width
+    hi - lo takes the float route under the numpy kernel: every encoded
+    exponent sum, at most 2 width s, stays within FLOAT_EXP_BUDGET."""
+    return 2 * width * _digit_bits(n) <= FLOAT_EXP_BUDGET
+
+
+def window_square(d: np.ndarray, lo: int, hi: int,
+                  kernel: str = "numpy") -> np.ndarray:
+    """Min-plus square of the first-index matrix of a square matrix d on
+    the window [lo, hi], in d's units.
+
+    The first-index matrix C maps entries <= lo to 0, entries in [lo, hi]
+    to d - lo and entries above hi (INF included) to INF. The result is
+    (C min-plus C) + 2 lo, and exactly INF where no term is finite.
+    threshold_positive.level_step and primal_distances say what it holds
+    for their matrices.
+
+    Under the numpy kernel, when float_window_admits(n, hi - lo), d is
+    encoded directly: _pow2_encode's table lookup clips an index below 0
+    to slot 0, which is C = 0, and one past hi - lo to the 0.0 slot,
+    which is INF, so neither C nor a range scan is formed. The product is
+    one dgemm and the decode is _minplus_float's, whose exactness proof
+    holds as it stands: every encoded exponent lies in [0, (hi - lo) s],
+    so each term's is at most 2 (hi - lo) s <= FLOAT_EXP_BUDGET. Any other
+    case forms C and calls dist_product_fast at bound hi - lo.
+    """
+    n = d.shape[0]
+    if kernel == "numpy" and float_window_admits(n, hi - lo):
+        COUNTERS.minplus_relaxations += n ** 3
+        s = _digit_bits(n)
+        enc = _pow2_encode(d, lo, hi, s)
+        return _pow2_decode(enc @ enc, s, 2 * lo)
+    first = np.where(d <= hi, np.maximum(d, lo) - lo, INF)
+    sq = dist_product_fast(first, first, bound=hi - lo, kernel=kernel)
+    return np.where(is_finite(sq), sq + 2 * lo, INF)
 
 
 def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
@@ -286,8 +337,9 @@ def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _pow2_encode(mat: np.ndarray, lo: int, hi: int, s: int) -> np.ndarray:
-    """2.0**(-(e - lo) * s) for each finite entry e of mat, all in [lo, hi],
-    and 0.0 for INF (whose index e - lo clips to the table's last slot)."""
+    """2.0**(-(e - lo) * s) for each entry e of mat in [lo, hi]; an entry
+    below lo encodes as lo (its index e - lo clips to slot 0), and one
+    above hi, INF included, as 0.0 (it clips to the table's last slot)."""
     top = hi - lo
     table = np.zeros(top + 2)
     table[:-1] = np.ldexp(1.0, -s * np.arange(top + 1))
@@ -329,11 +381,28 @@ def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray, rb: tuple,
     COUNTERS.minplus_relaxations += l * m * n
     ea = _pow2_encode(a, *ra, s)
     eb = ea if b is a else _pow2_encode(b, *rb, s)
-    total = ea @ eb
-    _, e = np.frexp(total)
-    out = ((s - 1 - e) // s).astype(np.int64)
-    out += ra[0] + rb[0]
-    np.putmask(out, total == 0, INF)
+    return _pow2_decode(ea @ eb, s, ra[0] + rb[0])
+
+
+def _pow2_decode(total: np.ndarray, s: int, offset: int) -> np.ndarray:
+    """The least exponent sum e* of each entry of an encoded product,
+    (s - 1 - E) // s from frexp's exponent E, plus offset; INF where the
+    entry is 0. _minplus_float proves it exact.
+
+    E is read from the bits: a nonzero entry is a normal float64 of at
+    least 2**-1020, whose 11-bit biased exponent field is b = E + 1022,
+    and 0.0 has b = 0. So one lookup in a table indexed by b decodes every
+    entry, INF included."""
+    table = _exponent_digits(s) + offset
+    table[0] = INF
+    return table.take(total.view(np.int64) >> 52)
+
+
+@functools.lru_cache(maxsize=None)
+def _exponent_digits(s: int) -> np.ndarray:
+    """(s - 1 - E) // s for each biased exponent field b = E + 1022."""
+    out = (s + 1021 - np.arange(2048, dtype=np.int64)) // s
+    out.flags.writeable = False
     return out
 
 

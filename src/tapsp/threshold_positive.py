@@ -1,16 +1,20 @@
 """Deterministic threshold decisions for weights in {1..M}.
 
 A_k denotes the Boolean matrix of pairs at distance <= k. Small k (up to
-M + 1) come straight from the distances capped at M + 1, one
-Floyd-Warshall closure of the weight matrix (matrices.minplus_closure);
-past n M, A_k is the reachability matrix. Large k in between are built
-top-down: the target set {d} expands level by level into intervals of
-indices roughly halving each time. The paper turns the family of a deeper
-level into the family of the one above it by squaring a matrix of
-Boolean polynomials. A nested family is one integer matrix D with
-(D <= k) = A_k, so each level is carried as such a matrix, and the
-square is one bounded min-plus product of the "first index" matrix
-(Yuval 1976): each level costs one dist_product_fast call.
+M + 1) come straight from the distances capped at M + 1: when the float
+route admits the window [0, M + 1] (2 (M + 1) s <= 1020, s the bit
+length of 4n - 1), ceil(log2(min(M + 1, n - 1))) window squares of the
+weight matrix, and otherwise one Floyd-Warshall closure
+(matrices.minplus_closure). Past n M, A_k is the reachability matrix.
+Large k in between are built top-down: the target set {d} expands level
+by level into intervals of indices roughly halving each time. The paper
+turns the family of a deeper level into the family of the one above it
+by squaring a matrix of Boolean polynomials. A nested family is one
+integer matrix D with (D <= k) = A_k, so each level is carried as such a
+matrix, and the square is one bounded min-plus product of the "first
+index" matrix (Yuval 1976): each level costs one matrices.window_square
+call, which on the numpy float route encodes D directly and never forms
+the first-index matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, to_matrix, transitive_closure
-from .matrices import INF, dist_product_fast, is_finite, minplus_closure
+from .matrices import INF, float_window_admits, minplus_closure, window_square
 
 
 def f_set(k: int, m_bound: int) -> set:
@@ -85,12 +89,41 @@ def level_plan(d: int, m_bound: int) -> LevelPlan:
 
 def primal_distances(g: Graph) -> np.ndarray:
     """Distances up to M + 1 (INF beyond), so that (primal <= k) = A_k for
-    k = 0..M+1: the closure of the weight matrix capped at M + 1
-    (matrices.minplus_closure, which takes no kernel)."""
+    k = 0..M+1. Takes no kernel.
+
+    When the numpy float route admits the window [0, M + 1] at n
+    (matrices.float_window_admits), they are r = ceil(log2(min(M + 1,
+    n - 1))) window squares of the weight matrix w at [0, M + 1] (r = 0
+    for n <= 2), with entries past M + 1 set to INF. Otherwise they are
+    matrices.minplus_closure(w, M + 1): at caps that wide, squaring in
+    blocked relaxation loses to Floyd-Warshall.
+
+    Exactness of the squares. On [0, M + 1] the first-index matrix of a
+    nonnegative D is D truncated at M + 1, so each square takes
+    D'[u, v] = min over x of D[u, x] + D[x, v], both terms within M + 1.
+    Every term is the weight of a walk, so D' >= dist throughout. After
+    j squares, D holds dist(u, v) exactly whenever dist(u, v) <= M + 1
+    and some shortest u-v path has at most 2**j arcs: for j = 0 that is w
+    (zero diagonal); for j + 1, cut such a path at a vertex x into two
+    halves of at most 2**j arcs each. Both are shortest paths and, with
+    nonnegative weights, weigh at most dist(u, v) <= M + 1, so D holds
+    both exactly inside the window, and their sum is a term. Truncating
+    at the window therefore loses nothing, for the same reason as in
+    minplus_closure. With weights >= 1 a path of weight <= M + 1 has at
+    most M + 1 arcs, and a shortest path at most n - 1, so after r squares
+    every pair within M + 1 is exact and every other entry exceeds M + 1.
+    """
     bad = g.arcs[2][g.arcs[2] < 1]
     if bad.size:
         raise ValueError(f"non-positive weight {bad[0]}; this path needs weights in 1..M")
-    return minplus_closure(to_matrix(g), g.M + 1)
+    w = to_matrix(g)
+    cap = g.M + 1
+    if not float_window_admits(g.n, cap):
+        return minplus_closure(w, cap)
+    for _ in range(max(min(cap, g.n - 1) - 1, 0).bit_length()):
+        w = window_square(w, 0, cap)
+    np.putmask(w, w > cap, INF)
+    return w
 
 
 def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.ndarray:
@@ -106,8 +139,9 @@ def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.nda
     Proof. The window is nested (A_i a subset of A_(i+1)), so
     C = max(dist, t_lo) - t_lo where dist <= t_hi (INF elsewhere) is the
     least i in the window with A_i[u, v], minus t_lo, and
-    R = (C min-plus C) + 2 t_lo. If A_i[u, w] and A_j[w, v] with
-    i + j = k, then C[u, w] + C[w, v] <= k - 2 t_lo. Conversely, take w
+    R = (C min-plus C) + 2 t_lo, which is matrices.window_square. If
+    A_i[u, w] and A_j[w, v] with i + j = k, then
+    C[u, w] + C[w, v] <= k - 2 t_lo. Conversely, take w
     with a = C[u, w] + t_lo, b = C[w, v] + t_lo and a + b <= k. Put
     i = min(t_hi, k - b) and j = k - i: then t_lo <= a <= i <= t_hi and
     t_lo <= b <= j <= t_hi (if i = t_hi, j = k - t_hi <= t_hi), and by
@@ -126,9 +160,7 @@ def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.nda
     which A_k = (R <= k) contains.
     """
     t_lo, t_hi = source
-    first = np.where(dist <= t_hi, np.maximum(dist, t_lo) - t_lo, INF)
-    sq = dist_product_fast(first, first, bound=t_hi - t_lo, kernel=kernel)
-    return np.where(is_finite(sq), sq + 2 * t_lo, INF)
+    return window_square(dist, t_lo, t_hi, kernel=kernel)
 
 
 @dataclass

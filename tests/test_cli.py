@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tapsp.cli import main
+from tapsp.config import KERNELS
 from tapsp.graphs import (gen_mixed_ncf, gen_random, make_graph, parse_graph,
                           to_matrix, write_graph)
 from tapsp.matrices import is_finite
@@ -253,6 +254,19 @@ def test_bench_threshold_op_counts_default_kernel(capsys):
     assert len(rows) == 2
     for row in rows:
         assert int(row[6]) > 0, row
+
+
+def test_bench_positive_row_counts_primal_squarings(capsys):
+    # d <= M + 1 reads the primal distances alone: ceil(log2(M + 1)) float
+    # window squares of n**3 relaxations each, whatever the kernel
+    argv = ["bench", "--ns", "16", "--ms", "2", "--densities", "0.5",
+            "--algos", "threshold", "-d", "3", "--seed", "1"]
+    for kernel in KERNELS:
+        assert main(argv + ["--kernel", kernel]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 1
+        assert int(rows[0][7]) == 2 * 16 ** 3, kernel
+        assert int(rows[0][6]) == int(rows[0][8]) == 0, kernel
 
 
 def test_output_identical_across_kernels(tmp_path, capsys):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import lower_strassen_cutoff, sc_positive_graph
+from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
 from tapsp.graphs import gen_random, make_graph, to_matrix
+from tapsp.matrices import FLOAT_EXP_BUDGET, INF, dist_product_naive
 from tapsp.oracle import brute_threshold, floyd_warshall
 from tapsp.threshold_positive import (f_set, level_plan, level_step,
                                       primal_distances, threshold_apsp_pos)
@@ -77,6 +81,98 @@ def test_primal_matches_oracle_threshold():
         primal = primal_distances(g)
         for k in range(0, g.M + 2):
             assert np.array_equal(primal <= k, _oracle(g, k)), (seed, k)
+
+
+def _digit_bits(n):
+    return (4 * n - 1).bit_length()
+
+
+def _cut_corner(g):
+    """g without the out-arcs of vertex n and the in-arcs of vertex 1, so
+    its distance matrix has an INF row and column."""
+    arcs = [(u, v, w) for (u, v, w) in g.edges if u != g.n and v != 1]
+    return make_graph(g.n, arcs, M=g.M)
+
+
+def test_primal_route_rule_at_the_float_budget(monkeypatch):
+    # 2 (M + 1) s <= FLOAT_EXP_BUDGET squares on the float route, one more
+    # unit of M takes the closure; both give the closure's matrix. At
+    # n = 64 (s = 8) the edge is M = 62 | 63, at n = 65 and 128 (s = 9)
+    # M = 55 | 56. A unit path whose last vertex lies at M + 1 = n - 1
+    # needs every one of the ceil(log2(n - 1)) squares.
+    closures = []
+    real = threshold_positive.minplus_closure
+
+    def counted(w, cap):
+        closures.append(cap)
+        return real(w, cap)
+
+    monkeypatch.setattr(threshold_positive, "minplus_closure", counted)
+    for n in (1, 2, 3, 17, 64, 65, 128):
+        s = _digit_bits(n)
+        edge = FLOAT_EXP_BUDGET // (2 * s) - 1  # the largest admitted M
+        for m_bound in (1, 8, edge, edge + 1):
+            graphs = [gen_random(n, min(1.0, 3 / n), 1, m_bound, seed=seed)
+                      for seed in range(2)]
+            graphs += [_cut_corner(g) for g in graphs]
+            graphs.append(make_graph(n, [(i, i + 1, 1) for i in range(1, n)],
+                                     M=m_bound))
+            if n > 2:
+                graphs.append(make_graph(n, [(i, i + 1, 1) for i in range(1, n)],
+                                         M=n - 2))
+            for g in graphs:
+                float_route = 2 * (g.M + 1) * s <= FLOAT_EXP_BUDGET
+                before = len(closures)
+                got = primal_distances(g)
+                assert len(closures) - before == (0 if float_route else 1), (n, g.M)
+                want = real(to_matrix(g), g.M + 1)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (n, g.M)
+    assert FLOAT_EXP_BUDGET // (2 * _digit_bits(64)) - 1 == 62
+    assert FLOAT_EXP_BUDGET // (2 * _digit_bits(65)) - 1 == 55
+
+
+def _old_level_step(dist, t_lo, t_hi):
+    first = np.where(dist <= t_hi, np.maximum(dist, t_lo) - t_lo, INF)
+    sq = dist_product_naive(first, first)
+    return np.where(sq < INF, sq + 2 * t_lo, INF)
+
+
+@given(st.integers(min_value=1, max_value=14),
+       st.integers(min_value=1, max_value=40),
+       st.floats(min_value=0.05, max_value=0.6),
+       st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=2),
+       st.booleans(),
+       st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_window_square_matches_the_first_index_square_property(
+        n, m_bound, p, t_lo, cap_pick, past_edge, seed):
+    # nested D: capped distances of a positive graph with an INF row and
+    # column; the window width sits at the float route's edge or one past
+    g = _cut_corner(gen_random(n, p, 1, m_bound, seed=seed))
+    dist = floyd_warshall(to_matrix(g))
+    cap = (m_bound + 1, 3 * m_bound, int(INF))[cap_pick]
+    dist = np.where(dist <= cap, dist, INF)
+    width = FLOAT_EXP_BUDGET // (2 * _digit_bits(n)) + int(past_edge)
+    t_hi = t_lo + width
+    assert matrices.float_window_admits(n, width) == (not past_edge)
+    products = []
+    real = matrices.dist_product_fast
+
+    def counted(*args, **kw):
+        products.append(kw.get("kernel"))
+        return real(*args, **kw)
+
+    want = _old_level_step(dist, t_lo, t_hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "dist_product_fast", counted)
+        got = level_step(dist, (t_lo, t_hi))
+        assert products == (["numpy"] if past_edge else [])
+        school = level_step(dist, (t_lo, t_hi), kernel="schoolbook")
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(school, want)
 
 
 def test_level_step_equals_split_union():
