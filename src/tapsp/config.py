@@ -3,10 +3,12 @@
 Every field can be seeded from the environment with the TAPSP_ prefix
 (TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL, TAPSP_MODE, TAPSP_THREADS,
 TAPSP_VERIFY); explicit CLI flags win over the environment. TAPSP_KERNEL
-takes one of KERNELS: "numpy" (the default, blocked fixed-width
-min-plus) or the paper's encoded ring products "schoolbook" and
-"strassen"; all three give identical answers. The kernel is the only
-product setting that reaches the pipeline.
+takes one of KERNELS: "numpy" (the default: Yuval's encoding in
+float64 exponents, one BLAS product, where the operands' ranges fit, and
+fixed-width min-plus relaxation beyond) or the paper's encoded ring
+products "schoolbook" and "strassen"; all three give identical
+answers. The kernel is the only product setting that reaches the
+pipeline.
 """
 
 from __future__ import annotations

@@ -31,16 +31,17 @@ def hitting_set(n: int, t: int, rng: Rng) -> np.ndarray:
 
 
 def _adjacency(g: Graph, h: np.ndarray, reverse: bool):
-    """Reweighted adjacency lists; arcs become nonnegative under h."""
+    """Reweighted adjacency lists, arcs in edges order; arcs become
+    nonnegative under h."""
+    u, v, w = g.arcs
+    wp = w + h[u] - h[v]
+    if (wp < 0).any():
+        raise ValueError("potentials do not reweight arcs nonnegatively")
+    if reverse:
+        u, v = v, u
     adj = [[] for _ in range(g.n)]
-    for (u, v, w) in g.edges:
-        wp = w + int(h[u - 1]) - int(h[v - 1])
-        if wp < 0:
-            raise ValueError("potentials do not reweight arcs nonnegatively")
-        if reverse:
-            adj[v - 1].append((u - 1, wp))
-        else:
-            adj[u - 1].append((v - 1, wp))
+    for x, y, c in zip(u.tolist(), v.tolist(), wp.tolist()):
+        adj[x].append((y, c))
     return adj
 
 

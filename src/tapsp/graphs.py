@@ -21,8 +21,9 @@ from .sampling import Rng
 
 # Largest accepted n * M. Apart from the masked INF + INF, the largest
 # value a kernel forms is a sentinel sum in matrices._minplus_blocked,
-# 2 * (3 * bound + 1); it also picks the relaxation dtype (int16, int32 or
-# int64, the narrowest that holds it). The numpy kernel's float route
+# 2 * (3 * bound + 1); it also picks the relaxation dtype
+# (matrices._narrowest_int: int16, int32 or int64, the narrowest that
+# holds it). The numpy kernel's float route
 # (matrices._minplus_float) forms entry - lo, lo an operand's least
 # finite entry, at most INF + bound for an INF entry, and lo_a + lo_b, at
 # least -2 * bound. The largest bound is

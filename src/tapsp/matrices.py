@@ -7,29 +7,32 @@ overflows.
 
 Bounded min-plus is the one product in the package. The naive version
 loops over the inner dimension with numpy broadcasting and is the test
-reference. The fast one takes a kernel. "schoolbook" and "strassen"
-encode bounded entries as arbitrary-precision integers z**e (Yuval's
-trick) and multiply them over the plain integer ring, so the inner loop
-is one exact integer matrix product; the two ring kernels give
-bit-identical results. "numpy" (the default) runs the same encoding
-with radix 2**s in float64 exponents, so a product whose operand ranges
-are narrow enough is one BLAS matrix product, exact whatever the BLAS
-summation order or thread count; a wider product relaxes the bounded
-entries directly in blocked fixed-width arithmetic, in the narrowest
-integer dtype that holds every value formed. The "strassen" kernel
-recurses until blocks have at most STRASSEN_CUTOFF rows and multiplies
-those by schoolbook.
+reference. The fast one, dist_product_fast, takes a kernel, and each of
+its three mechanisms is written once:
+
+- Yuval's encoding in exact integers. "schoolbook" and "strassen" encode
+  bounded entries as arbitrary-precision integers z**e, z = inner_dim + 1,
+  by one lookup in a power table (_encode), multiply them over the plain
+  integer ring, so the inner loop is one exact integer matrix product,
+  and decode each entry's highest digit by a binary search of the same
+  table (_decode_min). The two ring kernels give bit-identical results;
+  "strassen" recurses until blocks have at most STRASSEN_CUTOFF rows and
+  multiplies those by schoolbook.
+- The same encoding in float64 exponents, radix 2**s (_minplus_float):
+  one BLAS product, exact whatever the BLAS summation order or thread
+  count. "numpy" (the default) takes it when float_window_admits the
+  operands' finite ranges.
+- Fixed-width relaxation (_relax): one pivot of the inner dimension at a
+  time, in the narrowest integer dtype that holds every value formed.
+  "numpy" falls back to it for wider products (_minplus_blocked), and
+  minplus_closure, the one exact-distance closure, is the same loop run
+  in place as capped Floyd-Warshall; it takes no kernel.
 
 window_square is the positive path's one product: the min-plus square
-of a matrix's first-index matrix on a window [lo, hi]. Under "numpy",
-when 2 (hi - lo) s <= FLOAT_EXP_BUDGET, it encodes the matrix itself
-with one clipped table lookup and runs one BLAS product, so the
-first-index matrix is never formed; otherwise it forms that matrix and
-calls dist_product_fast.
-
-minplus_closure is the one exact-distance closure: in-place
-Floyd-Warshall on a nonnegative weight matrix, capped, in fixed-width
-arithmetic. It takes no kernel.
+of a matrix's first-index matrix on a window [lo, hi]. On the float
+route it is _minplus_float on the matrix itself with both ranges set to
+the window, so the first-index matrix is never formed; otherwise it
+forms that matrix and calls dist_product_fast.
 """
 
 from __future__ import annotations
@@ -211,10 +214,9 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     bits raises ValueError before anything is encoded.
 
     The "numpy" kernel runs the same encoding in float64 exponents, one
-    BLAS product (see _minplus_float), when the operands' finite ranges
-    fit FLOAT_EXP_BUDGET at s = (4 inner_dim - 1).bit_length() bits per
-    digit; otherwise it relaxes the entries directly, see
-    _minplus_blocked. One min/max scan per distinct operand serves the
+    BLAS product (see _minplus_float), when float_window_admits the
+    operands' finite ranges; otherwise it relaxes the entries directly,
+    see _minplus_blocked. One min/max scan per distinct operand serves the
     bound check and the route rule.
     """
     _check_inner(a, b)
@@ -233,9 +235,8 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
             if mag > bound:
                 raise EntryBoundError(f"entry magnitude {mag} exceeds bound {bound}")
     if kernel == "numpy":
-        s = _digit_bits(m)
-        if (ra[1] - ra[0] + rb[1] - rb[0]) * s <= FLOAT_EXP_BUDGET:
-            return _minplus_float(a, ra, b, rb, s)
+        if float_window_admits(m, ra[1] - ra[0], rb[1] - rb[0]):
+            return _minplus_float(a, ra, b, rb)
         return _minplus_blocked(a, b, bound)
     z = m + 1
     # base-z digits held by the power table, the operands and the result
@@ -245,13 +246,33 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
         raise ValueError(f"encoded {l}x{m}x{n} product at bound {bound}: power "
                          f"table, operands and result past {MAX_ENCODED_BITS} "
                          f"bits; use the numpy kernel")
-    pows = [1] * (4 * bound + 2)
+    pows = np.empty(4 * bound + 2, dtype=object)
+    pows[0] = 1
     for e in range(1, len(pows)):
         pows[e] = pows[e - 1] * z
-    enc_a = _encode(a, bound, pows)
-    enc_b = _encode(b, bound, pows)
-    prod = ring_matmul(enc_a, enc_b, kernel, STRASSEN_CUTOFF)
-    return _decode_min(prod, bound, z, pows, l, n)
+    prod = ring_matmul(_encode(a, bound, pows), _encode(b, bound, pows),
+                       kernel, STRASSEN_CUTOFF)
+    return _decode_min(prod, bound, pows)
+
+
+def _encode(mat: np.ndarray, bound: int, pows: np.ndarray) -> np.ndarray:
+    """z**(bound - e) for each finite entry e of mat, 0 for INF: one
+    lookup in pows[:2 bound + 1] with a 0 slot at index 2 bound + 1."""
+    table = np.zeros(2 * bound + 2, dtype=object)
+    table[:-1] = pows[:2 * bound + 1]
+    return table.take(np.where(is_finite(mat), bound - mat, 2 * bound + 1))
+
+
+def _decode_min(prod: np.ndarray, bound: int, pows: np.ndarray) -> np.ndarray:
+    """2 bound - p for each entry c of an encoded product, p its highest
+    nonzero base-z digit position; INF where c is 0.
+
+    Every digit counts at most inner_dim < z terms, so no digit carries
+    and z**p <= c < z**(p + 1): p is the last index of pows (z**0 ..
+    z**(4 bound + 1), ascending) whose entry is at most c, and c = 0
+    lands before the table at p = -1."""
+    p = np.searchsorted(pows, prod, side="right") - 1
+    return np.where(p < 0, INF, 2 * bound - p)
 
 
 def _digit_bits(m: int) -> int:
@@ -259,11 +280,15 @@ def _digit_bits(m: int) -> int:
     return (4 * m - 1).bit_length()
 
 
-def float_window_admits(n: int, width: int) -> bool:
-    """Whether window_square on an n x n matrix at a window of width
-    hi - lo takes the float route under the numpy kernel: every encoded
-    exponent sum, at most 2 width s, stays within FLOAT_EXP_BUDGET."""
-    return 2 * width * _digit_bits(n) <= FLOAT_EXP_BUDGET
+def float_window_admits(m: int, width: int, width_b: int | None = None) -> bool:
+    """Whether the numpy kernel multiplies on the float route at inner
+    dimension m, for operands whose finite entries span width and width_b
+    (default width): every encoded exponent sum, at most
+    (width + width_b) s, stays within FLOAT_EXP_BUDGET. window_square
+    on an n x n matrix asks it with m = n and width = hi - lo."""
+    if width_b is None:
+        width_b = width
+    return (width + width_b) * _digit_bits(m) <= FLOAT_EXP_BUDGET
 
 
 def window_square(d: np.ndarray, lo: int, hi: int,
@@ -277,63 +302,20 @@ def window_square(d: np.ndarray, lo: int, hi: int,
     threshold_positive.level_step and primal_distances say what it holds
     for their matrices.
 
-    Under the numpy kernel, when float_window_admits(n, hi - lo), d is
-    encoded directly: _pow2_encode's table lookup clips an index below 0
-    to slot 0, which is C = 0, and one past hi - lo to the 0.0 slot,
-    which is INF, so neither C nor a range scan is formed. The product is
-    one dgemm and the decode is _minplus_float's, whose exactness proof
-    holds as it stands: every encoded exponent lies in [0, (hi - lo) s],
-    so each term's is at most 2 (hi - lo) s <= FLOAT_EXP_BUDGET. Any other
-    case forms C and calls dist_product_fast at bound hi - lo.
+    Under the numpy kernel, when float_window_admits(n, hi - lo), this is
+    _minplus_float on d with both ranges given as (lo, hi): _pow2_encode
+    clips an index below 0 to slot 0, which is C = 0, and one past
+    hi - lo to the 0.0 slot, which is INF, so C is never formed, and the
+    decode offset lo + lo adds the 2 lo. Every encoded exponent lies in
+    [0, (hi - lo) s], so _minplus_float's exactness proof holds as it
+    stands. Any other case forms C and calls dist_product_fast at bound
+    hi - lo.
     """
-    n = d.shape[0]
-    if kernel == "numpy" and float_window_admits(n, hi - lo):
-        COUNTERS.minplus_relaxations += n ** 3
-        s = _digit_bits(n)
-        enc = _pow2_encode(d, lo, hi, s)
-        return _pow2_decode(enc @ enc, s, 2 * lo)
+    if kernel == "numpy" and float_window_admits(d.shape[0], hi - lo):
+        return _minplus_float(d, (lo, hi), d, (lo, hi))
     first = np.where(d <= hi, np.maximum(d, lo) - lo, INF)
     sq = dist_product_fast(first, first, bound=hi - lo, kernel=kernel)
     return np.where(is_finite(sq), sq + 2 * lo, INF)
-
-
-def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
-    """Distances up to cap (INF beyond) of a square nonnegative weight
-    matrix w (INF for no arc), by in-place Floyd-Warshall. Raises
-    ValueError on a negative entry.
-
-    Entries above cap become the sentinel s = cap + 1, and pivot k sets
-    d = min(d, d[:, k] + d[k, :]). Every entry stays in [0, s]: min never
-    raises a value, and a sum that uses s is at least s. So the relaxation
-    runs in the narrowest of int16/int32/int64 that holds the largest sum,
-    2s.
-
-    Exactness. Let D_k[i, j] be the least weight of an arc sequence from i
-    to j, weighed by w, whose inner vertices all lie below k (D_0 = w).
-    Before pivot k, d = D_k where D_k <= cap and d = s elsewhere. At pivot
-    k, a D_(k+1)[i, j] <= cap is either D_k[i, j], already held, or
-    D_k[i, k] + D_k[k, j]; with nonnegative weights both halves are
-    subpaths of weight <= cap, so both are held exactly. Every other sum
-    is the weight of an arc sequence through k, so at least D_(k+1)[i, j],
-    or it uses s and is at least s. If D_(k+1)[i, j] > cap, d[i, j] is s
-    and every sum is at least s. After n pivots d holds D_n, which is the
-    distance matrix when w has a 0 diagonal.
-    """
-    if (w < 0).any():
-        raise ValueError("minplus_closure needs nonnegative weights")
-    n = w.shape[0]
-    COUNTERS.minplus_relaxations += n ** 3
-    s = int(cap) + 1
-    dtype = next((t for t in (np.int16, np.int32) if 2 * s <= np.iinfo(t).max),
-                 np.int64)
-    d = np.where(w <= cap, w, s).astype(dtype)
-    tmp = np.empty_like(d)
-    for k in range(n):
-        np.add(d[:, k, None], d[k], out=tmp)
-        np.minimum(d, tmp, out=d)
-    out = d.astype(np.int64)
-    out[out > cap] = INF
-    return out
 
 
 def _pow2_encode(mat: np.ndarray, lo: int, hi: int, s: int) -> np.ndarray:
@@ -346,16 +328,16 @@ def _pow2_encode(mat: np.ndarray, lo: int, hi: int, s: int) -> np.ndarray:
     return table.take(mat - lo, mode="clip")
 
 
-def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray, rb: tuple,
-                   s: int) -> np.ndarray:
+def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray,
+                   rb: tuple) -> np.ndarray:
     """Bounded min-plus as one float64 matrix product (Yuval's encoding).
 
-    ra and rb are _finite_range of a and b, m is the inner dimension and
-    s = (4m - 1).bit_length(), so 2**s >= 4m. With x = e - (least finite
-    entry of its operand), each finite entry becomes 2**(-x s) and INF
-    becomes 0, and S = ea @ eb is one dgemm. The caller takes this route
-    only when (range_a + range_b) s <= FLOAT_EXP_BUDGET, range being the
-    largest minus the least finite entry.
+    ra and rb are (lo, hi) ranges holding the finite entries of a and b
+    that take part (see _pow2_encode), m is the inner dimension and
+    s = (4m - 1).bit_length(), so 2**s >= 4m. With x = e - lo, each
+    finite entry becomes 2**(-x s) and INF becomes 0, and S = ea @ eb is
+    one dgemm. Callers take this route only when float_window_admits(m,
+    range_a, range_b), range being hi - lo.
 
     Exactness. Each product term is 2**(-(xa + xb) s) with
     (xa + xb) s <= 1020: an exact power of two and a normal float64
@@ -373,12 +355,13 @@ def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray, rb: tuple,
     (sum = f 2**E, f in [1/2, 1)) lies in [-e* s, -e* s + s - 1], and
     (s - 1 - E) // s is exactly e*. BLAS blocking and thread count
     therefore cannot change the result. The minimum is e* plus both
-    operands' least finite entries; S = 0 exactly where no pair is
-    finite, and that entry is INF.
+    ranges' lo; S = 0 exactly where no pair is finite, and that entry is
+    INF.
     """
     l, m = a.shape
     n = b.shape[1]
     COUNTERS.minplus_relaxations += l * m * n
+    s = _digit_bits(m)
     ea = _pow2_encode(a, *ra, s)
     eb = ea if b is a else _pow2_encode(b, *rb, s)
     return _pow2_decode(ea @ eb, s, ra[0] + rb[0])
@@ -406,70 +389,74 @@ def _exponent_digits(s: int) -> np.ndarray:
     return out
 
 
-# elements of the (rows, inner, cols) temporary in one relaxation block
-_BLOCK_ELEMS = 1 << 15
+def _narrowest_int(top: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds top."""
+    return next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max),
+                np.int64)
+
+
+def _relax(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out = min(out, a min-plus b) in place, one pivot k of the inner
+    dimension at a time: out = min(out, a[:, k] + b[k, :]). With
+    out = a = b it is in-place Floyd-Warshall."""
+    l, m = a.shape
+    COUNTERS.minplus_relaxations += l * m * b.shape[1]
+    tmp = np.empty_like(out)
+    for k in range(m):
+        np.add(a[:, k, None], b[k], out=tmp)
+        np.minimum(out, tmp, out=out)
+    return out
 
 
 def _minplus_blocked(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Bounded min-plus by blocked fixed-width relaxation.
+    """Bounded min-plus by fixed-width relaxation (_relax).
 
     INF becomes the sentinel 3*bound + 1. A sum of two finite entries lies
     in [-2*bound, 2*bound]; a sum that uses a sentinel is at least
     3*bound + 1 - bound = 2*bound + 1. Minima above 2*bound are therefore
     exactly the pairs with no finite term, and map back to INF. The
-    largest value formed is the double sentinel 2*(3*bound + 1), so the
-    relaxation runs in the narrowest of int16/int32/int64 that holds it.
+    largest value formed is the double sentinel top = 2*(3*bound + 1),
+    the start value of every result entry, so the relaxation runs in
+    _narrowest_int(top).
     """
-    l, m = a.shape
-    n = b.shape[1]
-    COUNTERS.minplus_relaxations += l * m * n
-    top = 2 * (3 * bound + 1)
-    dtype = next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max),
-                 np.int64)
     sentinel = 3 * bound + 1
+    dtype = _narrowest_int(2 * sentinel)
     sa = np.where(is_finite(a), a, sentinel).astype(dtype, copy=False)
     sb = np.where(is_finite(b), b, sentinel).astype(dtype, copy=False)
-    out = np.empty((l, n), dtype=dtype)
-    rows = max(1, _BLOCK_ELEMS // max(1, m * n))
-    for i0 in range(0, l, rows):
-        i1 = min(i0 + rows, l)
-        (sa[i0:i1, :, None] + sb[None, :, :]).min(axis=1, out=out[i0:i1])
-    out = out.astype(np.int64, copy=False)
+    out = np.full((a.shape[0], b.shape[1]), 2 * sentinel, dtype=dtype)
+    out = _relax(out, sa, sb).astype(np.int64, copy=False)
     out[out > 2 * bound] = INF
     return out
 
 
-def _encode(mat: np.ndarray, bound: int, pows: list) -> np.ndarray:
-    fin = is_finite(mat)
-    exps = np.where(fin, bound - mat, 0)
-    flat_f = fin.ravel()
-    flat_e = exps.ravel()
-    out = np.empty(mat.size, dtype=object)
-    for i in range(mat.size):
-        out[i] = pows[flat_e[i]] if flat_f[i] else 0
-    return out.reshape(mat.shape)
+def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
+    """Distances up to cap (INF beyond) of a square nonnegative weight
+    matrix w (INF for no arc), by in-place Floyd-Warshall: _relax with
+    out = a = b = d. Raises ValueError on a negative entry.
 
+    Entries above cap become the sentinel s = cap + 1, and pivot k sets
+    d = min(d, d[:, k] + d[k, :]). Every entry stays in [0, s]: min never
+    raises a value, and a sum that uses s is at least s. So the relaxation
+    runs in _narrowest_int(2s), 2s being the largest sum.
 
-def _decode_min(prod: np.ndarray, bound: int, z: int, pows: list,
-                l: int, n: int) -> np.ndarray:
-    out = full_inf(l, n)
-    logz = float(np.log2(z))
-    top = 4 * bound
-    flat = prod.ravel()
-    res = out.ravel()
-    for i in range(flat.size):
-        c = flat[i]
-        if not c:
-            continue
-        p = int((c.bit_length() - 1) / logz)
-        if p > top:
-            p = top
-        while p < top and pows[p + 1] <= c:
-            p += 1
-        while p > 0 and pows[p] > c:
-            p -= 1
-        res[i] = 2 * bound - p
-    return res.reshape(l, n)
+    Exactness. Let D_k[i, j] be the least weight of an arc sequence from i
+    to j, weighed by w, whose inner vertices all lie below k (D_0 = w).
+    Before pivot k, d = D_k where D_k <= cap and d = s elsewhere. At pivot
+    k, a D_(k+1)[i, j] <= cap is either D_k[i, j], already held, or
+    D_k[i, k] + D_k[k, j]; with nonnegative weights both halves are
+    subpaths of weight <= cap, so both are held exactly. Every other sum
+    is the weight of an arc sequence through k, so at least D_(k+1)[i, j],
+    or it uses s and is at least s. If D_(k+1)[i, j] > cap, d[i, j] is s
+    and every sum is at least s. After n pivots d holds D_n, which is the
+    distance matrix when w has a 0 diagonal.
+    """
+    if (w < 0).any():
+        raise ValueError("minplus_closure needs nonnegative weights")
+    s = int(cap) + 1
+    d = np.where(w <= cap, w, s).astype(_narrowest_int(2 * s))
+    out = _relax(d, d, d).astype(np.int64)
+    out[out > cap] = INF
+    return out
 
 
 def min_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -95,8 +95,8 @@ def primal_distances(g: Graph) -> np.ndarray:
     (matrices.float_window_admits), they are r = ceil(log2(min(M + 1,
     n - 1))) window squares of the weight matrix w at [0, M + 1] (r = 0
     for n <= 2), with entries past M + 1 set to INF. Otherwise they are
-    matrices.minplus_closure(w, M + 1): at caps that wide, squaring in
-    blocked relaxation loses to Floyd-Warshall.
+    matrices.minplus_closure(w, M + 1): at caps that wide, squaring by
+    fixed-width relaxation loses to Floyd-Warshall.
 
     Exactness of the squares. On [0, M + 1] the first-index matrix of a
     nonnegative D is D truncated at M + 1, so each square takes

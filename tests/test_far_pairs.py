@@ -47,6 +47,15 @@ def test_sssp_reverse_matches_oracle():
             assert np.array_equal(got, dist[:, src]), (seed, src)
 
 
+def test_sssp_rejects_potentials_that_leave_a_negative_arc():
+    # zero potentials keep the arc 2 -> 3 at weight -1
+    g = make_graph(3, [(1, 2, 2), (2, 3, -1)])
+    for reverse in (False, True):
+        with pytest.raises(ValueError, match="nonnegatively"):
+            sssp_rows(g, np.zeros(3, dtype=np.int64), [0], reverse=reverse)
+    assert sssp_rows(g, johnson_potentials(g), [0])[0].tolist() == [0, 2, 1]
+
+
 def test_delta_t_dominates_and_caps_exactly():
     # with the sample capped to every vertex delta_t is plain exact; the
     # sparse instances leave pairs unreachable, which must stay INF

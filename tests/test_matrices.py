@@ -330,18 +330,27 @@ def _spread_operands(gen, m, lo_a, range_a, lo_b, range_b):
 
 def test_float_route_exact_when_all_terms_tie(monkeypatch):
     # m terms of the least exponent sum to m 2**(-e* s), and m = 2**(s - 2)
-    # is the largest m at each s: 1, 64, 256 and 1024 sit on that edge
+    # is the largest m at each s: 1, 64, 256 and 1024 sit on that edge.
+    # The ring kernels decode the same operands, whose top digit counts m
+    # terms, one below the radix z = m + 1. "strassen" pads a 4 x m x 4
+    # product to a square of side m rounded up to a power of two, so it
+    # stops at m = 256 (m = 1024 alone would take seconds).
     fallbacks = _fallback_calls(monkeypatch)
+    strassen = lower_strassen_cutoff(monkeypatch, 16)
     gen = np.random.default_rng(21)
     for m in (1, 2, 3, 63, 64, 65, 255, 256, 257, 1024):
         s = (4 * m - 1).bit_length()
         half = matrices.FLOAT_EXP_BUDGET // (2 * s)
+        kernels = KERNELS if m <= 256 else ("numpy", "schoolbook")
         for lo_a, lo_b in ((0, 0), (-7, 3)):
             a, b = _spread_operands(gen, m, lo_a, half, lo_b, half)
             want = dist_product_naive(a, b)
-            assert np.array_equal(dist_product_fast(a, b), want), (m, lo_a)
+            for kernel in kernels:
+                got = dist_product_fast(a, b, kernel=kernel)
+                assert np.array_equal(got, want), (m, lo_a, kernel)
             assert want[3, 3] == lo_a + lo_b + 2 * half
     assert fallbacks == []
+    assert strassen["calls"] > 0
 
 
 def test_float_route_rule_at_the_budget(monkeypatch):
@@ -492,6 +501,28 @@ def test_minplus_closure_past_the_int32_sentinel_sum():
     got = _shift_back(minplus_closure(wp, cap), h)
     assert np.array_equal(got, floyd_warshall(to_matrix(g)))
     assert got[0, 2] == 2 * big and got[2, 1] == 0
+
+
+def test_minplus_closure_at_the_int16_sentinel_sum():
+    # caps 16382 and 16383 put the doubled sentinel 2 (cap + 1) at 32766
+    # and 32768, either side of the int16 limit; vertex 5 has no out-arc,
+    # so its pivot sums two sentinels for every pair it cannot close
+    for cap in (16382, 16383):
+        half = cap // 2
+        arcs = [(1, 2, half), (2, 3, cap - half), (3, 4, 1), (4, 1, cap),
+                (1, 5, cap + 1), (2, 5, 1)]
+        graphs = [make_graph(5, arcs, M=cap + 1)]
+        graphs += [gen_random(17, 3 / 17, 1, cap // 4, seed=seed)
+                   for seed in range(3)]
+        for g in graphs:
+            w = to_matrix(g)
+            dist = floyd_warshall(w)
+            want = np.where(dist <= cap, dist, INF)
+            assert np.array_equal(minplus_closure(w, cap), want), (cap, g.n)
+        got = minplus_closure(to_matrix(graphs[0]), cap)
+        assert got[0, 2] == cap and got[0, 4] == half + 1
+        assert not is_finite(got[0, 3]) and not is_finite(got[4, :4]).any()
+    assert 2 * (16382 + 1) == np.iinfo(np.int16).max - 1
 
 
 @given(st.integers(min_value=1, max_value=12),
