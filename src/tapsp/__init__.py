@@ -10,7 +10,7 @@ from .oracle import brute_threshold, floyd_warshall, min_edge_counts
 from .sampling import Rng, sample
 from .threshold_general import (ThresholdReport, VerifyMismatchError,
                                 threshold_apsp_neg)
-from .threshold_positive import PositiveReport, f_set, level_plan, threshold_apsp_pos
+from .threshold_positive import f_set, level_plan, threshold_apsp_pos
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "ThresholdReport",
     "VerifyMismatchError",
     "threshold_apsp_neg",
-    "PositiveReport",
     "f_set",
     "level_plan",
     "threshold_apsp_pos",

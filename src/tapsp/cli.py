@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Subcommands: gen, threshold, diameter, oracle, bench. Global flags may
-also come from the environment (TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL,
-TAPSP_MODE, TAPSP_THREADS, TAPSP_VERIFY); explicit flags win.
+Subcommands: gen, threshold, diameter, oracle, bench. Each common flag
+sets the RunConfig field its dest names (--json sets output="json"), over
+config_from_env(), which reads TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL,
+TAPSP_MODE and TAPSP_VERIFY; explicit flags win. --threads is accepted
+and checked but sets nothing.
 
 Exit codes: 0 success, 2 verification mismatch, 3 input error,
 4 negative cycle.
@@ -15,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,7 +25,8 @@ from . import __version__
 from .config import KERNELS, MODES, RunConfig, config_from_env, pick_mode
 from .diameter import diameter
 from .graphs import (Graph, GraphParseError, NegativeCycleError, gen_mixed_ncf,
-                     gen_random, parse_graph, to_matrix, write_graph)
+                     gen_random, one_based_pairs, parse_graph, to_matrix,
+                     write_graph)
 from .matrices import COUNTERS, INF, dist_product_naive, is_finite
 from .oracle import brute_threshold, floyd_warshall
 from .threshold_general import VerifyMismatchError, threshold_apsp_neg
@@ -48,14 +52,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "products schoolbook/strassen; answers are identical")
     p.add_argument("--mode", choices=MODES, default=None,
                    help="auto picks the deterministic path when all weights are >= 1")
-    p.add_argument("--verify", action="store_true",
+    p.add_argument("--verify", action="store_true", default=None,
                    help="cross-check against the brute-force oracle (small instances)")
-    p.add_argument("--trace", action="store_true", help="print extra run details")
+    p.add_argument("--trace", action="store_true", default=None,
+                   help="print extra run details")
     p.add_argument("--threads", type=int, default=None,
                    help="thread cap, accepted for sweeps; tapsp starts no threads "
                         "of its own (the BLAS library may), and output never "
                         "depends on either")
-    p.add_argument("--json", action="store_true", help="JSON output")
+    p.add_argument("--json", dest="output", action="store_const", const="json",
+                   default=None, help="JSON output")
     p.add_argument("--force-beta", type=float, default=None,
                    help="override the schedule beta (experiments)")
     p.add_argument("--force-levels", type=int, default=None,
@@ -64,27 +70,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _config(args) -> RunConfig:
     cfg = config_from_env()
-    if args.omega is not None:
-        cfg = cfg.with_(omega=args.omega)
-    if args.seed is not None:
-        cfg = cfg.with_(seed=args.seed)
-    if args.kernel is not None:
-        cfg = cfg.with_(kernel=args.kernel)
-    if args.mode is not None:
-        cfg = cfg.with_(mode=args.mode)
-    if args.threads is not None:
-        cfg = cfg.with_(threads=args.threads)
-    if args.verify:
-        cfg = cfg.with_(verify=True)
-    if args.trace:
-        cfg = cfg.with_(trace=True)
-    if args.json:
-        cfg = cfg.with_(output="json")
-    if args.force_beta is not None:
-        cfg = cfg.with_(force_beta=args.force_beta)
-    if args.force_levels is not None:
-        cfg = cfg.with_(force_levels=args.force_levels)
-    return cfg
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("threads must be >= 1")
+    return cfg.with_(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if getattr(args, f.name, None) is not None})
 
 
 def _read_graph(path: str) -> Graph:
@@ -117,11 +106,11 @@ def cmd_gen(args) -> int:
 def _verify_due(g: Graph, cfg: RunConfig) -> bool:
     """Whether --verify checks g against the oracle; above verify_bound
     the check is skipped, and stderr says so."""
-    if cfg.verify and g.n > cfg.verify_bound:
+    due = cfg.verify_due(g.n)
+    if cfg.verify and not due:
         print(f"verify skipped: n={g.n} above bound {cfg.verify_bound}",
               file=sys.stderr)
-        return False
-    return cfg.verify
+    return due
 
 
 def _oracle_report(g: Graph, d: int) -> np.ndarray:
@@ -176,9 +165,7 @@ def cmd_diameter(args) -> int:
         if want != res.value:
             raise VerifyMismatchError(f"diameter {res.value} but oracle says {want}")
         if res.finite:
-            arg = sorted((int(u) + 1, int(v) + 1)
-                         for u, v in zip(*np.nonzero(dist == want)))
-            if arg != sorted(res.witnesses):
+            if one_based_pairs(dist == want) != sorted(res.witnesses):
                 raise VerifyMismatchError("witness set disagrees with the oracle")
     value_str = "inf" if not res.finite else str(res.value)
     payload = {
@@ -209,7 +196,7 @@ def cmd_oracle(args) -> int:
                    "count": count}
         lines = [f"n: {g.n}", f"M: {g.M}", f"d: {args.d}", f"count: {count}"]
         if args.pairs:
-            pair_list = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(rep))]
+            pair_list = one_based_pairs(rep)
             payload["pairs"] = [list(p) for p in pair_list]
             lines.extend(f"pair: {u} {v}" for (u, v) in pair_list)
         _emit(payload, cfg, lines)

@@ -1,14 +1,14 @@
 """Run configuration shared by the library entry points and the CLI.
 
-Every field can be seeded from the environment with the TAPSP_ prefix
-(TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL, TAPSP_MODE, TAPSP_THREADS,
-TAPSP_VERIFY); explicit CLI flags win over the environment. TAPSP_KERNEL
-takes one of KERNELS: "numpy" (the default: Yuval's encoding in
-float64 exponents, one BLAS product, where the operands' ranges fit, and
-fixed-width min-plus relaxation beyond) or the paper's encoded ring
-products "schoolbook" and "strassen"; all three give identical
-answers. The kernel is the only product setting that reaches the
-pipeline.
+The fields in ENV_FIELDS can be seeded from the environment as TAPSP_
+plus the upper-case field name (TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL,
+TAPSP_MODE, TAPSP_VERIFY); the CLI flags set fields of the same name and
+win over the environment. TAPSP_KERNEL takes one of KERNELS: "numpy"
+(the default: Yuval's encoding in float64 exponents, one BLAS product,
+where the operands' ranges fit, and fixed-width min-plus relaxation
+beyond) or the paper's encoded ring products "schoolbook" and
+"strassen"; all three give identical answers. The kernel is the only
+product setting that reaches the pipeline.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class RunConfig:
     verify: bool = False
     verify_bound: int = 128
     max_attempts: int = 20
-    threads: int = 1
     trace: bool = False
     force_beta: float | None = None
     force_levels: int | None = None
@@ -45,13 +44,16 @@ class RunConfig:
             raise ValueError(f"kernel must be one of {KERNELS}")
         if self.output not in OUTPUTS:
             raise ValueError(f"output must be one of {OUTPUTS}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)
+
+    def verify_due(self, n: int) -> bool:
+        """Whether a run on n vertices is checked against the oracle:
+        verify is on and n is at most verify_bound."""
+        return self.verify and n <= self.verify_bound
 
 
 def pick_mode(g, config: RunConfig) -> str:
@@ -67,29 +69,21 @@ def pick_mode(g, config: RunConfig) -> str:
     return config.mode
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
+# field -> parser of its TAPSP_ variable, applied in this order
+ENV_FIELDS = {
+    "omega": float,
+    "seed": int,
+    "kernel": str,
+    "mode": str,
+    "verify": lambda raw: raw.strip().lower() in ("1", "true", "yes", "on"),
+}
 
 
 def config_from_env() -> RunConfig:
     """Defaults with environment overrides applied."""
     cfg = RunConfig()
-    raw = _env("OMEGA")
-    if raw is not None:
-        cfg = cfg.with_(omega=float(raw))
-    raw = _env("SEED")
-    if raw is not None:
-        cfg = cfg.with_(seed=int(raw))
-    raw = _env("KERNEL")
-    if raw is not None:
-        cfg = cfg.with_(kernel=raw)
-    raw = _env("MODE")
-    if raw is not None:
-        cfg = cfg.with_(mode=raw)
-    raw = _env("THREADS")
-    if raw is not None:
-        cfg = cfg.with_(threads=int(raw))
-    raw = _env("VERIFY")
-    if raw is not None:
-        cfg = cfg.with_(verify=raw.strip().lower() in ("1", "true", "yes", "on"))
+    for name, parse in ENV_FIELDS.items():
+        raw = os.environ.get(ENV_PREFIX + name.upper())
+        if raw is not None:
+            cfg = cfg.with_(**{name: parse(raw)})
     return cfg

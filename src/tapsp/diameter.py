@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import RunConfig, pick_mode
 from .far_pairs import sssp_rows
-from .graphs import Graph, johnson_potentials, transitive_closure
+from .graphs import Graph, johnson_potentials, one_based_pairs, transitive_closure
 from .matrices import INF, is_finite
 from .sampling import Rng
 from .threshold_general import GeneralRun, classify_threshold, prepare_general
@@ -133,9 +133,8 @@ def _search(g: Graph, config: RunConfig, rng: Rng,
         wit = _exact_witnesses(g, run, wit, diam)
     if not wit.any():
         return None
-    witnesses = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(wit))]
-    return DiameterResult(value=diam, witnesses=witnesses, probes=probes,
-                          lo=lo, hi=hi)
+    return DiameterResult(value=diam, witnesses=one_based_pairs(wit),
+                          probes=probes, lo=lo, hi=hi)
 
 
 def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterResult:
@@ -147,9 +146,7 @@ def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterRes
     positive = pick_mode(g, config) == "positive"
     closure = transitive_closure(g)
     if not closure.all():
-        missing = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(~closure))]
-        return DiameterResult(value=math.inf, witnesses=missing, probes=[],
-                              lo=0, hi=0)
+        return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
     if positive:

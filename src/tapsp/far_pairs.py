@@ -3,10 +3,11 @@
 Pairs whose shortest paths use many edges are resolved exactly: a random
 vertex sample large enough to hit every long path (w.h.p.), one Dijkstra
 per sampled vertex in each direction over Johnson-reweighted arcs, and a
-min-plus combine through the sample. A sample of every vertex makes the
-combine the exact distance matrix, which the capped Floyd-Warshall
-closure (matrices.minplus_closure) of the Johnson-reweighted weight
-matrix builds with no Dijkstra.
+min-plus combine through the sample, one matrices.dist_product_fast
+product. A sample of every vertex makes the combine the exact distance
+matrix, which the capped Floyd-Warshall closure
+(matrices.minplus_closure) of the Johnson-reweighted weight matrix
+builds with no Dijkstra.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, to_matrix
-from .matrices import INF, full_inf, minplus_closure
+from .matrices import INF, dist_product_fast, full_inf, minplus_closure
 from .sampling import Rng, sample
 
 
@@ -62,28 +63,25 @@ def _dijkstra_heap(adj, src: int, n: int) -> np.ndarray:
     return np.array(dist, dtype=np.int64)
 
 
-def sssp_rows(g: Graph, h: np.ndarray, sources, reverse: bool = False) -> list:
+def sssp_rows(g: Graph, h: np.ndarray, sources, reverse: bool = False) -> np.ndarray:
     """Distances from (or, reversed, to) each 0-based source, over one
-    adjacency build.
+    adjacency build: one row per source.
 
-    Forward: out[v] = dist(src, v). Reverse: out[v] = dist(v, src).
+    Forward: out[i, v] = dist(sources[i], v). Reverse: out[i, v] =
+    dist(v, sources[i]).
     """
     adj = _adjacency(g, h, reverse)
-    n = g.n
-    rows = []
-    for src in sources:
-        src = int(src)
-        dp = _dijkstra_heap(adj, src, n)
-        out = np.empty(n, dtype=np.int64)
-        out.fill(INF)
+    sources = np.asarray(sources, dtype=np.int64)
+    out = full_inf(sources.size, g.n)
+    for row, src in zip(out, sources.tolist()):
+        dp = _dijkstra_heap(adj, src, g.n)
         fin = dp < INF
         if reverse:
             # reversed reweighted length of v->src is dist(v,src) + h[v] - h[src]
-            out[fin] = dp[fin] - h[fin] + h[src]
+            row[fin] = dp[fin] - h[fin] + h[src]
         else:
-            out[fin] = dp[fin] - h[src] + h[fin]
-        rows.append(out)
-    return rows
+            row[fin] = dp[fin] - h[src] + h[fin]
+    return out
 
 
 @dataclass
@@ -109,6 +107,11 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     reweighted by h, shifted back. Reweighted arcs w + h[u] - h[v] are
     nonnegative, and as h lies in [-(n - 1) M, 0], a reweighted distance
     dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M, the cap.
+
+    A smaller sample X combines by one dist_product_fast (kernel "numpy";
+    like minplus_closure, this takes no kernel) of the reverse rows
+    stacked as an n x |X| matrix, dist(u, x), by the forward rows, |X| x
+    n, dist(x, v).
     """
     n = g.n
     if n == 1:
@@ -122,9 +125,6 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
                              2 * (n - 1) * g.M)
         delta = np.where(dp < INF, dp - h[:, None] + h[None, :], INF)
         return FarDistances(delta=delta, hitting=xs, potentials=h, t=t)
-    delta = full_inf(n, n)
-    for row, col in zip(sssp_rows(g, h, xs), sssp_rows(g, h, xs, reverse=True)):
-        ok = (col < INF)[:, None] & (row < INF)[None, :]
-        cand = col[:, None] + row[None, :]
-        np.copyto(delta, cand, where=ok & (cand < delta))
+    delta = dist_product_fast(sssp_rows(g, h, xs, reverse=True).T,
+                              sssp_rows(g, h, xs))
     return FarDistances(delta=delta, hitting=xs, potentials=h, t=t)

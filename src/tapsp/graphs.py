@@ -28,8 +28,9 @@ from .sampling import Rng
 # finite entry, at most INF + bound for an INF entry, and lo_a + lo_b, at
 # least -2 * bound. The largest bound is
 # 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
-# build_partial uses radius <= 3 n M, the primal family M + 1, the level
-# steps at most 2M + 2, the scaled estimates about 6 n). The largest value
+# build_partial uses radius <= 3 n M, the far-pair combine of a sampled
+# hitting set (n - 1) M, the primal family M + 1, the level steps at most
+# 2M + 2, the scaled estimates about 6 n). The largest value
 # matrices.minplus_closure forms is 2 (2 (n - 1) M + 1), its double
 # sentinel at the capped far path's cap 2 (n - 1) M. n M <= INF >> 5
 # keeps 24 n M + 2 below INF, so no sum overflows int64 and no finite
@@ -106,6 +107,12 @@ def make_graph(n: int, arcs, M: int | None = None) -> Graph:
     if M is None:
         M = max([1] + [abs(w) for (_, _, w) in edges])
     return Graph(n=n, edges=edges, M=M)
+
+
+def one_based_pairs(mask: np.ndarray) -> list:
+    """The true entries of a Boolean matrix as 1-based (u, v) vertex
+    pairs, in row-major order."""
+    return [(u + 1, v + 1) for u, v in np.argwhere(mask).tolist()]
 
 
 def to_matrix(g: Graph) -> np.ndarray:

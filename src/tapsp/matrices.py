@@ -16,8 +16,8 @@ its three mechanisms is written once:
   integer ring, so the inner loop is one exact integer matrix product,
   and decode each entry's highest digit by a binary search of the same
   table (_decode_min). The two ring kernels give bit-identical results;
-  "strassen" recurses until blocks have at most STRASSEN_CUTOFF rows and
-  multiplies those by schoolbook.
+  "strassen" recurses while every side of a block exceeds
+  STRASSEN_CUTOFF and multiplies smaller blocks by schoolbook.
 - The same encoding in float64 exponents, radix 2**s (_minplus_float):
   one BLAS product, exact whatever the BLAS summation order or thread
   count. "numpy" (the default) takes it when float_window_admits the
@@ -45,7 +45,7 @@ import numpy as np
 
 INF = np.int64(1) << np.int64(60)
 
-# largest operand side the "strassen" kernel multiplies by schoolbook
+# "strassen" multiplies by schoolbook once some side is at most this
 STRASSEN_CUTOFF = 64
 
 # Ceiling on the bits an encoded product of an l x m by an m x n matrix at
@@ -140,7 +140,7 @@ def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook",
     if kernel == "schoolbook":
         return _schoolbook(a, b)
     if kernel == "strassen":
-        return _strassen_entry(a, b, strassen_cutoff)
+        return _strassen(a, b, strassen_cutoff)
     raise ValueError(f"unknown ring kernel {kernel!r}")
 
 
@@ -153,29 +153,28 @@ def _schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.dot(a, b)
 
 
-def _strassen_entry(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
-    l, m = a.shape
-    n = b.shape[1]
-    size = max(l, m, n)
-    if size <= cutoff or size <= 2:
-        return _schoolbook(a, b)
-    p = 1
-    while p < size:
-        p *= 2
-    pa = np.zeros((p, p), dtype=object)
-    pb = np.zeros((p, p), dtype=object)
-    pa[:l, :m] = a
-    pb[:m, :n] = b
-    return _strassen(pa, pb, cutoff)[:l, :n]
+def _pad_even(x: np.ndarray) -> np.ndarray:
+    """x with one zero row and one zero column added where its side is
+    odd; the zeros are Python ints, like the entries."""
+    rows, cols = x.shape
+    out = np.zeros((rows + rows % 2, cols + cols % 2), dtype=object)
+    out[:rows, :cols] = x
+    return out
 
 
 def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
-    n = a.shape[0]
-    if n <= cutoff or n <= 2:
+    """Strassen's recursion on an l x m by m x n product while every side
+    exceeds max(cutoff, 2), schoolbook below. An odd side is padded with
+    one zero row or column at that level, and the padding is cut from the
+    result."""
+    l, m = a.shape
+    n = b.shape[1]
+    if min(l, m, n) <= max(cutoff, 2):
         return _schoolbook(a, b)
-    h = n // 2
-    a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
-    b11, b12, b21, b22 = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
+    a, b = _pad_even(a), _pad_even(b)
+    r, h, c = (l + 1) // 2, (m + 1) // 2, (n + 1) // 2
+    a11, a12, a21, a22 = a[:r, :h], a[:r, h:], a[r:, :h], a[r:, h:]
+    b11, b12, b21, b22 = b[:h, :c], b[:h, c:], b[h:, :c], b[h:, c:]
     m1 = _strassen(a11 + a22, b11 + b22, cutoff)
     m2 = _strassen(a21 + a22, b11, cutoff)
     m3 = _strassen(a11, b12 - b22, cutoff)
@@ -183,12 +182,12 @@ def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
     m5 = _strassen(a11 + a12, b22, cutoff)
     m6 = _strassen(a21 - a11, b11 + b12, cutoff)
     m7 = _strassen(a12 - a22, b21 + b22, cutoff)
-    out = np.empty((n, n), dtype=object)
-    out[:h, :h] = m1 + m4 - m5 + m7
-    out[:h, h:] = m3 + m5
-    out[h:, :h] = m2 + m4
-    out[h:, h:] = m1 - m2 + m3 + m6
-    return out
+    out = np.empty((2 * r, 2 * c), dtype=object)
+    out[:r, :c] = m1 + m4 - m5 + m7
+    out[:r, c:] = m3 + m5
+    out[r:, :c] = m2 + m4
+    out[r:, c:] = m1 - m2 + m3 + m6
+    return out[:l, :n]
 
 
 def _finite_range(mat: np.ndarray) -> tuple:

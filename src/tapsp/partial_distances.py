@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import one_based_pairs
 from .matrices import (INF, dist_product_fast, dist_product_naive,
                        minplus_identity, truncate)
 from .sampling import Rng, sample
@@ -84,7 +85,7 @@ def check_rpdm_property1(pdm: PartialDistanceMatrix, dist: np.ndarray,
     limit = pdm.n ** (1.0 - pdm.beta)
     via = dist_product_naive(pdm.P, pdm.P)
     mask = (counts <= limit) & (dist < INF) & (via != dist)
-    return [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(mask))]
+    return one_based_pairs(mask)
 
 
 def check_rpdm_property2(pdm: PartialDistanceMatrix, dist: np.ndarray,

@@ -19,7 +19,8 @@ import numpy as np
 from .approx import additive_approximate
 from .config import RunConfig
 from .far_pairs import FarDistances, compute_delta_t
-from .graphs import Graph, johnson_potentials, to_matrix, transitive_closure
+from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
+                     transitive_closure)
 from .matrices import (INF, dist_product_fast, full_inf, is_finite, min_merge,
                        window_shift)
 from .oracle import brute_threshold, floyd_warshall
@@ -44,10 +45,13 @@ class GeneralRun:
 
 @dataclass
 class ThresholdReport:
+    """Ordered pairs reported within d; both threshold paths return it."""
+
     reported: np.ndarray
     d: int
     stats: dict = field(default_factory=dict)
-    # exact distances on the window pairs, INF elsewhere; None on shortcuts
+    # exact distances on the window pairs, INF elsewhere; None on the
+    # positive path and on shortcuts
     window_exact: np.ndarray | None = None
 
     @property
@@ -55,7 +59,7 @@ class ThresholdReport:
         return int(self.reported.sum())
 
     def pairs(self) -> list:
-        return [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(self.reported))]
+        return one_based_pairs(self.reported)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -177,7 +181,7 @@ def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
         return ThresholdReport(reported=rep, d=d,
                                stats={"edge_case": "single_vertex", "attempts": 1})
     oracle_rep = None
-    if config.verify and g.n <= config.verify_bound:
+    if config.verify_due(g.n):
         oracle_rep = brute_threshold(floyd_warshall(to_matrix(g)), d)
     attempts = config.max_attempts if oracle_rep is not None else 1
     for attempt in range(attempts):

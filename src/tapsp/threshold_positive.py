@@ -19,12 +19,13 @@ the first-index matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, to_matrix, transitive_closure
 from .matrices import INF, float_window_admits, minplus_closure, window_square
+from .threshold_general import ThresholdReport
 
 
 def f_set(k: int, m_bound: int) -> set:
@@ -163,22 +164,8 @@ def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.nda
     return window_square(dist, t_lo, t_hi, kernel=kernel)
 
 
-@dataclass
-class PositiveReport:
-    reported: np.ndarray
-    d: int
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def count(self) -> int:
-        return int(self.reported.sum())
-
-    def pairs(self) -> list:
-        return [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(self.reported))]
-
-
 def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
-                       primal: np.ndarray | None = None) -> PositiveReport:
+                       primal: np.ndarray | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
 
     primal, when given, must be primal_distances(g); callers probing
@@ -188,16 +175,16 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
     matrix and nothing else is built.
     """
     if d < 0:
-        return PositiveReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,
-                              stats={"edge_case": "negative_d"})
+        return ThresholdReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,
+                               stats={"edge_case": "negative_d"})
     if d > g.n * g.M:
-        return PositiveReport(reported=transitive_closure(g), d=d,
-                              stats={"edge_case": "closure"})
+        return ThresholdReport(reported=transitive_closure(g), d=d,
+                               stats={"edge_case": "closure"})
     if primal is None:
         primal = primal_distances(g)
     if d <= g.M + 1:
-        return PositiveReport(reported=primal <= d, d=d,
-                              stats={"edge_case": "primal", "levels": 0})
+        return ThresholdReport(reported=primal <= d, d=d,
+                               stats={"edge_case": "primal", "levels": 0})
     levels = level_plan(d, g.M).levels
     dist = primal  # walked bottom-up, see level_step
     for (lo, hi), source in reversed(list(zip(levels, levels[1:]))):
@@ -205,5 +192,5 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
         if low <= hi and not 2 * source[0] <= low <= hi <= 2 * source[1]:
             raise ValueError(f"targets {(low, hi)} outside convolution range of {source}")
         dist = np.minimum(primal, level_step(dist, source, kernel=kernel))
-    return PositiveReport(reported=dist <= d, d=d,
-                          stats={"levels": len(levels), "edge_case": None})
+    return ThresholdReport(reported=dist <= d, d=d,
+                           stats={"levels": len(levels), "edge_case": None})

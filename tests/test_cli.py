@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapsp.cli import main
-from tapsp.config import KERNELS
+from tapsp.cli import _config, build_parser, main
+from tapsp.config import KERNELS, RunConfig, config_from_env
 from tapsp.graphs import (gen_mixed_ncf, gen_random, make_graph, parse_graph,
                           to_matrix, write_graph)
 from tapsp.matrices import is_finite
@@ -465,6 +465,46 @@ def test_positive_mode_on_mixed_graph_exits_3(tmp_path, capsys):
     path = tmp_path / "m.gr"
     path.write_text(write_graph(g))
     assert main(["threshold", str(path), "-d", "0", "--mode", "positive"]) == 3
+
+
+def test_tapsp_settings_parse_and_flags_win(monkeypatch):
+    for name, raw in (("SEED", "5"), ("KERNEL", "schoolbook"), ("MODE", "general"),
+                      ("OMEGA", "2.5"), ("VERIFY", "Yes")):
+        monkeypatch.setenv("TAPSP_" + name, raw)
+    from_env = RunConfig(seed=5, kernel="schoolbook", mode="general", omega=2.5,
+                         verify=True)
+    assert config_from_env() == from_env
+    parser = build_parser()
+    assert _config(parser.parse_args(["diameter", "g.gr"])) == from_env
+    args = parser.parse_args(["diameter", "g.gr", "--seed", "7", "--kernel", "numpy",
+                              "--mode", "auto", "--omega", "3", "--json", "--trace"])
+    assert _config(args) == RunConfig(seed=7, kernel="numpy", mode="auto", omega=3.0,
+                                      verify=True, output="json", trace=True)
+    monkeypatch.setenv("TAPSP_VERIFY", "off")
+    assert not config_from_env().verify
+
+
+@pytest.mark.parametrize("name,raw,message", [
+    ("SEED", "x", "invalid literal for int()"),
+    ("OMEGA", "fast", "could not convert string to float"),
+    ("KERNEL", "gpu", "kernel must be one of"),
+    ("MODE", "exact", "mode must be one of"),
+])
+def test_bad_tapsp_setting_exits_3(tmp_path, monkeypatch, capsys, name, raw, message):
+    path = tmp_path / "g.gr"
+    path.write_text(write_graph(make_graph(2, [(1, 2, 1)])))
+    monkeypatch.setenv("TAPSP_" + name, raw)
+    # a bad variable is an error even where a flag overrides it
+    assert main(["threshold", str(path), "-d", "1", "--seed", "1", "--kernel",
+                 "numpy", "--mode", "auto", "--omega", "2"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_threads_zero_exits_3(tmp_path, capsys):
+    path = tmp_path / "g.gr"
+    path.write_text(write_graph(make_graph(2, [(1, 2, 1)])))
+    assert main(["threshold", str(path), "-d", "1", "--threads", "0"]) == 3
+    assert capsys.readouterr().err == "tapsp: error: threads must be >= 1\n"
 
 
 def test_usage_error_exits_3(tmp_path, capsys):

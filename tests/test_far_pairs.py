@@ -5,7 +5,7 @@ import pytest
 
 from helpers import mixed_graph, sc_mixed_graph
 from tapsp.far_pairs import compute_delta_t, hitting_set, sssp_rows
-from tapsp.graphs import johnson_potentials, make_graph, to_matrix
+from tapsp.graphs import gen_mixed_ncf, johnson_potentials, make_graph, to_matrix
 from tapsp.matrices import INF, is_finite
 from tapsp.oracle import floyd_warshall, min_edge_counts
 from tapsp.sampling import Rng
@@ -101,3 +101,23 @@ def test_delta_t_never_below_distance():
         far = compute_delta_t(g, 5, Rng(seed), johnson_potentials(g))
         fin = is_finite(far.delta)
         assert (dist[fin] <= far.delta[fin]).all()
+
+
+def test_delta_t_sampled_combine_matches_distances_through_the_sample():
+    # t past 8 ln n keeps the hitting set X below n, so the combine runs as
+    # one product; it must equal min over x in X of dist(u, x) + dist(x, v),
+    # INF where no x gives a finite sum (the sparse graphs have such pairs)
+    unreachable = 0
+    for seed, n in enumerate((32, 40, 48, 64)):
+        for backbone in (True, False):
+            g = gen_mixed_ncf(n, 3 / n, 4, seed, backbone=backbone)
+            dist = floyd_warshall(to_matrix(g))
+            far = compute_delta_t(g, 60, Rng(seed), johnson_potentials(g))
+            xs = far.hitting
+            assert 0 < xs.size < n
+            left, right = dist[:, xs, None], dist[None, xs, :]
+            fin = is_finite(left) & is_finite(right)
+            want = np.where(fin, left + right, INF).min(axis=1)
+            assert np.array_equal(far.delta, want), (n, backbone)
+            unreachable += int((~is_finite(want)).sum())
+    assert unreachable > 0

@@ -150,6 +150,18 @@ def test_strassen_handles_big_integers():
     assert np.array_equal(school, stras)
 
 
+def test_strassen_thin_product_counts_schoolbook_mults():
+    # a side at or below the cutoff ends the recursion, so a thin product
+    # is one schoolbook product rather than a padded square
+    gen = np.random.default_rng(6)
+    a = gen.integers(-9, 9, size=(3, 100)).astype(object)
+    b = gen.integers(-9, 9, size=(100, 5)).astype(object)
+    COUNTERS.reset()
+    got = ring_matmul(a, b, kernel="strassen")
+    assert COUNTERS.ring_mults == 3 * 100 * 5
+    assert np.array_equal(got, ring_matmul(a, b, kernel="schoolbook"))
+
+
 def test_fast_product_through_strassen_kernel(monkeypatch):
     strassen = lower_strassen_cutoff(monkeypatch, 4)
     gen = np.random.default_rng(5)
@@ -332,20 +344,17 @@ def test_float_route_exact_when_all_terms_tie(monkeypatch):
     # m terms of the least exponent sum to m 2**(-e* s), and m = 2**(s - 2)
     # is the largest m at each s: 1, 64, 256 and 1024 sit on that edge.
     # The ring kernels decode the same operands, whose top digit counts m
-    # terms, one below the radix z = m + 1. "strassen" pads a 4 x m x 4
-    # product to a square of side m rounded up to a power of two, so it
-    # stops at m = 256 (m = 1024 alone would take seconds).
+    # terms, one below the radix z = m + 1.
     fallbacks = _fallback_calls(monkeypatch)
     strassen = lower_strassen_cutoff(monkeypatch, 16)
     gen = np.random.default_rng(21)
     for m in (1, 2, 3, 63, 64, 65, 255, 256, 257, 1024):
         s = (4 * m - 1).bit_length()
         half = matrices.FLOAT_EXP_BUDGET // (2 * s)
-        kernels = KERNELS if m <= 256 else ("numpy", "schoolbook")
         for lo_a, lo_b in ((0, 0), (-7, 3)):
             a, b = _spread_operands(gen, m, lo_a, half, lo_b, half)
             want = dist_product_naive(a, b)
-            for kernel in kernels:
+            for kernel in KERNELS:
                 got = dist_product_fast(a, b, kernel=kernel)
                 assert np.array_equal(got, want), (m, lo_a, kernel)
             assert want[3, 3] == lo_a + lo_b + 2 * half

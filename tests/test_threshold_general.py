@@ -12,9 +12,11 @@ from tapsp.matrices import INF, is_finite
 from tapsp.oracle import brute_threshold, floyd_warshall, min_edge_counts
 from tapsp.sampling import Rng
 from tapsp.schedule import build_schedule
-from tapsp.threshold_general import (GeneralRun, VerifyMismatchError,
-                                     classify_threshold, prepare_general,
-                                     target_distances, threshold_apsp_neg)
+from tapsp.threshold_general import (GeneralRun, ThresholdReport,
+                                     VerifyMismatchError, classify_threshold,
+                                     prepare_general, target_distances,
+                                     threshold_apsp_neg)
+from tapsp.threshold_positive import threshold_apsp_pos
 
 
 def _oracle(g, d):
@@ -249,10 +251,14 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
 
 
 def test_report_pairs_are_one_based():
-    g = make_graph(2, [(1, 2, -1)])
-    rep = threshold_apsp_neg(g, -1)
-    assert rep.pairs() == [(1, 2)]
-    assert rep.count == 1
+    # both paths return one report type; a pair is (source, target)
+    cases = [(threshold_apsp_neg(make_graph(2, [(1, 2, -1)]), -1), [(1, 2)]),
+             (threshold_apsp_pos(make_graph(2, [(2, 1, 1)]), 1),
+              [(1, 1), (2, 1), (2, 2)])]
+    for rep, want in cases:
+        assert isinstance(rep, ThresholdReport)
+        assert rep.pairs() == want
+        assert rep.count == len(want)
 
 
 def test_forced_schedule_still_exact():
