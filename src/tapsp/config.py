@@ -69,13 +69,20 @@ def pick_mode(g, config: RunConfig) -> str:
     return config.mode
 
 
+def _parse_bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"bad boolean {raw!r}: use 1/true/yes/on or 0/false/no/off")
+    return word in ("1", "true", "yes", "on")
+
+
 # field -> parser of its TAPSP_ variable, applied in this order
 ENV_FIELDS = {
     "omega": float,
     "seed": int,
     "kernel": str,
     "mode": str,
-    "verify": lambda raw: raw.strip().lower() in ("1", "true", "yes", "on"),
+    "verify": _parse_bool,
 }
 
 

@@ -18,14 +18,22 @@ from tapsp.threshold_positive import level_step
 
 def lower_strassen_cutoff(monkeypatch, cutoff: int) -> dict:
     """Set matrices.STRASSEN_CUTOFF to cutoff so that small products under
-    the "strassen" kernel recurse. The returned dict counts the calls to
-    matrices._strassen under the key "calls"."""
+    the "strassen" kernel recurse. The returned dict counts, under the key
+    "calls", the calls to matrices._strassen made from inside another one:
+    the sub-products of Strassen's recursion, so it stays 0 unless some
+    product was split."""
     counted = {"calls": 0}
+    depth = [0]
     orig = matrices._strassen
 
     def wrapper(*args, **kwargs):
-        counted["calls"] += 1
-        return orig(*args, **kwargs)
+        if depth[0]:
+            counted["calls"] += 1
+        depth[0] += 1
+        try:
+            return orig(*args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(matrices, "STRASSEN_CUTOFF", cutoff)
     monkeypatch.setattr(matrices, "_strassen", wrapper)

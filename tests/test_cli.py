@@ -480,8 +480,9 @@ def test_tapsp_settings_parse_and_flags_win(monkeypatch):
                               "--mode", "auto", "--omega", "3", "--json", "--trace"])
     assert _config(args) == RunConfig(seed=7, kernel="numpy", mode="auto", omega=3.0,
                                       verify=True, output="json", trace=True)
-    monkeypatch.setenv("TAPSP_VERIFY", "off")
-    assert not config_from_env().verify
+    for raw in ("0", "false", "No", " off "):
+        monkeypatch.setenv("TAPSP_VERIFY", raw)
+        assert not config_from_env().verify
 
 
 @pytest.mark.parametrize("name,raw,message", [
@@ -489,6 +490,7 @@ def test_tapsp_settings_parse_and_flags_win(monkeypatch):
     ("OMEGA", "fast", "could not convert string to float"),
     ("KERNEL", "gpu", "kernel must be one of"),
     ("MODE", "exact", "mode must be one of"),
+    ("VERIFY", "ture", "bad boolean 'ture'"),
 ])
 def test_bad_tapsp_setting_exits_3(tmp_path, monkeypatch, capsys, name, raw, message):
     path = tmp_path / "g.gr"

@@ -344,9 +344,10 @@ def test_float_route_exact_when_all_terms_tie(monkeypatch):
     # m terms of the least exponent sum to m 2**(-e* s), and m = 2**(s - 2)
     # is the largest m at each s: 1, 64, 256 and 1024 sit on that edge.
     # The ring kernels decode the same operands, whose top digit counts m
-    # terms, one below the radix z = m + 1.
+    # terms, one below the radix z = m + 1. At cutoff 2 "strassen" splits
+    # every 4 x m x 4 product with m >= 3 once, into seven 2 x m/2 x 2 ones.
     fallbacks = _fallback_calls(monkeypatch)
-    strassen = lower_strassen_cutoff(monkeypatch, 16)
+    strassen = lower_strassen_cutoff(monkeypatch, 2)
     gen = np.random.default_rng(21)
     for m in (1, 2, 3, 63, 64, 65, 255, 256, 257, 1024):
         s = (4 * m - 1).bit_length()
@@ -355,11 +356,13 @@ def test_float_route_exact_when_all_terms_tie(monkeypatch):
             a, b = _spread_operands(gen, m, lo_a, half, lo_b, half)
             want = dist_product_naive(a, b)
             for kernel in KERNELS:
+                before = strassen["calls"]
                 got = dist_product_fast(a, b, kernel=kernel)
                 assert np.array_equal(got, want), (m, lo_a, kernel)
+                split = 7 if kernel == "strassen" and m >= 3 else 0
+                assert strassen["calls"] - before == split, (m, kernel)
             assert want[3, 3] == lo_a + lo_b + 2 * half
     assert fallbacks == []
-    assert strassen["calls"] > 0
 
 
 def test_float_route_rule_at_the_budget(monkeypatch):
