@@ -1,7 +1,7 @@
 """Threshold all-pairs shortest paths and exact diameter for integer weights."""
 
 from .config import RunConfig, config_from_env
-from .diameter import DiameterResult, diameter
+from .diameter import DiameterResult, diameter, threshold
 from .graphs import (Graph, GraphParseError, NegativeCycleError,
                      gen_mixed_ncf, gen_random, make_graph, parse_graph,
                      to_matrix, write_graph)
@@ -19,6 +19,7 @@ __all__ = [
     "config_from_env",
     "DiameterResult",
     "diameter",
+    "threshold",
     "Graph",
     "GraphParseError",
     "NegativeCycleError",

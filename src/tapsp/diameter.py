@@ -1,9 +1,23 @@
-"""Exact diameter via binary search over threshold reports.
+"""The library's two questions: which pairs are within d, and the diameter.
 
-The diameter is the largest finite pairwise distance. Reachability is
-settled first: any unreachable ordered pair makes the diameter +inf and
-no probes run. Otherwise probe(d) asks whether every ordered pair is
-within d, and binary search pins the smallest such d.
+threshold(g, d) reports the ordered pairs at distance <= d on the path
+pick_mode selects from config.mode: the deterministic positive path
+for weights in {1..M}, the randomized general path for [-M, M].
+diameter(g) searches over such reports. Both apply config.verify_due
+themselves, so a caller's verify=True checks every answer against the
+Floyd-Warshall oracle and a disagreement raises VerifyMismatchError: the
+general threshold path re-runs on fresh seeds first (threshold_apsp_neg),
+the deterministic positive path and the Las Vegas diameter are checked
+once.
+
+The diameter is the largest finite pairwise distance. On the general
+path one Bellman-Ford runs first: it gives the Johnson potentials every
+search shares and is the negative-cycle check, so a negative cycle
+raises NegativeCycleError even when some pair is unreachable. Then
+reachability is settled: any unreachable ordered pair makes the diameter
++inf, its witnesses are those pairs, and no probes run. Otherwise
+probe(d) asks whether every ordered pair is within d, and binary search
+pins the smallest such d.
 
 Reports are one-sided on both paths: a reported pair is always truly
 within d, so a probe that reports every pair proves diameter <= d.
@@ -11,9 +25,8 @@ within d, so a probe that reports every pair proves diameter <= d.
 Positive weights: every probe is the deterministic path over one primal
 matrix built per call, and the search covers [1, M(n-1)].
 
-General weights: one prepare_general pass per search over its Johnson
-potentials, whose Bellman-Ford is also the negative-cycle check; a probe
-is then only classify_threshold(run, d). Since
+General weights: one prepare_general pass per search over the shared
+potentials; a probe is then only classify_threshold(run, d). Since
 dist <= delta_star <= dist + K (the upper bound with high probability),
 the search covers the K-wide window
 [max(0, max delta_star - K), min(M(n-1), max delta_star)], about
@@ -43,11 +56,33 @@ import numpy as np
 
 from .config import RunConfig, pick_mode
 from .far_pairs import sssp_rows
-from .graphs import Graph, johnson_potentials, one_based_pairs, transitive_closure
+from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
+                     transitive_closure)
 from .matrices import INF, is_finite
+from .oracle import brute_threshold, floyd_warshall
 from .sampling import Rng
-from .threshold_general import GeneralRun, classify_threshold, prepare_general
+from .threshold_general import (GeneralRun, ThresholdReport, VerifyMismatchError,
+                                classify_threshold, prepare_general,
+                                threshold_apsp_neg)
 from .threshold_positive import primal_distances, threshold_apsp_pos
+
+
+def threshold(g: Graph, d: int, config: RunConfig | None = None,
+              rng: Rng | None = None) -> ThresholdReport:
+    """Ordered pairs at distance <= d, on the path pick_mode selects.
+
+    The general path verifies and retries inside threshold_apsp_neg. The
+    positive path is deterministic, so under config.verify_due(g.n) its
+    report is compared once with the oracle's.
+    """
+    config = config or RunConfig()
+    if pick_mode(g, config) == "general":
+        return threshold_apsp_neg(g, d, config=config, rng=rng)
+    rep = threshold_apsp_pos(g, d, kernel=config.kernel)
+    if (config.verify_due(g.n) and not np.array_equal(
+            rep.reported, brute_threshold(floyd_warshall(to_matrix(g)), d))):
+        raise VerifyMismatchError("positive-path report disagrees with the oracle")
+    return rep
 
 
 @dataclass
@@ -86,12 +121,13 @@ def _exact_witnesses(g: Graph, run: GeneralRun, cand: np.ndarray,
     return cand & (exact == diam)
 
 
-def _search(g: Graph, config: RunConfig, rng: Rng,
-            primal: np.ndarray | None) -> DiameterResult | None:
+def _search(g: Graph, config: RunConfig, rng: Rng, primal: np.ndarray | None,
+            h: np.ndarray | None) -> DiameterResult | None:
     """One certified binary search; None when the general path must retry.
 
     primal selects the positive path; otherwise one general pipeline
-    pass is prepared from rng and every probe classifies against it.
+    pass is prepared from rng over g's Johnson potentials h, and every
+    probe classifies against it.
     """
     lo, hi = 1, g.M * (g.n - 1)
     if primal is not None:
@@ -99,7 +135,7 @@ def _search(g: Graph, config: RunConfig, rng: Rng,
             return threshold_apsp_pos(g, d, kernel=config.kernel,
                                       primal=primal).reported
     else:
-        run = prepare_general(g, config, rng, johnson_potentials(g))
+        run = prepare_general(g, config, rng, h)
         lo, hi = _window(run, hi)
 
         def classify(d):
@@ -137,27 +173,44 @@ def _search(g: Graph, config: RunConfig, rng: Rng,
                           probes=probes, lo=lo, hi=hi)
 
 
-def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterResult:
-    """Exact diameter of g, or +inf with unreachable witness pairs."""
-    if config is None:
-        config = RunConfig()
-    if rng is None:
-        rng = Rng(config.seed)
+def _verify(g: Graph, res: DiameterResult) -> None:
+    """VerifyMismatchError unless the oracle gives res's value and
+    witnesses: the pairs at that distance, or the unreachable ones."""
+    dist = floyd_warshall(to_matrix(g))
+    fin = is_finite(dist)
+    want = int(dist.max()) if fin.all() else math.inf
+    if want != res.value:
+        raise VerifyMismatchError(f"diameter {res.value} but oracle says {want}")
+    at = dist == want if fin.all() else ~fin
+    if one_based_pairs(at) != sorted(res.witnesses):
+        raise VerifyMismatchError("witness set disagrees with the oracle")
+
+
+def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
+    """diameter() before its oracle check."""
     positive = pick_mode(g, config) == "positive"
+    h = None if positive else johnson_potentials(g)
     closure = transitive_closure(g)
     if not closure.all():
         return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
-    if positive:
-        primal = primal_distances(g)
-        out = _search(g, config, rng, primal)
-        if out is None:
-            raise RuntimeError("inconsistent probe trace on the deterministic path")
-        return out
-    for attempt in range(config.max_attempts):
-        out = _search(g, config, rng.derive(1000 + attempt), None)
+    primal = primal_distances(g) if positive else None
+    # the positive path is deterministic: a failed certificate fails again
+    searches = 1 if positive else config.max_attempts
+    for attempt in range(searches):
+        out = _search(g, config, rng.derive(1000 + attempt), primal, h)
         if out is not None:
             return out
     raise RuntimeError(f"diameter search failed its certificate after "
-                       f"{config.max_attempts} searches")
+                       f"{searches} searches")
+
+
+def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterResult:
+    """Exact diameter of g, or +inf with unreachable witness pairs;
+    checked against the oracle when config.verify_due(g.n)."""
+    config = config or RunConfig()
+    res = _solve(g, config, rng or Rng(config.seed))
+    if config.verify_due(g.n):
+        _verify(g, res)
+    return res

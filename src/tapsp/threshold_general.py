@@ -30,7 +30,8 @@ from .schedule import Schedule, build_schedule
 
 
 class VerifyMismatchError(RuntimeError):
-    """Verified run kept disagreeing with the oracle after all retries."""
+    """A verified answer disagrees with the brute-force oracle (on the
+    general threshold path, after all retries)."""
 
 
 @dataclass

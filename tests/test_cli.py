@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -17,6 +18,9 @@ from tapsp.graphs import (gen_mixed_ncf, gen_random, make_graph, parse_graph,
                           to_matrix, write_graph)
 from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
+
+# the package re-exports the function under the module's name
+dia_mod = importlib.import_module("tapsp.diameter")
 
 
 def _gen_file(tmp_path, name, n, p, wmin, wmax, seed, no_neg_cycle=False):
@@ -128,12 +132,25 @@ def test_threshold_verify_passes(tmp_path, capsys):
 
 
 def test_verify_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    # a positive graph: the check is threshold()'s own, not the general path's
     path = _gen_file(tmp_path, "g.gr", 6, 0.6, 1, 3, seed=1)
-    monkeypatch.setattr("tapsp.cli._oracle_report",
-                        lambda g, d: np.zeros((g.n, g.n), dtype=bool))
+    monkeypatch.setattr(dia_mod, "brute_threshold",
+                        lambda dist, d: np.zeros(dist.shape, dtype=bool))
     assert main(["threshold", str(path), "-d", "3", "--verify"]) == 2
     err = capsys.readouterr().err
     assert "verify mismatch" in err
+
+
+def test_diameter_verify_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    path = _gen_file(tmp_path, "g.gr", 6, 1.0, 1, 3, seed=3)
+    oracle = dia_mod.floyd_warshall
+    monkeypatch.setattr(dia_mod, "floyd_warshall", lambda w: oracle(w) + 1)
+    assert main(["diameter", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["diameter", str(path), "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tapsp: verify mismatch: diameter ")
 
 
 def test_byte_identical_output_across_runs_and_threads(tmp_path, capsys):
@@ -357,6 +374,38 @@ def test_bench_capped_general_row_counts_one_closure(capsys):
     assert int(rows[0][6]) == int(rows[0][8]) == 0
 
 
+def _bench_rows(argv, capsys) -> list:
+    # every column but wall_s
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return [cols[:5] + cols[6:] for cols in (ln.split(",") for ln in lines)]
+
+
+@pytest.mark.parametrize("wmin", [[], ["--wmin", "-2"]])
+def test_bench_verify_leaves_the_counts_alone(capsys, wmin):
+    # the oracle counts no operations, so --verify moves only wall_s
+    argv = ["bench", "--ns", "8,32", "--ms", "3", "--densities", "0.3",
+            "--algos", "threshold,diameter", "--seed", "2"] + wmin
+    rows = _bench_rows(argv, capsys)
+    assert len(rows) == 4
+    assert _bench_rows(argv + ["--verify"], capsys) == rows
+
+
+@pytest.mark.parametrize("algo,name,corrupt", [
+    ("threshold", "brute_threshold", np.logical_not),
+    ("diameter", "floyd_warshall", lambda dist: dist + 1)])
+def test_bench_verify_checks_positive_and_diameter_rows(monkeypatch, capsys,
+                                                        algo, name, corrupt):
+    oracle = getattr(dia_mod, name)
+    monkeypatch.setattr(dia_mod, name, lambda *args: corrupt(oracle(*args)))
+    argv = ["bench", "--ns", "8", "--ms", "3", "--densities", "0.5",
+            "--algos", algo, "--seed", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--verify"]) == 2
+    assert "verify mismatch" in capsys.readouterr().err
+
+
 def test_encoded_power_table_past_the_limit_exits_3(tmp_path, capsys):
     path = tmp_path / "wide.gr"
     path.write_text("p sp 3 2\na 1 2 1000000\na 2 3 1\n")
@@ -405,6 +454,20 @@ def test_negative_cycle_stderr_names_the_error_once(tmp_path, capsys):
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", line), argv[0]
+
+
+def test_negative_cycle_beside_an_unreachable_pair_exits_4(tmp_path, capsys):
+    # distances are undefined once a negative cycle exists, so the answer
+    # is exit 4 whether or not --verify runs the oracle
+    path = tmp_path / "neg.gr"
+    path.write_text(write_graph(make_graph(3, [(1, 2, -2), (2, 1, 1)])))
+    for argv in (["diameter", str(path)], ["diameter", str(path), "--verify"],
+                 ["threshold", str(path), "-d", "1"],
+                 ["threshold", str(path), "-d", "1", "--verify"]):
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "tapsp: negative cycle: 1 -> 2\n"), argv
 
 
 @st.composite

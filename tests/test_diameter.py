@@ -8,7 +8,7 @@ from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
                      sc_positive_graph)
 from tapsp import graphs
 from tapsp.config import KERNELS, RunConfig
-from tapsp.diameter import diameter
+from tapsp.diameter import diameter, threshold
 from tapsp.far_pairs import compute_delta_t
 from tapsp.graphs import (MAX_SPAN, NegativeCycleError, find_negative_cycle,
                           gen_random, johnson_potentials, make_graph, to_matrix)
@@ -16,7 +16,8 @@ from tapsp.matrices import is_finite
 from tapsp.oracle import floyd_warshall
 from tapsp.sampling import Rng
 from tapsp.schedule import build_schedule
-from tapsp.threshold_general import prepare_general, threshold_apsp_neg
+from tapsp.threshold_general import (VerifyMismatchError, prepare_general,
+                                     threshold_apsp_neg)
 
 # the package re-exports the function under the module's name
 dia_mod = importlib.import_module("tapsp.diameter")
@@ -99,9 +100,13 @@ def test_single_vertex():
 
 
 def test_negative_cycle_propagates():
-    g = make_graph(2, [(1, 2, -2), (2, 1, 1)])
-    with pytest.raises(NegativeCycleError):
-        diameter(g)
+    # at n = 3 vertex 3 is unreachable, yet distances are undefined: the
+    # general path runs its Bellman-Ford before the reachability check
+    for n in (2, 3):
+        g = make_graph(n, [(1, 2, -2), (2, 1, 1)])
+        with pytest.raises(NegativeCycleError) as exc:
+            diameter(g)
+        assert exc.value.cycle == [1, 2], n
 
 
 def test_forced_general_mode_on_positive_graph():
@@ -181,7 +186,7 @@ def test_general_search_prepares_once(monkeypatch):
 @pytest.mark.parametrize("searches", [1, 2])
 def test_one_bellman_ford_per_general_search(monkeypatch, searches):
     # delta_star shifted up by K + 1 fails the first certificate, so a
-    # second search runs; each search computes the potentials once
+    # second search runs; both share the call's one Bellman-Ford
     def shift_first(run, call):
         if searches == 2 and call == 1:
             run.delta_star = run.delta_star + run.schedule.K + 1
@@ -199,7 +204,7 @@ def test_one_bellman_ford_per_general_search(monkeypatch, searches):
         calls.clear()
         res = diameter(g, RunConfig(seed=seed))
         assert (res.value, sorted(res.witnesses)) == (want, wit)
-        assert calls["_bellman_ford"] == calls["_search"] == searches
+        assert (calls["_bellman_ford"], calls["_search"]) == (1, searches)
     calls.clear()
     with pytest.raises(NegativeCycleError) as exc:
         diameter(neg)
@@ -320,3 +325,68 @@ def test_mode_checked_before_reachability():
     assert diameter(g).value == math.inf
     with pytest.raises(ValueError):
         diameter(g, config=RunConfig(mode="positive"))
+
+
+def _corrupt_first_witness(res, call):
+    # (1, 1) is at distance 0: reachable, and below every diameter here
+    res.witnesses[0] = (1, 1)
+    return res
+
+
+@pytest.mark.parametrize("g", [sc_positive_graph(8, 0.3, 3, seed=4),
+                               sc_mixed_graph(8, 0.3, 3, seed=4),
+                               make_graph(3, [(1, 2, 1), (2, 3, -1)])],
+                         ids=["positive", "general", "inf"])
+def test_verify_checks_every_witness(monkeypatch, g):
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "_solve", calls, _corrupt_first_witness)
+    assert diameter(g).witnesses[0] == (1, 1)
+    with pytest.raises(VerifyMismatchError, match="witness set"):
+        diameter(g, RunConfig(verify=True))
+
+
+@pytest.mark.parametrize("g", [sc_positive_graph(8, 0.3, 3, seed=5),
+                               sc_mixed_graph(8, 0.3, 3, seed=5)],
+                         ids=["positive", "general"])
+def test_verify_checks_the_value(monkeypatch, g):
+    oracle = dia_mod.floyd_warshall
+    monkeypatch.setattr(dia_mod, "floyd_warshall", lambda w: oracle(w) + 1)
+    diameter(g)
+    with pytest.raises(VerifyMismatchError, match="oracle says"):
+        diameter(g, RunConfig(verify=True))
+
+
+def test_threshold_verifies_the_positive_path(monkeypatch):
+    g = sc_positive_graph(8, 0.3, 3, seed=6)
+    cfg = RunConfig(verify=True)
+    assert threshold(g, 5, cfg).count == threshold(g, 5).count > 0
+    monkeypatch.setattr(dia_mod, "brute_threshold",
+                        lambda dist, d: np.zeros(dist.shape, dtype=bool))
+    threshold(g, 5)
+    with pytest.raises(VerifyMismatchError):
+        threshold(g, 5, cfg)
+
+
+def test_no_oracle_above_the_verify_bound(monkeypatch):
+    g = sc_positive_graph(8, 0.3, 3, seed=7)
+    mixed = sc_mixed_graph(8, 0.3, 3, seed=7)
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "floyd_warshall", calls)
+    for bound, want in ((7, 0), (8, 1)):
+        cfg = RunConfig(verify=True, verify_bound=bound)
+        for run in (lambda: threshold(g, 5, cfg), lambda: diameter(g, cfg),
+                    lambda: diameter(mixed, cfg)):
+            calls.clear()
+            run()
+            assert calls.get("floyd_warshall", 0) == want, bound
+
+
+@pytest.mark.parametrize("mode", ["positive", "general"])
+def test_threshold_runs_the_path_the_mode_picks(mode):
+    g = sc_positive_graph(10, 0.3, 3, seed=8)
+    cfg = RunConfig(mode=mode, seed=3, verify=True)
+    dist = floyd_warshall(to_matrix(g))
+    for d in (0, 4, 9, 31):
+        rep = threshold(g, d, cfg)
+        assert np.array_equal(rep.reported, (dist <= d) & is_finite(dist)), d
+        assert ("attempts" in rep.stats) == (mode == "general")
