@@ -59,16 +59,15 @@ from .far_pairs import sssp_rows
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
 from .matrices import INF, is_finite
-from .oracle import brute_threshold, floyd_warshall
+from .oracle import floyd_warshall
 from .sampling import Rng
 from .threshold_general import (GeneralRun, ThresholdReport, VerifyMismatchError,
-                                classify_threshold, prepare_general,
-                                threshold_apsp_neg)
+                                classify_threshold, oracle_report,
+                                prepare_general, threshold_apsp_neg)
 from .threshold_positive import primal_distances, threshold_apsp_pos
 
 
-def threshold(g: Graph, d: int, config: RunConfig | None = None,
-              rng: Rng | None = None) -> ThresholdReport:
+def threshold(g: Graph, d: int, config: RunConfig | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d, on the path pick_mode selects.
 
     The general path verifies and retries inside threshold_apsp_neg. The
@@ -77,10 +76,10 @@ def threshold(g: Graph, d: int, config: RunConfig | None = None,
     """
     config = config or RunConfig()
     if pick_mode(g, config) == "general":
-        return threshold_apsp_neg(g, d, config=config, rng=rng)
+        return threshold_apsp_neg(g, d, config=config)
     rep = threshold_apsp_pos(g, d, kernel=config.kernel)
-    if (config.verify_due(g.n) and not np.array_equal(
-            rep.reported, brute_threshold(floyd_warshall(to_matrix(g)), d))):
+    want = oracle_report(g, d, config)
+    if want is not None and not np.array_equal(rep.reported, want):
         raise VerifyMismatchError("positive-path report disagrees with the oracle")
     return rep
 
@@ -188,7 +187,8 @@ def _verify(g: Graph, res: DiameterResult) -> None:
 
 def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     """diameter() before its oracle check."""
-    positive = pick_mode(g, config) == "positive"
+    mode = pick_mode(g, config)
+    positive = mode == "positive"
     h = None if positive else johnson_potentials(g)
     closure = transitive_closure(g)
     if not closure.all():
@@ -203,7 +203,7 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
         if out is not None:
             return out
     raise RuntimeError(f"diameter search failed its certificate after "
-                       f"{searches} searches")
+                       f"{searches} search(es) on the {mode} path")
 
 
 def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterResult:

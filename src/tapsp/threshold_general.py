@@ -161,6 +161,14 @@ def _edge_case_report(g: Graph, d: int) -> ThresholdReport | None:
     return None
 
 
+def oracle_report(g: Graph, d: int, config: RunConfig) -> np.ndarray | None:
+    """The brute-force report for (g, d), or None unless
+    config.verify_due(g.n)."""
+    if not config.verify_due(g.n):
+        return None
+    return brute_threshold(floyd_warshall(to_matrix(g)), d)
+
+
 def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
                        rng: Rng | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d, weights in [-M, M].
@@ -181,9 +189,7 @@ def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
         rep = np.array([[d >= 0]], dtype=bool)
         return ThresholdReport(reported=rep, d=d,
                                stats={"edge_case": "single_vertex", "attempts": 1})
-    oracle_rep = None
-    if config.verify_due(g.n):
-        oracle_rep = brute_threshold(floyd_warshall(to_matrix(g)), d)
+    oracle_rep = oracle_report(g, d, config)
     attempts = config.max_attempts if oracle_rep is not None else 1
     for attempt in range(attempts):
         run = prepare_general(g, config, rng.derive(attempt), h)

@@ -21,6 +21,7 @@ from tapsp.oracle import floyd_warshall
 
 # the package re-exports the function under the module's name
 dia_mod = importlib.import_module("tapsp.diameter")
+tg_mod = importlib.import_module("tapsp.threshold_general")
 
 
 def _gen_file(tmp_path, name, n, p, wmin, wmax, seed, no_neg_cycle=False):
@@ -134,7 +135,7 @@ def test_threshold_verify_passes(tmp_path, capsys):
 def test_verify_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     # a positive graph: the check is threshold()'s own, not the general path's
     path = _gen_file(tmp_path, "g.gr", 6, 0.6, 1, 3, seed=1)
-    monkeypatch.setattr(dia_mod, "brute_threshold",
+    monkeypatch.setattr(tg_mod, "brute_threshold",
                         lambda dist, d: np.zeros(dist.shape, dtype=bool))
     assert main(["threshold", str(path), "-d", "3", "--verify"]) == 2
     err = capsys.readouterr().err
@@ -391,13 +392,13 @@ def test_bench_verify_leaves_the_counts_alone(capsys, wmin):
     assert _bench_rows(argv + ["--verify"], capsys) == rows
 
 
-@pytest.mark.parametrize("algo,name,corrupt", [
-    ("threshold", "brute_threshold", np.logical_not),
-    ("diameter", "floyd_warshall", lambda dist: dist + 1)])
-def test_bench_verify_checks_positive_and_diameter_rows(monkeypatch, capsys,
-                                                        algo, name, corrupt):
-    oracle = getattr(dia_mod, name)
-    monkeypatch.setattr(dia_mod, name, lambda *args: corrupt(oracle(*args)))
+@pytest.mark.parametrize("algo,module,name,corrupt", [
+    ("threshold", tg_mod, "brute_threshold", np.logical_not),
+    ("diameter", dia_mod, "floyd_warshall", lambda dist: dist + 1)])
+def test_bench_verify_checks_positive_and_diameter_rows(monkeypatch, capsys, algo,
+                                                        module, name, corrupt):
+    oracle = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(oracle(*args)))
     argv = ["bench", "--ns", "8", "--ms", "3", "--densities", "0.5",
             "--algos", algo, "--seed", "2"]
     assert main(argv) == 0

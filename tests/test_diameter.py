@@ -22,6 +22,7 @@ from tapsp.threshold_general import (VerifyMismatchError, prepare_general,
 # the package re-exports the function under the module's name
 dia_mod = importlib.import_module("tapsp.diameter")
 pos_mod = importlib.import_module("tapsp.threshold_positive")
+tg_mod = importlib.import_module("tapsp.threshold_general")
 
 
 def _oracle_diameter(g):
@@ -360,7 +361,7 @@ def test_threshold_verifies_the_positive_path(monkeypatch):
     g = sc_positive_graph(8, 0.3, 3, seed=6)
     cfg = RunConfig(verify=True)
     assert threshold(g, 5, cfg).count == threshold(g, 5).count > 0
-    monkeypatch.setattr(dia_mod, "brute_threshold",
+    monkeypatch.setattr(tg_mod, "brute_threshold",
                         lambda dist, d: np.zeros(dist.shape, dtype=bool))
     threshold(g, 5)
     with pytest.raises(VerifyMismatchError):
@@ -371,7 +372,9 @@ def test_no_oracle_above_the_verify_bound(monkeypatch):
     g = sc_positive_graph(8, 0.3, 3, seed=7)
     mixed = sc_mixed_graph(8, 0.3, 3, seed=7)
     calls = {}
-    _count_calls(monkeypatch, dia_mod, "floyd_warshall", calls)
+    # threshold() reaches the oracle through threshold_general.oracle_report
+    for module in (dia_mod, tg_mod):
+        _count_calls(monkeypatch, module, "floyd_warshall", calls)
     for bound, want in ((7, 0), (8, 1)):
         cfg = RunConfig(verify=True, verify_bound=bound)
         for run in (lambda: threshold(g, 5, cfg), lambda: diameter(g, cfg),
@@ -379,6 +382,16 @@ def test_no_oracle_above_the_verify_bound(monkeypatch):
             calls.clear()
             run()
             assert calls.get("floyd_warshall", 0) == want, bound
+
+
+@pytest.mark.parametrize("g,mode", [(sc_positive_graph(8, 0.3, 3, seed=9), "positive"),
+                                    (sc_mixed_graph(8, 0.3, 3, seed=9), "general")])
+def test_failed_certificates_name_the_path(monkeypatch, g, mode):
+    monkeypatch.setattr(dia_mod, "_search", lambda *args: None)
+    searches = 1 if mode == "positive" else RunConfig().max_attempts
+    with pytest.raises(RuntimeError,
+                       match=rf"after {searches} search\(es\) on the {mode} path"):
+        diameter(g)
 
 
 @pytest.mark.parametrize("mode", ["positive", "general"])
