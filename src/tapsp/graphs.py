@@ -23,14 +23,19 @@ from .sampling import Rng
 # value a kernel forms is a sentinel sum in matrices._minplus_blocked,
 # 2 * (3 * bound + 1); it also picks the relaxation dtype
 # (matrices._narrowest_int: int16, int32 or int64, the narrowest that
-# holds it). The numpy kernel's float route
-# (matrices._minplus_float) forms entry - lo, lo an operand's least
-# finite entry, at most INF + bound for an INF entry, and lo_a + lo_b, at
-# least -2 * bound. The largest bound is
-# 2K <= 4 n M in threshold_general.target_distances (K <= 2 n M;
-# build_partial uses radius <= 3 n M, the far-pair combine of a sampled
-# hitting set (n - 1) M, the primal family M + 1, the level steps at most
-# 2M + 2, the scaled estimates about 6 n). The largest value
+# holds it). The largest bound is the window width hi - lo <= 2K <= 4 n M
+# of threshold_general.target_distances (K <= 2 n M; build_partial uses
+# radius <= 3 n M, the far-pair combine of a sampled hitting set
+# (n - 1) M, the primal family M + 1, the level steps at most 2M + 2, the
+# scaled estimates about 6 n). The numpy kernel's float route
+# (matrices._minplus_float) forms entry - lo and decodes at offset
+# lo_a + lo_b. Under dist_product_fast, lo is an operand's least finite
+# entry: entry - lo is at most INF + bound for an INF entry, and the
+# offset at least -2 * bound. Under matrices.window_square, lo is the
+# window's floor, and the lowest is target_distances'
+# lo = ceil(d/2) - K >= -5 n M / 2 (d lies in [-n M, n M] there):
+# entry - lo is largest for an INF entry, at most INF + 5 n M / 2, and
+# the offset 2 lo is at least -5 n M. The largest value
 # matrices.minplus_closure forms is 2 (2 (n - 1) M + 1), its double
 # sentinel at the capped far path's cap 2 (n - 1) M. n M <= INF >> 5
 # keeps 24 n M + 2 below INF, so no sum overflows int64 and no finite

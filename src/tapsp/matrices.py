@@ -28,11 +28,13 @@ its three mechanisms is written once:
   minplus_closure, the one exact-distance closure, is the same loop run
   in place as capped Floyd-Warshall; it takes no kernel.
 
-window_square is the positive path's one product: the min-plus square
-of a matrix's first-index matrix on a window [lo, hi]. On the float
-route it is _minplus_float on the matrix itself with both ranges set to
-the window, so the first-index matrix is never formed; otherwise it
-forms that matrix and calls dist_product_fast.
+window_square is the min-plus square of a matrix's first-index matrix
+on a window [lo, hi]. It is the positive path's one product (the primal
+distances and every level step) and the general path's uncertainty
+window (threshold_general.target_distances). On the float route it is
+_minplus_float on the matrix itself with both ranges set to the window,
+so the first-index matrix is never formed; otherwise it forms that
+matrix and calls dist_product_fast.
 """
 
 from __future__ import annotations
@@ -298,8 +300,9 @@ def window_square(d: np.ndarray, lo: int, hi: int,
     The first-index matrix C maps entries <= lo to 0, entries in [lo, hi]
     to d - lo and entries above hi (INF included) to INF. The result is
     (C min-plus C) + 2 lo, and exactly INF where no term is finite.
-    threshold_positive.level_step and primal_distances say what it holds
-    for their matrices.
+    threshold_positive.primal_distances and level_step, and
+    threshold_general.target_distances, say what it holds for their
+    matrices; lo may be negative there.
 
     Under the numpy kernel, when float_window_admits(n, hi - lo), this is
     _minplus_float on d with both ranges given as (lo, hi): _pow2_encode
@@ -458,12 +461,6 @@ def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def min_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return np.minimum(a, b)
-
-
 def truncate(a: np.ndarray, t: int) -> np.ndarray:
     """Keep entries with |e| <= t, everything else becomes INF."""
     if t < 0:
@@ -479,12 +476,3 @@ def scale_div_ceil(a: np.ndarray, k: int) -> np.ndarray:
     scaled = -((-a) // k)
     return np.where(fin, scaled, INF)
 
-
-def window_shift(a: np.ndarray, lo: int, hi: int, shift: int) -> np.ndarray:
-    """Keep entries inside [lo, hi] shifted down by shift; others INF."""
-    if lo > hi:
-        raise ValueError("empty window")
-    if hi >= int(INF):
-        raise ValueError("window upper end must be finite")
-    keep = (a >= lo) & (a <= hi)
-    return np.where(keep, a - shift, INF)

@@ -3,11 +3,14 @@
 For a threshold d, every ordered pair is classified against an estimate
 delta_star with dist <= delta_star <= dist + K: pairs at or below d are
 reported, pairs beyond d + K are rejected outright, and the thin
-uncertainty band in between is resolved exactly by a windowed product
-around d/2. delta_star itself is the pointwise minimum of the hitting
-set distances (long paths) and one scaled estimate per schedule level
-(each covering one band of path lengths), or the hitting set distances
-alone when that set is every vertex and they are exact.
+uncertainty band in between is resolved exactly from each level's
+partial matrix by one matrices.window_square around d/2, the product
+the positive path's level steps run. delta_star itself is the pointwise
+minimum of the hitting set distances (long paths) and one scaled
+estimate per schedule level (each covering one band of path lengths),
+or the hitting set distances alone when that set is every vertex and
+they are exact. build_levels builds the levels, each on its own derived
+random streams.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .config import RunConfig
 from .far_pairs import FarDistances, compute_delta_t
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
-from .matrices import (INF, dist_product_fast, full_inf, is_finite, min_merge,
-                       window_shift)
+from .matrices import full_inf, window_square
 from .oracle import brute_threshold, floyd_warshall
 from .partial_distances import PartialDistanceMatrix, build_partial
 from .sampling import Rng
@@ -67,6 +69,21 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def build_levels(g: Graph, sched: Schedule, config: RunConfig,
+                 rng: Rng) -> list:
+    """(partial matrix, scaled estimate) for each level of sched, level i
+    built on the streams rng.derive(100 + i) and rng.derive(200 + i)."""
+    w = to_matrix(g)
+    out = []
+    for lev in sched.levels:
+        pdm = build_partial(w, g.M, lev.beta, lev.gamma, rng.derive(100 + lev.index),
+                            kernel=config.kernel)
+        est = additive_approximate(pdm, lev, rng.derive(200 + lev.index),
+                                   kernel=config.kernel)
+        out.append((pdm, est))
+    return out
+
+
 def prepare_general(g: Graph, config: RunConfig, rng: Rng,
                     h: np.ndarray) -> GeneralRun:
     """Everything that does not depend on the threshold: schedule, far
@@ -86,41 +103,42 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng,
     if far.hitting.size == g.n:
         return GeneralRun(schedule=sched, far=far, partials=[],
                           delta_star=far.delta)
-    w = to_matrix(g)
-    partials = []
+    levels = build_levels(g, sched, config, rng)
     delta_star = far.delta.copy()
-    for lev in sched.levels:
-        pdm = build_partial(w, g.M, lev.beta, lev.gamma, rng.derive(100 + lev.index),
-                            kernel=config.kernel)
-        est = additive_approximate(pdm, lev, rng.derive(200 + lev.index),
-                                   kernel=config.kernel)
-        partials.append(pdm)
-        delta_star = min_merge(delta_star, est.delta)
+    for _, est in levels:
+        np.minimum(delta_star, est.delta, out=delta_star)
     # distances to self are identically 0 on negative-cycle-free graphs;
     # no level band covers edge count 0, so pin the diagonal directly
     np.fill_diagonal(delta_star, 0)
-    return GeneralRun(schedule=sched, far=far, partials=partials,
+    return GeneralRun(schedule=sched, far=far,
+                      partials=[pdm for pdm, _ in levels],
                       delta_star=delta_star)
 
 
 def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
                      kernel: str = "numpy") -> np.ndarray:
-    """Exact distances near d recovered from one partial matrix.
+    """Exact distances near d recovered from one partial matrix: the
+    window square of pdm.P on [lo, hi] = [ceil(d/2) - k_margin,
+    floor(d/2) + k_margin] (matrices.window_square, the product
+    threshold_positive.level_step runs on its own window).
 
-    Keeps only entries within k_margin of d/2, shifts them down so the
-    squared product stays in [0, 2*k_margin], and shifts back. Entries
-    are >= dist everywhere and equal to dist for pairs of the matrix's
-    band whose distance lies in (d, d + k_margin]."""
-    lo = _ceil_div(d, 2) - k_margin
-    hi = d // 2 + k_margin
-    shift = d // 2 - k_margin
-    s = window_shift(pdm.P, lo, hi, shift)
-    r = dist_product_fast(s, s, bound=2 * k_margin, kernel=kernel)
-    out = np.empty_like(r)
-    out.fill(INF)
-    fin = is_finite(r)
-    out[fin] = r[fin] + 2 * shift
-    return out
+    Entries are >= dist everywhere, and equal to dist for pairs of the
+    matrix's band whose distance lies in (d, d + k_margin].
+
+    Proof. Every term of the square is max(P[u, x], lo) +
+    max(P[x, v], lo) over the x with P[u, x] <= hi and P[x, v] <= hi (INF
+    where there is none). P >= dist entrywise (build_partial's entries are
+    walk weights), and clipping at the floor lo only raises a half, so
+    every term is at least dist(u, x) + dist(x, v) >= dist(u, v). A band
+    pair is exact through an exact midpoint, an x with P[u, x] + P[x, v]
+    = dist(u, v) and both halves in [lo, hi], which partial-matrix
+    property 2 provides for the pairs of the matrix's band. Inside
+    [lo, hi] the first-index map only shifts an entry by lo, so clipping
+    never touches that term, it is exactly dist(u, v), and no term is
+    smaller.
+    """
+    return window_square(pdm.P, _ceil_div(d, 2) - k_margin, d // 2 + k_margin,
+                         kernel=kernel)
 
 
 def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdReport:
@@ -133,7 +151,7 @@ def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdR
     if window.any():
         exact = run.far.delta
         for pdm in run.partials:
-            exact = min_merge(exact, target_distances(
+            exact = np.minimum(exact, target_distances(
                 pdm, d, k_margin, kernel=config.kernel))
         window_exact[window] = exact[window]
     keep = window_exact <= d

@@ -7,12 +7,11 @@ that agreement between the two is meaningful evidence.
 import numpy as np
 
 from tapsp import matrices
-from tapsp.approx import additive_approximate
-from tapsp.graphs import Graph, gen_mixed_ncf, make_graph, to_matrix
+from tapsp.graphs import Graph, gen_mixed_ncf, make_graph
 from tapsp.matrices import INF, dist_product_naive
-from tapsp.partial_distances import build_partial
 from tapsp.sampling import Rng
 from tapsp.schedule import build_schedule
+from tapsp.threshold_general import build_levels
 from tapsp.threshold_positive import level_step
 
 
@@ -42,22 +41,16 @@ def lower_strassen_cutoff(monkeypatch, cutoff: int) -> dict:
 
 def schedule_levels(g: Graph, config, rng: Rng) -> list:
     """(level, partial matrix, scaled estimate) for every schedule level,
-    built from the derived streams prepare_general(g, config, rng, h) uses
-    when its hitting set is below n. Where the hitting set is capped and
-    prepare_general builds no levels, this still builds them all, so the
-    level lemmas keep being checked on small instances."""
+    built by threshold_general.build_levels, the loop
+    prepare_general(g, config, rng, h) runs when its hitting set is below
+    n. Where the hitting set is capped and prepare_general builds no
+    levels, this still builds them all, so the level lemmas keep being
+    checked on small instances."""
     sched = build_schedule(g.n, g.M, omega=config.omega,
                            force_beta=config.force_beta,
                            force_levels=config.force_levels)
-    w = to_matrix(g)
-    out = []
-    for lev in sched.levels:
-        pdm = build_partial(w, g.M, lev.beta, lev.gamma, rng.derive(100 + lev.index),
-                            kernel=config.kernel)
-        est = additive_approximate(pdm, lev, rng.derive(200 + lev.index),
-                                   kernel=config.kernel)
-        out.append((lev, pdm, est))
-    return out
+    return [(lev, pdm, est) for lev, (pdm, est)
+            in zip(sched.levels, build_levels(g, sched, config, rng))]
 
 
 def mixed_graph(n: int, density: float, M: int, seed: int) -> Graph:

@@ -392,6 +392,21 @@ def test_bench_verify_leaves_the_counts_alone(capsys, wmin):
     assert _bench_rows(argv + ["--verify"], capsys) == rows
 
 
+def test_bench_verify_above_bound_says_so_once_per_n(capsys):
+    # 129 is above the bound: one stderr line for its threshold and
+    # diameter rows together, none for n = 8 or for an oracle-only grid
+    argv = ["bench", "--ns", "8,129", "--ms", "2", "--densities", "0.05",
+            "--algos", "oracle,threshold,diameter", "--seed", "1"]
+    rows = _bench_rows(argv, capsys)
+    assert main(argv + ["--verify"]) == 0
+    checked = capsys.readouterr()
+    assert checked.err == "verify skipped: n=129 above bound 128\n"
+    lines = checked.out.splitlines()[1:]
+    assert [c[:5] + c[6:] for c in (ln.split(",") for ln in lines)] == rows
+    assert main(argv[:-3] + ["oracle", "--seed", "1", "--verify"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("algo,module,name,corrupt", [
     ("threshold", tg_mod, "brute_threshold", np.logical_not),
     ("diameter", dia_mod, "floyd_warshall", lambda dist: dist + 1)])

@@ -17,9 +17,8 @@ from tapsp.graphs import (MAX_SPAN, gen_mixed_ncf, gen_random,
                           johnson_potentials, make_graph, to_matrix)
 from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
-                            min_merge, minplus_closure, minplus_identity,
-                            ring_matmul, scale_div_ceil, truncate,
-                            window_shift)
+                            minplus_closure, minplus_identity, ring_matmul,
+                            scale_div_ceil, truncate)
 from tapsp.oracle import floyd_warshall
 from tapsp.threshold_positive import LevelPlan, threshold_apsp_pos
 
@@ -171,12 +170,6 @@ def test_fast_product_through_strassen_kernel(monkeypatch):
     assert strassen["calls"] > 0
 
 
-def test_min_merge_elementwise():
-    a = np.array([[1, INF]], dtype=np.int64)
-    b = np.array([[INF, -2]], dtype=np.int64)
-    assert np.array_equal(min_merge(a, b), np.array([[1, -2]], dtype=np.int64))
-
-
 def test_truncate_drops_large_magnitudes():
     a = np.array([[5, -5, 6, -6, INF]], dtype=np.int64)
     got = truncate(a, 5)
@@ -197,13 +190,6 @@ def test_scale_div_ceil_matches_math_ceil(x, k):
     got = scale_div_ceil(np.array([[x]], dtype=np.int64), k)[0, 0]
     assert got == -((-x) // k)
     assert k * got >= x > k * (got - 1)
-
-
-def test_window_shift_keeps_only_window():
-    a = np.array([[1, 4, 7, INF]], dtype=np.int64)
-    got = window_shift(a, 3, 6, 2)
-    want = np.array([[INF, 2, INF, INF]], dtype=np.int64)
-    assert np.array_equal(got, want)
 
 
 @given(arrays(np.int8, (4, 4), elements=st.integers(min_value=-7, max_value=7)),

@@ -8,8 +8,9 @@ from tapsp import (approx, far_pairs, graphs, matrices, partial_distances,
 from tapsp.config import KERNELS, RunConfig
 from tapsp.graphs import (NegativeCycleError, find_negative_cycle,
                           johnson_potentials, make_graph, to_matrix)
-from tapsp.matrices import INF, is_finite
+from tapsp.matrices import INF, dist_product_naive, is_finite, window_square
 from tapsp.oracle import brute_threshold, floyd_warshall, min_edge_counts
+from tapsp.partial_distances import PartialDistanceMatrix
 from tapsp.sampling import Rng
 from tapsp.schedule import build_schedule
 from tapsp.threshold_general import (GeneralRun, ThresholdReport,
@@ -157,6 +158,39 @@ def test_target_distances_exact_in_band():
     assert levels_checked > 0
 
 
+def _shift_and_drop(P, lo, hi):
+    """The uncertainty-window square that drops every entry outside
+    [lo, hi] instead of clipping the ones below lo to lo."""
+    s = np.where((P >= lo) & (P <= hi), P - lo, INF)
+    r = dist_product_naive(s, s)
+    return np.where(is_finite(r), r + 2 * lo, INF)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_target_distances_clip_entries_below_the_window(kernel):
+    # 1 -> 2 -> 3 -> 4 with weights 1, 5, -5; P is the distance matrix,
+    # a valid partial matrix (P >= dist). Each (d, K) puts some entry of P
+    # below lo = ceil(d/2) - K, the last one with lo < 0.
+    g = make_graph(4, [(1, 2, 1), (2, 3, 5), (3, 4, -5)])
+    dist = floyd_warshall(to_matrix(g))
+    pdm = PartialDistanceMatrix(P=dist.copy(), beta=0.0, gamma=0.0,
+                                bridge=np.arange(4), M=g.M)
+    for d, K in ((8, 2), (1, 1), (-2, 1)):
+        lo, hi = -(-d // 2) - K, d // 2 + K
+        assert (pdm.P < lo).any()
+        got = target_distances(pdm, d, K, kernel=kernel)
+        assert np.array_equal(got, window_square(pdm.P, lo, hi, kernel=kernel))
+        first = np.where(pdm.P <= hi, np.maximum(pdm.P, lo) - lo, INF)
+        sq = dist_product_naive(first, first)
+        assert np.array_equal(got, np.where(is_finite(sq), sq + 2 * lo, INF))
+        dropped = _shift_and_drop(pdm.P, lo, hi)
+        assert (got <= dropped).all(), (d, K)
+        gained = is_finite(got) & ~is_finite(dropped)
+        assert gained.any(), (d, K)
+        fin = is_finite(got)
+        assert (got[fin] >= dist[fin]).all(), (d, K)
+
+
 def test_verify_retry_returns_on_agreement():
     g = mixed_graph(10, 0.4, 2, seed=8)
     cfg = RunConfig(verify=True, verify_bound=64)
@@ -216,8 +250,9 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     count(far_pairs, "_dijkstra_heap", "dijkstra")
-    for module in (threshold_general, partial_distances, approx, matrices):
+    for module in (partial_distances, approx, matrices):
         count(module, "dist_product_fast", "product")
+    count(threshold_general, "window_square", "product")
     count(far_pairs, "minplus_closure", "closure")
 
     # capped: no Dijkstra, one closure for the far pairs, no product,
