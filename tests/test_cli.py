@@ -214,6 +214,28 @@ def test_diameter_trace_lines(tmp_path, capsys):
     assert "probe: d=" in out
 
 
+def test_diameter_capped_general_trace_and_json(tmp_path, capsys):
+    # the hitting set is every vertex at n = 12, so the answer comes from
+    # the exact distance matrix: no search range to narrow, no probes
+    from helpers import sc_mixed_graph
+    g = sc_mixed_graph(12, 0.4, 3, seed=2)
+    dist = floyd_warshall(to_matrix(g))
+    value = int(dist.max())
+    witnesses = [[int(u) + 1, int(v) + 1] for u, v in np.argwhere(dist == value)]
+    path = tmp_path / "mix.gr"
+    path.write_text(write_graph(g))
+    assert main(["diameter", str(path), "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == (
+        [f"n: {g.n}", f"M: {g.M}", f"diameter: {value}"]
+        + [f"witness: {u} {v}" for u, v in witnesses]
+        + [f"search range: [{value}, {value}]"])
+    assert main(["diameter", str(path), "--json"]) == 0
+    payload, _ = _json_out(capsys)
+    assert payload["diameter"] == str(value)
+    assert payload["witnesses"] == witnesses
+    assert payload["probes"] == 0
+
+
 def test_oracle_matrix_and_threshold(tmp_path, capsys):
     g = make_graph(3, [(1, 2, 2), (2, 3, -1)])
     path = tmp_path / "o.gr"

@@ -28,11 +28,18 @@ tg_mod = importlib.import_module("tapsp.threshold_general")
 def _oracle_diameter(g):
     dist = floyd_warshall(to_matrix(g))
     fin = is_finite(dist)
-    if not fin.all():
-        return math.inf, None
-    value = int(dist.max())
-    wit = sorted((int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(dist == value)))
-    return value, wit
+    value = int(dist.max()) if fin.all() else math.inf
+    at = dist == value if fin.all() else ~fin
+    return value, sorted((int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(at)))
+
+
+# force_beta=0 samples the hitting set only once 8 ln n < n: at n = 32
+# it holds 28 vertices, so the general search and certificate run
+SAMPLED = RunConfig(force_beta=0.0)
+
+
+def sampled_graph(seed):
+    return sc_mixed_graph(32, 0.1, 3, seed=seed)
 
 
 def test_unit_cycle():
@@ -86,12 +93,15 @@ def test_probe_count_stays_logarithmic():
         assert len(res.probes) <= allowed
 
 
-def test_probe_trace_is_monotone():
+def test_probe_trace_is_monotone(monkeypatch):
+    hitting = _record_hitting(monkeypatch)
     for seed in range(6):
-        g = sc_mixed_graph(10, 0.35, 3, seed + 5)
-        res = diameter(g)
+        g = sampled_graph(seed + 5)
+        res = diameter(g, SAMPLED.with_(seed=seed))
+        assert res.probes
         for (d, ok) in res.probes:
             assert ok == (d >= res.value)
+    assert max(hitting) < 32
 
 
 def test_single_vertex():
@@ -126,11 +136,13 @@ def test_mode_mismatch_rejected():
         diameter(g, config=RunConfig(mode="positive"))
 
 
-def test_deterministic():
-    g = sc_mixed_graph(10, 0.35, 3, seed=31)
-    a = diameter(g, rng=Rng(2))
-    b = diameter(g, rng=Rng(2))
+def test_deterministic(monkeypatch):
+    hitting = _record_hitting(monkeypatch)
+    g = sampled_graph(31)
+    a = diameter(g, SAMPLED, rng=Rng(2))
+    b = diameter(g, SAMPLED, rng=Rng(2))
     assert a.value == b.value and a.witnesses == b.witnesses and a.probes == b.probes
+    assert a.probes and max(hitting) < g.n
 
 
 def test_general_path_exact_at_the_headroom_limit():
@@ -148,15 +160,20 @@ def test_general_path_exact_at_the_headroom_limit():
 
 def test_all_kernels_give_identical_diameters(monkeypatch):
     strassen = lower_strassen_cutoff(monkeypatch, 4)
-    graphs = [sc_positive_graph(10, 0.3, 4, seed=5), sc_mixed_graph(10, 0.3, 3, seed=6)]
-    for g in graphs:
+    hitting = _record_hitting(monkeypatch)
+    # the mixed graph is sampled, so its probes classify against levels
+    cases = [(sc_positive_graph(10, 0.3, 4, seed=5), RunConfig(seed=3)),
+             (sampled_graph(6), SAMPLED.with_(seed=3))]
+    for g, cfg in cases:
         want, wit = _oracle_diameter(g)
-        results = [diameter(g, RunConfig(seed=3, kernel=k)) for k in KERNELS]
+        results = [diameter(g, cfg.with_(kernel=k)) for k in KERNELS]
         for kernel, res in zip(KERNELS, results):
             assert res.value == want, kernel
             assert sorted(res.witnesses) == wit, kernel
             assert res.probes == results[0].probes, kernel
+        assert results[0].probes
     assert strassen["calls"] > 0
+    assert len(hitting) == len(KERNELS) and max(hitting) < 32
 
 
 def _count_calls(monkeypatch, module, name, calls, edit=None):
@@ -170,18 +187,32 @@ def _count_calls(monkeypatch, module, name, calls, edit=None):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def _record_hitting(monkeypatch) -> list:
+    """The hitting-set size of every run diameter() prepares, in order."""
+    sizes = []
+
+    def record(run, call):
+        sizes.append(run.far.hitting.size)
+        return run
+
+    _count_calls(monkeypatch, dia_mod, "prepare_general", {}, record)
+    return sizes
+
+
 def test_general_search_prepares_once(monkeypatch):
     calls = {}
     for name in ("prepare_general", "_search", "johnson_potentials"):
         _count_calls(monkeypatch, dia_mod, name, calls)
+    hitting = _record_hitting(monkeypatch)
     for seed in range(4):
-        g = sc_mixed_graph(12, 0.3, 3, seed=seed + 60)
+        g = sampled_graph(seed + 60)
         want, wit = _oracle_diameter(g)
         calls.clear()
-        res = diameter(g, RunConfig(seed=seed))
+        res = diameter(g, SAMPLED.with_(seed=seed))
         assert (res.value, sorted(res.witnesses)) == (want, wit)
         assert calls == {"prepare_general": 1, "_search": 1,
                          "johnson_potentials": 1}
+    assert len(hitting) == 4 and max(hitting) < 32
 
 
 @pytest.mark.parametrize("searches", [1, 2])
@@ -199,13 +230,15 @@ def test_one_bellman_ford_per_general_search(monkeypatch, searches):
     _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
     _count_calls(monkeypatch, dia_mod, "_search", calls)
     _count_calls(monkeypatch, dia_mod, "prepare_general", calls, shift_first)
+    hitting = _record_hitting(monkeypatch)
     for seed in range(3):
-        g = sc_mixed_graph(12, 0.35, 3, seed=seed + 80)
+        g = sampled_graph(seed + 80)
         want, wit = _oracle_diameter(g)
         calls.clear()
-        res = diameter(g, RunConfig(seed=seed))
+        res = diameter(g, SAMPLED.with_(seed=seed))
         assert (res.value, sorted(res.witnesses)) == (want, wit)
         assert (calls["_bellman_ford"], calls["_search"]) == (1, searches)
+    assert len(hitting) == 3 * searches and max(hitting) < 32
     calls.clear()
     with pytest.raises(NegativeCycleError) as exc:
         diameter(neg)
@@ -213,34 +246,43 @@ def test_one_bellman_ford_per_general_search(monkeypatch, searches):
     assert calls["_bellman_ford"] == 1
 
 
-def test_general_search_stays_in_k_window():
-    cfg = RunConfig()
+def test_general_search_stays_in_k_window(monkeypatch):
+    cfg = SAMPLED
+    hitting = _record_hitting(monkeypatch)
     for seed in range(8):
-        g = sc_mixed_graph(14, 0.3, 4, seed=seed + 70)
-        k_margin = build_schedule(g.n, g.M, omega=cfg.omega).K
+        g = sc_mixed_graph(32, 0.1, 4, seed=seed + 70)
+        k_margin = build_schedule(g.n, g.M, omega=cfg.omega,
+                                  force_beta=cfg.force_beta).K
         res = diameter(g, cfg.with_(seed=seed))
         assert 0 <= res.lo <= res.value <= res.hi <= res.lo + k_margin
         assert len(res.probes) <= math.ceil(math.log2(k_margin + 1)) + 2
         assert len({d for (d, _) in res.probes}) == len(res.probes)
+        assert res.probes
+    assert len(hitting) == 8 and max(hitting) < 32
 
 
 def test_window_holds_at_the_k_bound(monkeypatch):
     # delta_star = dist + K everywhere is still within its bound, so the
     # window must contain the diameter and one search must answer
-    def shift_by_k(run, call):
-        run.delta_star = run.delta_star + run.schedule.K
+    dist = {}
+
+    def at_k_bound(run, call):
+        run.delta_star = dist["g"] + run.schedule.K
         return run
 
     calls = {}
-    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, shift_by_k)
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, at_k_bound)
+    hitting = _record_hitting(monkeypatch)
     for seed in range(4):
-        g = sc_mixed_graph(12, 0.35, 3, seed=seed + 80)
+        g = sampled_graph(seed + 80)
+        dist["g"] = floyd_warshall(to_matrix(g))
         want, wit = _oracle_diameter(g)
         calls.clear()
-        res = diameter(g, RunConfig(seed=seed))
+        res = diameter(g, SAMPLED.with_(seed=seed))
         assert (res.value, sorted(res.witnesses)) == (want, wit)
         assert res.lo <= want <= res.hi
         assert calls["prepare_general"] == 1
+    assert len(hitting) == 4 and max(hitting) < 32
 
 
 def test_broken_first_run_is_caught_and_searched_again(monkeypatch):
@@ -253,14 +295,16 @@ def test_broken_first_run_is_caught_and_searched_again(monkeypatch):
 
     calls = {}
     _count_calls(monkeypatch, dia_mod, "prepare_general", calls, shift_first)
+    hitting = _record_hitting(monkeypatch)
     for seed in range(4):
-        g = sc_mixed_graph(12, 0.35, 3, seed=seed + 80)
+        g = sampled_graph(seed + 80)
         want, wit = _oracle_diameter(g)
         calls.clear()
-        res = diameter(g, RunConfig(seed=seed))
+        res = diameter(g, SAMPLED.with_(seed=seed))
         assert res.value == want
         assert sorted(res.witnesses) == wit
         assert calls["prepare_general"] == 2
+    assert len(hitting) == 8 and max(hitting) < 32
 
 
 def test_exact_under_forced_beta():
@@ -273,6 +317,51 @@ def test_exact_under_forced_beta():
             res = diameter(g, RunConfig(seed=seed, force_beta=beta))
             assert res.value == want, (beta, seed)
             assert sorted(res.witnesses) == wit, (beta, seed)
+
+
+# capped: the hitting set is every vertex, so delta_star is exact APSP
+CAPPED = ([sc_mixed_graph(n, 0.3, 3, seed=n + 40) for n in (2, 3, 12, 32)]
+          + [make_graph(3, [(1, 2, -1), (2, 1, 2)]),
+             make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1), (4, 3, -1)]),
+             make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0), (4, 5, -3)])])
+
+
+@pytest.mark.parametrize("g", CAPPED, ids=[f"n{g.n}-{i}" for i, g in enumerate(CAPPED)])
+def test_capped_general_run_answers_from_delta_star(monkeypatch, g):
+    want, wit = _oracle_diameter(g)
+    calls = {}
+    for name in ("prepare_general", "transitive_closure", "_search",
+                 "classify_threshold", "_exact_witnesses"):
+        _count_calls(monkeypatch, dia_mod, name, calls)
+    _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
+    hitting = _record_hitting(monkeypatch)
+    res = diameter(g, RunConfig(seed=1))
+    assert (res.value, sorted(res.witnesses)) == (want, wit)
+    assert res.witnesses == sorted(res.witnesses)
+    assert calls == {"prepare_general": 1, "_bellman_ford": 1}
+    assert hitting == [g.n]
+    assert res.probes == []
+    assert (res.lo, res.hi) == ((want, want) if res.finite else (0, 0))
+
+
+def test_sampled_general_run_still_searches_and_certifies(monkeypatch):
+    calls = {}
+    for name in ("prepare_general", "transitive_closure", "_search",
+                 "classify_threshold", "_exact_witnesses"):
+        _count_calls(monkeypatch, dia_mod, name, calls)
+    _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
+    hitting = _record_hitting(monkeypatch)
+    for seed in range(3):
+        g = sampled_graph(seed + 120)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g, SAMPLED.with_(seed=seed))
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert calls["classify_threshold"] == len(res.probes) >= 2
+        assert {k: v for k, v in calls.items() if k != "classify_threshold"} == {
+            "prepare_general": 1, "_bellman_ford": 1, "transitive_closure": 1,
+            "_search": 1, "_exact_witnesses": 1}
+    assert len(hitting) == 3 and max(hitting) < 32
 
 
 def test_certificate_exact_with_sampled_hitting_set():
@@ -385,13 +474,17 @@ def test_no_oracle_above_the_verify_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("g,mode", [(sc_positive_graph(8, 0.3, 3, seed=9), "positive"),
-                                    (sc_mixed_graph(8, 0.3, 3, seed=9), "general")])
+                                    (sampled_graph(9), "general")])
 def test_failed_certificates_name_the_path(monkeypatch, g, mode):
     monkeypatch.setattr(dia_mod, "_search", lambda *args: None)
-    searches = 1 if mode == "positive" else RunConfig().max_attempts
+    hitting = _record_hitting(monkeypatch)
+    cfg = SAMPLED if mode == "general" else RunConfig()
+    searches = 1 if mode == "positive" else cfg.max_attempts
     with pytest.raises(RuntimeError,
                        match=rf"after {searches} search\(es\) on the {mode} path"):
-        diameter(g)
+        diameter(g, cfg)
+    assert len(hitting) == (searches if mode == "general" else 0)
+    assert all(size < g.n for size in hitting)
 
 
 @pytest.mark.parametrize("mode", ["positive", "general"])
