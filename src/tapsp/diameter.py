@@ -17,38 +17,38 @@ the unreachable ones.
 Reports are one-sided on both paths: a reported pair is always truly
 within d, so a probe that reports every pair proves diameter <= d.
 
-Positive weights: reachability is settled first (any unreachable pair
-gives +inf and no probes run). Then every probe is the deterministic
-path over one primal matrix built per call, and binary search over
-[1, M(n-1)] pins the smallest d whose probe reports every pair.
+Both paths settle reachability first: any unreachable ordered pair makes
+the diameter +inf, its witnesses are those pairs, and nothing else runs.
+On the general path one Bellman-Ford runs before it: it gives the
+Johnson potentials every run shares and is the negative-cycle check, so
+a negative cycle raises NegativeCycleError even when some pair is
+unreachable.
 
-General weights, in order:
-1. One Bellman-Ford. It gives the Johnson potentials every run shares
-   and is the negative-cycle check, so a negative cycle raises
-   NegativeCycleError even when some pair is unreachable.
-2. The first run, prepare_general on rng.derive(1000). A single vertex
-   skips it: its diameter is 0 on both paths.
-3. If its hitting set is every vertex, the direct answer: +inf with the
-   pairs whose delta_star is INF as witnesses, else max(delta_star) with
-   the pairs at it, in row-major order. No reachability closure, probe
-   or certificate runs; lo = hi = the value (0 when +inf).
-   Proof: with every vertex sampled, far.delta is the combine through
-   every x (compute_delta_t builds it as the exact closure, as its
-   docstring shows). Each term dist(u, x) + dist(x, v) is >= dist(u, v),
-   the x = u term equals it (dist(u, u) = 0 without negative cycles),
-   and a pair at INF has no finite term, so far.delta = dist exactly.
-   prepare_general builds no level then, so delta_star = far.delta is
-   the exact distance matrix, and its maximum and the pairs at it (or
-   at INF) are the diameter and its witnesses by definition.
-4. Otherwise, a sampled run: reachability is settled as on the positive
-   path, then a certified search. A probe is only
-   classify_threshold(run, d). Since dist <= delta_star <= dist + K (the
-   upper bound with high probability), the search covers the K-wide
-   window [max(0, max delta_star - K), min(M(n-1), max delta_star)],
-   about log2(K+1) probes. The diameter is never below 0 (diagonal
-   distances are 0). If some delta_star entry is infinite the search
-   covers [0, M(n-1)]. A retried search prepares a fresh run on
-   rng.derive(1000 + attempt).
+Positive weights: every probe is the deterministic path over one primal
+matrix built per call, and binary search over [1, M(n-1)] pins the
+smallest d whose probe reports every pair.
+
+General weights: each attempt prepares one run, prepare_general on
+rng.derive(1000 + attempt).
+- If its hitting set is every vertex, the answer is direct: the value
+  is max(delta_star) and the witnesses are the pairs at it, in
+  row-major order. No probe or certificate runs, and lo = hi = value.
+  Proof: with every vertex sampled, compute_delta_t builds far.delta as
+  the exact closure, the combine through every x (its docstring). Each
+  term dist(u, x) + dist(x, v) is >= dist(u, v), and the x = u term
+  equals it (dist(u, u) = 0 without negative cycles), so far.delta =
+  dist. prepare_general builds no level then, so delta_star = far.delta
+  is the exact distance matrix, finite since every pair is reachable,
+  and its maximum and the pairs at it are the diameter and its
+  witnesses by definition. The hitting set's size depends only on n
+  and the schedule, so this is decided on the first attempt.
+- Otherwise the hitting set is sampled, and a probe is only
+  classify_threshold(run, d). Since dist <= delta_star <= dist + K (the
+  upper bound with high probability), the search covers the K-wide
+  window [max(0, max delta_star - K), min(M(n-1), max delta_star)],
+  about log2(K+1) probes. The diameter is never below 0 (diagonal
+  distances are 0). If some delta_star entry is infinite the search
+  covers [0, M(n-1)].
 
 Certificate: the answer is checked, not re-sampled, since probes sharing
 one run are correlated. probe(diam) must report every pair. The
@@ -189,58 +189,46 @@ def _search(g: Graph, config: RunConfig, primal: np.ndarray | None,
                           probes=probes, lo=lo, hi=hi)
 
 
-def _exact_answer(dist: np.ndarray) -> DiameterResult:
-    """The diameter read off an exact distance matrix: +inf with the
-    unreachable pairs as witnesses, or the largest entry with the pairs
-    at it, in row-major order."""
-    fin = is_finite(dist)
-    if not fin.all():
-        return DiameterResult(value=math.inf, witnesses=one_based_pairs(~fin))
-    value = int(dist.max())
-    return DiameterResult(value=value, witnesses=one_based_pairs(dist == value),
-                          lo=value, hi=value)
-
-
 def _verify(g: Graph, res: DiameterResult) -> None:
-    """VerifyMismatchError unless the oracle's distances give res's value
-    and witnesses: the pairs at that distance, or the unreachable ones."""
-    want = _exact_answer(floyd_warshall(to_matrix(g)))
-    if want.value != res.value:
-        raise VerifyMismatchError(f"diameter {res.value} but oracle says {want.value}")
-    if want.witnesses != sorted(res.witnesses):
+    """VerifyMismatchError unless the oracle gives res's value and
+    witnesses: the pairs at that distance, or the unreachable ones."""
+    dist = floyd_warshall(to_matrix(g))
+    fin = is_finite(dist)
+    want = int(dist.max()) if fin.all() else math.inf
+    if want != res.value:
+        raise VerifyMismatchError(f"diameter {res.value} but oracle says {want}")
+    at = dist == want if fin.all() else ~fin
+    if one_based_pairs(at) != sorted(res.witnesses):
         raise VerifyMismatchError("witness set disagrees with the oracle")
 
 
 def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
-    """diameter() before its oracle check, in the order the module
-    docstring gives: on the general path one Bellman-Ford, the first run
-    (rng.derive(1000)), then the direct answer from its exact delta_star
-    when the hitting set is every vertex (proof there), or the
-    reachability check and up to config.max_attempts certified searches,
-    retries on rng.derive(1000 + attempt) so that sampled runs keep their
-    random streams. The positive path checks reachability, builds one
-    primal matrix and searches once.
+    """diameter() before its oracle check, in the module docstring's
+    order: the Bellman-Ford (general path), reachability, then up to
+    config.max_attempts general runs, each answered directly when its
+    hitting set is every vertex (proof there) and otherwise searched and
+    certified; the positive path builds one primal matrix and searches
+    once.
     """
     mode = pick_mode(g, config)
     positive = mode == "positive"
-    run = None
-    if not positive:
-        h = johnson_potentials(g)
-        if g.n > 1:
-            run = prepare_general(g, config, rng.derive(1000), h)
-            if run.far.hitting.size == g.n:
-                return _exact_answer(run.delta_star)
+    h = None if positive else johnson_potentials(g)
     closure = transitive_closure(g)
     if not closure.all():
         return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
     primal = primal_distances(g) if positive else None
+    run = None
     # the positive path is deterministic: a failed certificate fails again
     searches = 1 if positive else config.max_attempts
     for attempt in range(searches):
-        if attempt:
+        if not positive:
             run = prepare_general(g, config, rng.derive(1000 + attempt), h)
+            if run.far.hitting.size == g.n:
+                value = int(run.delta_star.max())
+                return DiameterResult(value=value, lo=value, hi=value,
+                                      witnesses=one_based_pairs(run.delta_star == value))
         out = _search(g, config, primal, run)
         if out is not None:
             return out

@@ -320,34 +320,55 @@ def test_exact_under_forced_beta():
 
 
 # capped: the hitting set is every vertex, so delta_star is exact APSP
-CAPPED = ([sc_mixed_graph(n, 0.3, 3, seed=n + 40) for n in (2, 3, 12, 32)]
-          + [make_graph(3, [(1, 2, -1), (2, 1, 2)]),
-             make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1), (4, 3, -1)]),
-             make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0), (4, 5, -3)])])
+CAPPED = [sc_mixed_graph(n, 0.3, 3, seed=n + 40) for n in (2, 3, 12, 32)]
+UNREACHABLE = [make_graph(3, [(1, 2, -1), (2, 1, 2)]),
+               make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1), (4, 3, -1)]),
+               make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0), (4, 5, -3)]),
+               mixed_graph(32, 0.1, 3, seed=2)]
+WATCHED = ("prepare_general", "transitive_closure", "_search",
+           "classify_threshold", "_exact_witnesses")
 
 
-@pytest.mark.parametrize("g", CAPPED, ids=[f"n{g.n}-{i}" for i, g in enumerate(CAPPED)])
+@pytest.mark.parametrize("g", CAPPED, ids=[f"n{g.n}" for g in CAPPED])
 def test_capped_general_run_answers_from_delta_star(monkeypatch, g):
     want, wit = _oracle_diameter(g)
     calls = {}
-    for name in ("prepare_general", "transitive_closure", "_search",
-                 "classify_threshold", "_exact_witnesses"):
+    for name in WATCHED:
         _count_calls(monkeypatch, dia_mod, name, calls)
     _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
     hitting = _record_hitting(monkeypatch)
     res = diameter(g, RunConfig(seed=1))
     assert (res.value, sorted(res.witnesses)) == (want, wit)
     assert res.witnesses == sorted(res.witnesses)
-    assert calls == {"prepare_general": 1, "_bellman_ford": 1}
+    assert calls == {"prepare_general": 1, "_bellman_ford": 1,
+                     "transitive_closure": 1}
     assert hitting == [g.n]
     assert res.probes == []
-    assert (res.lo, res.hi) == ((want, want) if res.finite else (0, 0))
+    assert (res.lo, res.hi) == (want, want)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(seed=1), SAMPLED.with_(seed=1)],
+                         ids=["capped", "sampled"])
+@pytest.mark.parametrize("g", UNREACHABLE, ids=[f"n{g.n}" for g in UNREACHABLE])
+def test_unreachable_pair_ends_the_general_call_before_any_run(monkeypatch, g, cfg):
+    # reachability is settled before any run is prepared, so an inf
+    # answer costs one Bellman-Ford and one closure however the hitting
+    # set would have been drawn
+    want, wit = _oracle_diameter(g)
+    calls = {}
+    for name in WATCHED:
+        _count_calls(monkeypatch, dia_mod, name, calls)
+    _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
+    res = diameter(g, cfg)
+    assert want == math.inf
+    assert (res.value, sorted(res.witnesses)) == (want, wit)
+    assert calls == {"_bellman_ford": 1, "transitive_closure": 1}
+    assert (res.probes, res.lo, res.hi) == ([], 0, 0)
 
 
 def test_sampled_general_run_still_searches_and_certifies(monkeypatch):
     calls = {}
-    for name in ("prepare_general", "transitive_closure", "_search",
-                 "classify_threshold", "_exact_witnesses"):
+    for name in WATCHED:
         _count_calls(monkeypatch, dia_mod, name, calls)
     _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
     hitting = _record_hitting(monkeypatch)
