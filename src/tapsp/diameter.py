@@ -25,8 +25,9 @@ a negative cycle raises NegativeCycleError even when some pair is
 unreachable.
 
 Positive weights: every probe is the deterministic path over one primal
-matrix built per call, and binary search over [1, M(n-1)] pins the
-smallest d whose probe reports every pair.
+matrix built per call at its full cap (threshold_positive.primal_cap), so
+a probe within the cap runs no level step, and binary search over
+[1, M(n-1)] pins the smallest d whose probe reports every pair.
 
 General weights: each attempt prepares one run, prepare_general on
 rng.derive(1000 + attempt).

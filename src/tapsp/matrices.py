@@ -292,6 +292,13 @@ def float_window_admits(m: int, width: int, width_b: int | None = None) -> bool:
     return (width + width_b) * _digit_bits(m) <= FLOAT_EXP_BUDGET
 
 
+def widest_float_window(m: int) -> int:
+    """The largest width with float_window_admits(m, width): the widest
+    window [lo, lo + width] that window_square multiplies on the float
+    route at inner dimension m, FLOAT_EXP_BUDGET // (2 s)."""
+    return FLOAT_EXP_BUDGET // (2 * _digit_bits(m))
+
+
 def window_square(d: np.ndarray, lo: int, hi: int,
                   kernel: str = "numpy") -> np.ndarray:
     """Min-plus square of the first-index matrix of a square matrix d on
@@ -324,10 +331,17 @@ def _pow2_encode(mat: np.ndarray, lo: int, hi: int, s: int) -> np.ndarray:
     """2.0**(-(e - lo) * s) for each entry e of mat in [lo, hi]; an entry
     below lo encodes as lo (its index e - lo clips to slot 0), and one
     above hi, INF included, as 0.0 (it clips to the table's last slot)."""
-    top = hi - lo
-    table = np.zeros(top + 2)
-    table[:-1] = np.ldexp(1.0, -s * np.arange(top + 1))
-    return table.take(mat - lo, mode="clip")
+    return _pow2_table(hi - lo, s).take(mat - lo, mode="clip")
+
+
+@functools.lru_cache(maxsize=None)
+def _pow2_table(top: int, s: int) -> np.ndarray:
+    """2.0**(-x s) for x = 0..top, then one 0.0 slot. The float route
+    keeps top s within FLOAT_EXP_BUDGET, so the keys are few."""
+    out = np.zeros(top + 2)
+    out[:-1] = np.ldexp(1.0, -s * np.arange(top + 1))
+    out.flags.writeable = False
+    return out
 
 
 def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray,

@@ -1,20 +1,26 @@
 """Deterministic threshold decisions for weights in {1..M}.
 
-A_k denotes the Boolean matrix of pairs at distance <= k. Small k (up to
-M + 1) come straight from the distances capped at M + 1: when the float
-route admits the window [0, M + 1] (2 (M + 1) s <= 1020, s the bit
-length of 4n - 1), ceil(log2(min(M + 1, n - 1))) window squares of the
-weight matrix, and otherwise one Floyd-Warshall closure
-(matrices.minplus_closure). Past n M, A_k is the reachability matrix.
-Large k in between are built top-down: the target set {d} expands level
-by level into intervals of indices roughly halving each time. The paper
-turns the family of a deeper level into the family of the one above it
-by squaring a matrix of Boolean polynomials. A nested family is one
-integer matrix D with (D <= k) = A_k, so each level is carried as such a
-matrix, and the square is one bounded min-plus product of the "first
-index" matrix (Yuval 1976): each level costs one matrices.window_square
-call, which on the numpy float route encodes D directly and never forms
-the first-index matrix.
+A_k denotes the Boolean matrix of pairs at distance <= k. Small k come
+straight from the primal matrix, the distances capped at some
+cap >= M + 1 (primal_distances). Its cap is the widest window the float
+route holds at n, max(M + 1, W) with W = matrices.widest_float_window(n)
+(63 at n = 64, 72 at n = 32, 42 at n = 1024): while 2 cap s <= 1020, s
+the bit length of 4n - 1, it is ceil(log2(min(cap, n - 1))) window
+squares of the weight matrix, and otherwise (W < M + 1) one
+Floyd-Warshall closure at M + 1 (matrices.minplus_closure). The paper
+stops the primal indices at M + 1, the least base its recursion needs;
+a wider one costs the same per square and cuts the levels short. Past
+n M, A_k is the reachability matrix. Large k in between are built
+top-down: the target set {d} expands level by level into intervals of
+indices roughly halving each time, and the walk stops at the first
+interval the primal matrix holds. The paper turns the family of a deeper
+level into the family of the one above it by squaring a matrix of
+Boolean polynomials. A nested family is one integer matrix D with
+(D <= k) = A_k, so each level is carried as such a matrix, and the
+square is one bounded min-plus product of the "first index" matrix
+(Yuval 1976): each level costs one matrices.window_square call, which on
+the numpy float route encodes D directly and never forms the first-index
+matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, to_matrix, transitive_closure
-from .matrices import INF, float_window_admits, minplus_closure, window_square
+from .matrices import (INF, float_window_admits, minplus_closure,
+                       widest_float_window, window_square)
 from .threshold_general import ThresholdReport
 
 
@@ -88,37 +95,46 @@ def level_plan(d: int, m_bound: int) -> LevelPlan:
     return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
 
 
-def primal_distances(g: Graph) -> np.ndarray:
-    """Distances up to M + 1 (INF beyond), so that (primal <= k) = A_k for
-    k = 0..M+1. Takes no kernel.
+def primal_cap(g: Graph) -> int:
+    """The widest cap primal_distances takes: max(M + 1, W), W the widest
+    window the float route holds at n (matrices.widest_float_window)."""
+    return max(g.M + 1, widest_float_window(g.n))
 
-    When the numpy float route admits the window [0, M + 1] at n
-    (matrices.float_window_admits), they are r = ceil(log2(min(M + 1,
-    n - 1))) window squares of the weight matrix w at [0, M + 1] (r = 0
-    for n <= 2), with entries past M + 1 set to INF. Otherwise they are
-    matrices.minplus_closure(w, M + 1): at caps that wide, squaring by
-    fixed-width relaxation loses to Floyd-Warshall.
 
-    Exactness of the squares. On [0, M + 1] the first-index matrix of a
-    nonnegative D is D truncated at M + 1, so each square takes
-    D'[u, v] = min over x of D[u, x] + D[x, v], both terms within M + 1.
+def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
+    """Distances up to cap (INF beyond), so that (primal <= k) = A_k for
+    k = 0..cap. cap defaults to primal_cap(g); the threshold paths take
+    it at M + 1 or above. Takes no kernel.
+
+    When the numpy float route admits the window [0, cap] at n
+    (matrices.float_window_admits), they are r = ceil(log2(min(cap,
+    n - 1))) window squares of the weight matrix w at [0, cap] (r = 0 for
+    n <= 2), with entries past cap set to INF. Otherwise they are
+    matrices.minplus_closure(w, cap): at caps that wide, squaring by
+    fixed-width relaxation loses to Floyd-Warshall. At cap =
+    primal_cap(g) that happens only when W < M + 1, and then cap = M + 1.
+
+    Exactness of the squares. On [0, cap] the first-index matrix of a
+    nonnegative D is D truncated at cap, so each square takes
+    D'[u, v] = min over x of D[u, x] + D[x, v], both terms within cap.
     Every term is the weight of a walk, so D' >= dist throughout. After
-    j squares, D holds dist(u, v) exactly whenever dist(u, v) <= M + 1
-    and some shortest u-v path has at most 2**j arcs: for j = 0 that is w
+    j squares, D holds dist(u, v) exactly whenever dist(u, v) <= cap and
+    some shortest u-v path has at most 2**j arcs: for j = 0 that is w
     (zero diagonal); for j + 1, cut such a path at a vertex x into two
     halves of at most 2**j arcs each. Both are shortest paths and, with
-    nonnegative weights, weigh at most dist(u, v) <= M + 1, so D holds
+    nonnegative weights, weigh at most dist(u, v) <= cap, so D holds
     both exactly inside the window, and their sum is a term. Truncating
     at the window therefore loses nothing, for the same reason as in
-    minplus_closure. With weights >= 1 a path of weight <= M + 1 has at
-    most M + 1 arcs, and a shortest path at most n - 1, so after r squares
-    every pair within M + 1 is exact and every other entry exceeds M + 1.
+    minplus_closure. With weights >= 1 a path of weight <= cap has at
+    most cap arcs, and a shortest path at most n - 1, so after r squares
+    every pair within cap is exact and every other entry exceeds cap.
     """
     bad = g.arcs[2][g.arcs[2] < 1]
     if bad.size:
         raise ValueError(f"non-positive weight {bad[0]}; this path needs weights in 1..M")
     w = to_matrix(g)
-    cap = g.M + 1
+    if cap is None:
+        cap = primal_cap(g)
     if not float_window_admits(g.n, cap):
         return minplus_closure(w, cap)
     for _ in range(max(min(cap, g.n - 1) - 1, 0).bit_length()):
@@ -155,10 +171,10 @@ def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.nda
     distances from above and a pair it reports at any k is within k.
 
     The caller keeps minimum(primal, R), and (minimum <= k) =
-    (primal <= k) | (R <= k). For k <= M + 1, R <= k implies dist <= k,
-    which primal <= k already holds, so those indices stay exact. For a
-    target k > M + 1, primal <= k only holds pairs within M + 1 < k,
-    which A_k = (R <= k) contains.
+    (primal <= k) | (R <= k). For k up to the primal cap, R <= k implies
+    dist <= k, which primal <= k already holds, so those indices stay
+    exact. For a target k past the cap, primal <= k only holds pairs
+    within the cap, which A_k = (R <= k) contains.
     """
     t_lo, t_hi = source
     return window_square(dist, t_lo, t_hi, kernel=kernel)
@@ -168,11 +184,35 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
                        primal: np.ndarray | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
 
-    primal, when given, must be primal_distances(g); callers probing
-    several d on one graph pass it to build it once. It is only read,
-    never modified. Past n M every reachable pair is within d (a shortest
-    path has at most n - 1 arcs), so the report is the reachability
-    matrix and nothing else is built.
+    primal, when given, must be primal_distances(g), at cap =
+    primal_cap(g); callers probing several d on one graph pass it to
+    build it once. It is only read, never modified. Otherwise the call
+    builds its own at cap = max(M + 1, min(d, W)), W the widest float
+    window at n, so a d within the float window costs no more squares
+    than its own cap needs. Past n M every reachable pair is within d (a
+    shortest path has at most n - 1 arcs), so the report is the
+    reachability matrix and nothing else is built. A d up to the cap is
+    read off the primal matrix, levels 0.
+
+    A larger d walks level_plan(d, M) bottom-up, cut after its first
+    interval whose top is at most the cap; stats["levels"] counts the
+    intervals kept. Why the cut is exact: the plan's intervals (lo_j,
+    hi_j) do not depend on the base, since hi_(j+1) = floor((hi_j + M +
+    1) / 2) and lo_(j+1) = floor((max(lo_j, M + 2) - M) / 2) never read
+    it, and hi_j falls strictly while hi_j > M + 1 and the plan ends at
+    hi <= M + 1 <= cap, so the cut interval exists and lies past level 0
+    (d > cap). It lies wholly within the cap, so primal holds A_i for
+    every i in it, which is all level_step asks of its source window.
+    Each kept level j above it needs exactness only at its targets past
+    the cap, low = max(lo_j, cap + 1) .. hi_j (nonempty, since hi_j >
+    cap); indices up to the cap come from the primal through
+    minimum(primal, R), see level_step. Those targets are a subset of
+    the plan's own, max(lo_j, M + 2) .. hi_j, whose expansion intervals
+    the plan's window (lo_(j+1), hi_(j+1)) covers, so 2 lo_(j+1) <= low
+    <= hi_j <= 2 hi_(j+1) still holds, every window is the plan's and
+    stays within width 2M + 3, and a source index past the cap,
+    lo_(j+1) <= i <= hi_(j+1) with i > cap, is one of level j + 1's
+    targets, exact by induction.
     """
     if d < 0:
         return ThresholdReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,
@@ -180,16 +220,19 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
     if d > g.n * g.M:
         return ThresholdReport(reported=transitive_closure(g), d=d,
                                stats={"edge_case": "closure"})
+    cap = primal_cap(g)
     if primal is None:
-        primal = primal_distances(g)
-    if d <= g.M + 1:
+        cap = min(cap, max(g.M + 1, d))
+        primal = primal_distances(g, cap)
+    if d <= cap:
         return ThresholdReport(reported=primal <= d, d=d,
                                stats={"edge_case": "primal", "levels": 0})
     levels = level_plan(d, g.M).levels
+    levels = levels[:next(j for j, (_, hi) in enumerate(levels) if hi <= cap) + 1]
     dist = primal  # walked bottom-up, see level_step
     for (lo, hi), source in reversed(list(zip(levels, levels[1:]))):
-        low = max(lo, g.M + 2)  # the non-primal targets are low..hi
-        if low <= hi and not 2 * source[0] <= low <= hi <= 2 * source[1]:
+        low = max(lo, cap + 1)  # the targets past the cap are low..hi
+        if not 2 * source[0] <= low <= hi <= 2 * source[1]:
             raise ValueError(f"targets {(low, hi)} outside convolution range of {source}")
         dist = np.minimum(primal, level_step(dist, source, kernel=kernel))
     return ThresholdReport(reported=dist <= d, d=d,

@@ -168,10 +168,12 @@ def test_byte_identical_output_across_runs_and_threads(tmp_path, capsys):
 
 def test_output_independent_of_blas_threads(tmp_path):
     # bounded products are BLAS matrix products, exact in any summation
-    # order, so the BLAS thread count may change timing but never output
+    # order, so the BLAS thread count may change timing but never output.
+    # d = 60 lies past the primal cap at n = 128 (56), so levels run, and
+    # their windows (width <= 2M + 3 = 51) stay on the float route
     path = tmp_path / "g.gr"
-    path.write_text(write_graph(gen_random(128, 0.06, 1, 8, seed=31)))
-    commands = (["threshold", str(path), "-d", "14", "--json", "--pairs"],
+    path.write_text(write_graph(gen_random(128, 0.05, 1, 24, seed=35)))
+    commands = (["threshold", str(path), "-d", "60", "--json", "--pairs"],
                 ["diameter", str(path), "--json"])
     outs = {}
     for threads in ("1", "2"):
@@ -277,8 +279,9 @@ def test_bench_csv_shape_and_op_determinism(capsys):
 
 def test_bench_threshold_op_counts_default_kernel(capsys):
     # numpy relaxes every product directly; the encoded kernels count ring
-    # multiplications instead
-    argv = ["bench", "--ns", "8,16", "--ms", "2", "--densities", "0.5",
+    # multiplications instead. The default d = n M / 4 (128 and 256) lies
+    # past the primal cap (102 at n = 8, 85 at n = 16), so levels run
+    argv = ["bench", "--ns", "8,16", "--ms", "64", "--densities", "0.5",
             "--algos", "threshold", "--seed", "1"]
     runs = []
     for _ in range(2):
@@ -297,26 +300,31 @@ def test_bench_threshold_op_counts_default_kernel(capsys):
 
 
 def test_bench_positive_row_counts_primal_squarings(capsys):
-    # d <= M + 1 reads the primal distances alone: ceil(log2(M + 1)) float
-    # window squares of n**3 relaxations each, whatever the kernel
-    argv = ["bench", "--ns", "16", "--ms", "2", "--densities", "0.5",
-            "--algos", "threshold", "-d", "3", "--seed", "1"]
-    for kernel in KERNELS:
-        assert main(argv + ["--kernel", kernel]) == 0
-        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
-        assert len(rows) == 1
-        assert int(rows[0][7]) == 2 * 16 ** 3, kernel
-        assert int(rows[0][6]) == int(rows[0][8]) == 0, kernel
+    # d up to the primal cap (85 at n = 16) reads the primal distances
+    # alone, built at max(M + 1, d): ceil(log2(min(that, n - 1))) float
+    # window squares of n**3 relaxations each, whatever the kernel. At d = 3
+    # that is 2 squares, at d = 20 (past M + 1, within the cap and n M) 4
+    for d, squares in ((3, 2), (20, 4)):
+        argv = ["bench", "--ns", "16", "--ms", "2", "--densities", "0.5",
+                "--algos", "threshold", "-d", str(d), "--seed", "1"]
+        for kernel in KERNELS:
+            assert main(argv + ["--kernel", kernel]) == 0
+            rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+            assert len(rows) == 1
+            assert int(rows[0][7]) == squares * 16 ** 3, (d, kernel)
+            assert int(rows[0][6]) == int(rows[0][8]) == 0, (d, kernel)
 
 
 def test_output_identical_across_kernels(tmp_path, capsys):
     from helpers import sc_mixed_graph, sc_positive_graph
+    # the positive graph's d = 100 and its diameter (139) lie past the
+    # primal cap at n = 12 (85), so level steps run on each kernel
     pos = tmp_path / "pos.gr"
-    pos.write_text(write_graph(sc_positive_graph(12, 0.4, 4, seed=1)))
+    pos.write_text(write_graph(sc_positive_graph(12, 0.05, 24, seed=1)))
     mix = tmp_path / "mix.gr"
     mix.write_text(write_graph(sc_mixed_graph(12, 0.4, 3, seed=2)))
     commands = [
-        ["threshold", str(pos), "-d", "9", "--pairs", "--json", "--seed", "5"],
+        ["threshold", str(pos), "-d", "100", "--pairs", "--json", "--seed", "5"],
         ["threshold", str(mix), "-d", "4", "--pairs", "--trace", "--seed", "5"],
         ["diameter", str(pos), "--trace", "--json", "--seed", "5"],
         ["diameter", str(mix), "--trace", "--seed", "5"],
@@ -328,6 +336,8 @@ def test_output_identical_across_kernels(tmp_path, capsys):
             assert main(args + ["--kernel", kernel]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] == outs[2], args
+    assert main(commands[0]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["levels"] > 0
 
 
 def test_verify_above_bound_says_so_on_every_path(tmp_path, capsys):

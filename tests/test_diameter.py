@@ -161,8 +161,10 @@ def test_general_path_exact_at_the_headroom_limit():
 def test_all_kernels_give_identical_diameters(monkeypatch):
     strassen = lower_strassen_cutoff(monkeypatch, 4)
     hitting = _record_hitting(monkeypatch)
-    # the mixed graph is sampled, so its probes classify against levels
-    cases = [(sc_positive_graph(10, 0.3, 4, seed=5), RunConfig(seed=3)),
+    # the mixed graph is sampled, so its probes classify against levels;
+    # the positive one's first probe, (1 + M (n - 1)) // 2 = 108, lies past
+    # the primal cap at n = 10 (85), so it runs level steps
+    cases = [(sc_positive_graph(10, 0.3, 24, seed=5), RunConfig(seed=3)),
              (sampled_graph(6), SAMPLED.with_(seed=3))]
     for g, cfg in cases:
         want, wit = _oracle_diameter(g)
@@ -429,6 +431,37 @@ def test_primal_family_built_once_per_positive_diameter(monkeypatch):
         assert (res.value, sorted(res.witnesses)) == (want, wit)
         assert calls == {"primal_distances": 1}
         assert len(res.probes) >= 2
+
+
+def test_positive_probes_within_the_primal_cap_run_no_level_step(monkeypatch):
+    # the diameters are 139, 83 and 9 against a primal cap of 85 at n = 12
+    calls = {}
+    _count_calls(monkeypatch, pos_mod, "level_step", calls)
+    steps = {}
+    real = dia_mod.threshold_apsp_pos
+
+    def probe(g, d, **kw):
+        before = calls.get("level_step", 0)
+        rep = real(g, d, **kw)
+        steps[d] = calls.get("level_step", 0) - before
+        return rep
+
+    monkeypatch.setattr(dia_mod, "threshold_apsp_pos", probe)
+    seen = set()
+    for density, m_bound in ((0.05, 24), (0.05, 16), (0.35, 4)):
+        g = sc_positive_graph(12, density, m_bound, seed=1)
+        cap = pos_mod.primal_cap(g)
+        dist = floyd_warshall(to_matrix(g))
+        want, wit = _oracle_diameter(g)
+        steps.clear()
+        res = diameter(g)
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert [d for d, _ in res.probes] == list(steps)
+        for d, ok in res.probes:
+            assert ok == bool((dist <= d).all()) == (d >= res.value), (m_bound, d)
+            assert (steps[d] == 0) == (d <= cap), (m_bound, d, steps[d])
+            seen.add(d <= cap)
+    assert seen == {True, False}
 
 
 def test_mode_checked_before_reachability():

@@ -396,12 +396,14 @@ def test_float_route_edge_operands(monkeypatch):
 
 def test_level_steps_take_the_float_route(monkeypatch):
     # level-step operands lie in [0, 2M + 2]: at n = 64, s = 8, and the
-    # rule admits every M up to 30
+    # rule admits every M up to 30. Levels run past the primal cap, 63
+    # at n = 64 for both M
     fallbacks = _fallback_calls(monkeypatch)
+    cap = 63
     for m_bound, seed in ((8, 1), (30, 2)):
         g = gen_random(64, 3 / 64, 1, m_bound, seed=seed)
         dist = floyd_warshall(to_matrix(g))
-        for d in (m_bound + 2, 3 * m_bound, 10 * m_bound, 64 * m_bound):
+        for d in (cap + 1, 2 * cap, cap + 10 * m_bound, 64 * m_bound):
             report = threshold_apsp_pos(g, d)
             assert report.stats["levels"] > 0
             assert np.array_equal(report.reported, dist <= d), (m_bound, d)
@@ -571,13 +573,15 @@ def test_poly_square_dense_coefficients_no_carry():
 
 
 def test_poly_matrix_validation(monkeypatch):
-    # a level whose non-primal targets leave [2 lo, 2 hi] of the level below
-    # eight vertices keep d <= n M, below the reachability shortcut
-    g = make_graph(8, [(i, i + 1, 1) for i in range(1, 8)])
-    for levels in (((7, 7), (2, 3), (1, 2)), ((5, 5), (3, 4), (1, 2))):
+    # a level whose targets past the primal cap (63 at n = 64) leave
+    # [2 lo, 2 hi] of the level below, above its top and below its bottom;
+    # M = 8 keeps d <= n M, below the reachability shortcut
+    g = make_graph(64, [(i, i + 1, 1) for i in range(1, 64)], M=8)
+    for levels in (((130, 130), (50, 60), (1, 40)),
+                   ((100, 100), (52, 60), (1, 40))):
         monkeypatch.setattr(threshold_positive, "level_plan",
                             lambda d, m, levels=levels: LevelPlan(d, m, levels))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside convolution range"):
             threshold_apsp_pos(g, levels[0][0])
 
 

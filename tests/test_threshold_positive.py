@@ -95,11 +95,13 @@ def _cut_corner(g):
 
 
 def test_primal_route_rule_at_the_float_budget(monkeypatch):
-    # 2 (M + 1) s <= FLOAT_EXP_BUDGET squares on the float route, one more
-    # unit of M takes the closure; both give the closure's matrix. At
-    # n = 64 (s = 8) the edge is M = 62 | 63, at n = 65 and 128 (s = 9)
-    # M = 55 | 56. A unit path whose last vertex lies at M + 1 = n - 1
-    # needs every one of the ceil(log2(n - 1)) squares.
+    # the default cap is max(M + 1, W), W = FLOAT_EXP_BUDGET // (2 s) the
+    # widest float window at n: while M + 1 <= W the primal is window
+    # squares at W, one more unit of M takes the closure at M + 1. Either
+    # way it is the oracle's distances capped at that cap. At n = 64
+    # (s = 8) W = 63, at n = 65 and 128 (s = 9) W = 56. A unit path whose
+    # last vertex lies at the cap needs every one of the
+    # ceil(log2(min(cap, n - 1))) squares.
     closures = []
     real = threshold_positive.minplus_closure
 
@@ -110,26 +112,41 @@ def test_primal_route_rule_at_the_float_budget(monkeypatch):
     monkeypatch.setattr(threshold_positive, "minplus_closure", counted)
     for n in (1, 2, 3, 17, 64, 65, 128):
         s = _digit_bits(n)
-        edge = FLOAT_EXP_BUDGET // (2 * s) - 1  # the largest admitted M
-        for m_bound in (1, 8, edge, edge + 1):
+        widest = FLOAT_EXP_BUDGET // (2 * s)
+        assert matrices.widest_float_window(n) == widest
+        assert matrices.float_window_admits(n, widest)
+        assert not matrices.float_window_admits(n, widest + 1)
+        for m_bound in (1, 8, widest - 1, widest, widest + 1):
             graphs = [gen_random(n, min(1.0, 3 / n), 1, m_bound, seed=seed)
                       for seed in range(2)]
             graphs += [_cut_corner(g) for g in graphs]
             graphs.append(make_graph(n, [(i, i + 1, 1) for i in range(1, n)],
                                      M=m_bound))
-            if n > 2:
-                graphs.append(make_graph(n, [(i, i + 1, 1) for i in range(1, n)],
-                                         M=n - 2))
             for g in graphs:
-                float_route = 2 * (g.M + 1) * s <= FLOAT_EXP_BUDGET
+                float_route = g.M + 1 <= widest
+                cap = max(g.M + 1, widest)
+                assert threshold_positive.primal_cap(g) == cap
                 before = len(closures)
                 got = primal_distances(g)
-                assert len(closures) - before == (0 if float_route else 1), (n, g.M)
-                want = real(to_matrix(g), g.M + 1)
+                assert closures[before:] == ([] if float_route else [g.M + 1]), (n, g.M)
+                dist = floyd_warshall(to_matrix(g))
+                want = np.where(dist <= cap, dist, INF)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (n, g.M)
-    assert FLOAT_EXP_BUDGET // (2 * _digit_bits(64)) - 1 == 62
-    assert FLOAT_EXP_BUDGET // (2 * _digit_bits(65)) - 1 == 55
+    assert matrices.widest_float_window(64) == 63
+    assert matrices.widest_float_window(65) == 56
+    assert matrices.widest_float_window(32) == 72
+    assert matrices.widest_float_window(1024) == 42
+
+
+def test_primal_at_an_explicit_cap_matches_the_oracle():
+    # threshold_apsp_pos builds its own primal at max(M + 1, min(d, W))
+    for seed in range(3):
+        g = gen_random(40, 0.08, 1, 6, seed=seed)
+        dist = floyd_warshall(to_matrix(g))
+        for cap in (g.M + 1, 12, 30, threshold_positive.primal_cap(g)):
+            got = primal_distances(g, cap)
+            assert np.array_equal(got, np.where(dist <= cap, dist, INF)), (seed, cap)
 
 
 def _old_level_step(dist, t_lo, t_hi):
@@ -215,9 +232,11 @@ def test_zero_threshold_is_diagonal():
 
 
 def test_kernel_independent(monkeypatch):
+    # the primal cap at n = 11 is 85; d = 87 and 200 run levels (the
+    # diameter is 88, n M = 264)
     strassen = lower_strassen_cutoff(monkeypatch, 4)
-    g = sc_positive_graph(11, 0.3, 3, seed=6)
-    for d in (4, 15, 33):
+    g = sc_positive_graph(11, 0.05, 24, seed=6)
+    for d in (4, 15, 33, 87, 200):
         a = threshold_apsp_pos(g, d, kernel="schoolbook")
         b = threshold_apsp_pos(g, d, kernel="strassen")
         assert np.array_equal(a.reported, b.reported)
@@ -226,15 +245,38 @@ def test_kernel_independent(monkeypatch):
 
 
 def test_all_kernels_give_identical_reports(monkeypatch):
+    # the primal cap at n = 13 is 85; d = 90 and 110 run levels (the
+    # diameters are 115, 97 and 86, n M = 260)
     strassen = lower_strassen_cutoff(monkeypatch, 4)
     for seed in range(3):
-        g = sc_positive_graph(13, 0.3, 4, seed=seed + 20)
-        for d in (3, 9, 26, 60):
+        g = sc_positive_graph(13, 0.05, 20, seed=seed + 20)
+        for d in (3, 9, 26, 60, 90, 110):
             want = _oracle(g, d)
             for kernel in KERNELS:
                 rep = threshold_apsp_pos(g, d, kernel=kernel)
                 assert np.array_equal(rep.reported, want), (seed, d, kernel)
     assert strassen["calls"] > 0
+
+
+@pytest.mark.parametrize("n, m_bound, seed", [(12, 10, 1), (20, 5, 2),
+                                               (33, 3, 3), (12, 90, 4)])
+def test_reports_around_the_primal_cap_on_every_kernel(n, m_bound, seed):
+    # n M > cap, so d = cap + 1 runs levels: the plan's next interval tops
+    # out at (cap + M + 2) // 2 <= cap, so the cut keeps one level step. At
+    # n = 12 and M = 90 the float window (85) is below M + 1 and the cap
+    # is M + 1 = 91
+    g = gen_random(n, 3 / n, 1, m_bound, seed=seed)
+    cap = threshold_positive.primal_cap(g)
+    assert cap == max(m_bound + 1, matrices.widest_float_window(n)) < n * m_bound
+    dist = floyd_warshall(to_matrix(g))
+    for d in (m_bound + 1, cap, cap + 1, n * m_bound):
+        for kernel in KERNELS:
+            rep = threshold_apsp_pos(g, d, kernel=kernel)
+            assert np.array_equal(rep.reported, dist <= d), (d, kernel)
+            if d <= cap:
+                assert rep.stats["levels"] == 0, (d, kernel)
+            elif d == cap + 1:
+                assert rep.stats["levels"] == 2, kernel
 
 
 def test_shared_primal_family_gives_identical_reports():
