@@ -64,7 +64,7 @@ def run_config(n: int, m_bound: int, density: float, force_beta,
         "n": n,
         "beta": "auto" if force_beta is None else force_beta,
         "hitting": len(probe.far.hitting),
-        "t_far": probe.far.t,
+        "t_far": probe.schedule.t_far,
         "K": probe.schedule.K,
         "calls": calls,
         "rate": first / calls,

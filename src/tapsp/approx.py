@@ -22,7 +22,6 @@ from .schedule import Level
 
 @dataclass
 class LevelEstimate:
-    level: Level
     delta: np.ndarray
     sample: np.ndarray
 
@@ -39,4 +38,4 @@ def additive_approximate(pdm: PartialDistanceMatrix, level: Level, rng: Rng,
     delta.fill(INF)
     fin = is_finite(q)
     delta[fin] = k * q[fin]
-    return LevelEstimate(level=level, delta=delta, sample=xs)
+    return LevelEstimate(delta=delta, sample=xs)

@@ -65,8 +65,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default=None, help="JSON output")
     p.add_argument("--force-beta", type=float, default=None,
                    help="override the schedule beta (experiments)")
-    p.add_argument("--force-levels", type=int, default=None,
-                   help="override the schedule level count (experiments)")
 
 
 def _config(args) -> RunConfig:

@@ -35,9 +35,12 @@ class RunConfig:
     max_attempts: int = 20
     trace: bool = False
     force_beta: float | None = None
-    force_levels: int | None = None
 
     def __post_init__(self):
+        if not 2.0 <= self.omega <= 3.0:  # NaN fails too
+            raise ValueError("omega must lie in [2, 3]")
+        if self.force_beta is not None and not 0.0 <= self.force_beta <= 1.0:
+            raise ValueError("forced beta must lie in [0, 1]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.kernel not in KERNELS:

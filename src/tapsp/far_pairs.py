@@ -89,7 +89,6 @@ class FarDistances:
     delta: np.ndarray
     hitting: np.ndarray
     potentials: np.ndarray
-    t: int
 
 
 def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
@@ -117,14 +116,14 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     if n == 1:
         return FarDistances(delta=np.zeros((1, 1), dtype=np.int64),
                             hitting=np.zeros(0, dtype=np.int64),
-                            potentials=h, t=t)
+                            potentials=h)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
         w = to_matrix(g)
         dp = minplus_closure(np.where(w < INF, w + h[:, None] - h[None, :], INF),
                              2 * (n - 1) * g.M)
         delta = np.where(dp < INF, dp - h[:, None] + h[None, :], INF)
-        return FarDistances(delta=delta, hitting=xs, potentials=h, t=t)
+        return FarDistances(delta=delta, hitting=xs, potentials=h)
     delta = dist_product_fast(sssp_rows(g, h, xs, reverse=True).T,
                               sssp_rows(g, h, xs))
-    return FarDistances(delta=delta, hitting=xs, potentials=h, t=t)
+    return FarDistances(delta=delta, hitting=xs, potentials=h)

@@ -48,9 +48,9 @@ class Schedule:
 
 
 def _make_level(i: int, n: int, M: int, beta: float, omega: float) -> Level:
-    # past the natural depth (forced level counts, or the coverage guard's
-    # extra level) the raw exponent can pass 1; clamp it. Such a level's
-    # band [t/2, t) holds no integer, so it only adds a valid upper bound.
+    # past the natural depth (the coverage guard's extra level) the raw
+    # exponent can pass 1; clamp it. Such a level's band [t/2, t) holds
+    # no integer, so it only adds a valid upper bound.
     log2_over_logn = math.log(2.0) / math.log(n)
     beta_i = min(1.0, beta + i * log2_over_logn)
     gamma_i = max(0.0, (1.0 - beta_i) * (omega - 1.0) / omega)
@@ -64,8 +64,7 @@ def _covered(c: int, levels) -> bool:
 
 
 def build_schedule(n: int, M: int, omega: float = 2.376,
-                   force_beta: float | None = None,
-                   force_levels: int | None = None) -> Schedule:
+                   force_beta: float | None = None) -> Schedule:
     if force_beta is not None:
         if not (0.0 <= force_beta <= 1.0):
             raise ValueError("forced beta must lie in [0, 1]")
@@ -74,25 +73,19 @@ def build_schedule(n: int, M: int, omega: float = 2.376,
             raise ValueError("need n >= 2")
     else:
         beta = compute_beta(n, M, omega)
-    if force_levels is not None:
-        if force_levels < 1:
-            raise ValueError("forced level count must be >= 1")
-        top = force_levels - 1
-    else:
-        top = max(0, math.floor((1.0 - beta) * math.log2(n)))
+    top = max(0, math.floor((1.0 - beta) * math.log2(n)))
     levels = [_make_level(i, n, M, beta, omega) for i in range(top + 1)]
     t_far = math.ceil(n ** (1.0 - beta))
-    if force_levels is None:
-        # guard against float rounding at the small end of the scale:
-        # every integer edge count below the far threshold must fall in
-        # some level's [t/2, t) band
-        for c in range(1, t_far):
-            if not _covered(c, levels):
-                levels.append(_make_level(top + 1, n, M, beta, omega))
-                break
-        for c in range(1, t_far):
-            if not _covered(c, levels):
-                raise AssertionError(f"schedule leaves edge count {c} uncovered")
+    # guard against float rounding at the small end of the scale: every
+    # integer edge count below the far threshold must fall in some
+    # level's [t/2, t) band
+    for c in range(1, t_far):
+        if not _covered(c, levels):
+            levels.append(_make_level(top + 1, n, M, beta, omega))
+            break
+    for c in range(1, t_far):
+        if not _covered(c, levels):
+            raise AssertionError(f"schedule leaves edge count {c} uncovered")
     gamma = levels[0].gamma
     K = math.ceil(2.0 * M * n ** max(0.0, 1.0 - beta - gamma))
     return Schedule(n=n, M=M, omega=omega, beta=beta, gamma=gamma,

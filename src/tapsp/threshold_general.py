@@ -97,8 +97,7 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng,
     nothing, so uncapped runs keep their random streams.
     """
     sched = build_schedule(g.n, g.M, omega=config.omega,
-                           force_beta=config.force_beta,
-                           force_levels=config.force_levels)
+                           force_beta=config.force_beta)
     far = compute_delta_t(g, sched.t_far, rng.derive(0), h)
     if far.hitting.size == g.n:
         return GeneralRun(schedule=sched, far=far, partials=[],

@@ -1,19 +1,20 @@
 """Deterministic threshold decisions for weights in {1..M}.
 
 A_k denotes the Boolean matrix of pairs at distance <= k. Small k come
-straight from the primal matrix, the distances capped at some
-cap >= M + 1 (primal_distances). Its cap is the widest window the float
-route holds at n, max(M + 1, W) with W = matrices.widest_float_window(n)
-(63 at n = 64, 72 at n = 32, 42 at n = 1024): while 2 cap s <= 1020, s
-the bit length of 4n - 1, it is ceil(log2(min(cap, n - 1))) window
-squares of the weight matrix, and otherwise (W < M + 1) one
-Floyd-Warshall closure at M + 1 (matrices.minplus_closure). The paper
-stops the primal indices at M + 1, the least base its recursion needs;
-a wider one costs the same per square and cuts the levels short. Past
-n M, A_k is the reachability matrix. Large k in between are built
-top-down: the target set {d} expands level by level into intervals of
-indices roughly halving each time, and the walk stops at the first
-interval the primal matrix holds. The paper turns the family of a deeper
+straight from the primal matrix, the distances capped at a cap >= M + 1
+(primal_distances). primal_cap(g, d) states the cap: max(M + 1, min(d,
+W)), W = matrices.widest_float_window(n) the widest window the float
+route holds at n (63 at n = 64, 72 at n = 32, 42 at n = 1024). While
+2 cap s <= 1020, s the bit length of 4n - 1, the primal matrix is
+ceil(log2(min(cap, n - 1))) window squares of the weight matrix, and
+otherwise (W < M + 1) one Floyd-Warshall closure at M + 1
+(matrices.minplus_closure). Past n M, A_k is the reachability matrix.
+Large k in between are built top-down by the paper's halving recursion
+based at the cap (level_plan): the target set {d} expands level by level
+into intervals of indices roughly halving each time, down to the first
+interval the primal matrix holds. The paper bases the recursion at
+M + 1, the least base it needs; a wider one costs the same per square
+and ends the recursion sooner. The paper turns the family of a deeper
 level into the family of the one above it by squaring a matrix of
 Boolean polynomials. A nested family is one integer matrix D with
 (D <= k) = A_k, so each level is carried as such a matrix, and the
@@ -73,32 +74,45 @@ class LevelPlan:
     levels: tuple  # (lo, hi) index intervals, level 0 first
 
 
-def level_plan(d: int, m_bound: int) -> LevelPlan:
-    """Intervals of indices touched per recursion level, top down.
+def level_plan(d: int, m_bound: int, base: int | None = None) -> LevelPlan:
+    """Intervals of indices touched per recursion level, top down, for
+    the recursion based at base (default M + 1, the paper's).
 
-    Level 0 is {d}; level j+1 collects the expansion intervals of every
-    non-primal index (> M + 1) of level j. Construction stops at the
-    first all-primal level. Each interval is contiguous and never wider
-    than 2M + 3.
+    Level 0 is {d}; level j+1 collects the expansion intervals
+    [floor((k-M)/2), ceil((k+M)/2)] of the level's targets, its indices
+    k > base. Construction stops at the first level whose top is at most
+    base, all held by a primal matrix at cap base. Each interval is
+    contiguous and never wider than 2M + 3.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
     if m_bound < 1:
         raise ValueError("M must be >= 1")
+    base = m_bound + 1 if base is None else base
+    if base < m_bound + 1:
+        raise ValueError("base must be >= M + 1")
     levels = [(d, d)]
     lo, hi = d, d
-    while hi > m_bound + 1:
-        src_lo = max(lo, m_bound + 2)
-        lo = (src_lo - m_bound) // 2
+    while hi > base:
+        lo = (max(lo, base + 1) - m_bound) // 2
         hi = (hi + m_bound + 1) // 2
         levels.append((lo, hi))
     return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
 
 
-def primal_cap(g: Graph) -> int:
-    """The widest cap primal_distances takes: max(M + 1, W), W the widest
-    window the float route holds at n (matrices.widest_float_window)."""
-    return max(g.M + 1, widest_float_window(g.n))
+def primal_cap(g: Graph, d: int | None = None) -> int:
+    """The primal matrix's cap for threshold d: max(M + 1, min(d, W)), W
+    the widest window the float route holds at n
+    (matrices.widest_float_window). d = None, for every threshold at
+    once, gives the widest cap, max(M + 1, W)."""
+    w = widest_float_window(g.n)
+    return max(g.M + 1, w if d is None else min(d, w))
+
+
+def _require_positive(g: Graph) -> None:
+    bad = g.arcs[2][g.arcs[2] < 1]
+    if bad.size:
+        raise ValueError(f"non-positive weight {bad[0]}; this path needs weights in 1..M")
 
 
 def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
@@ -111,8 +125,8 @@ def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
     n - 1))) window squares of the weight matrix w at [0, cap] (r = 0 for
     n <= 2), with entries past cap set to INF. Otherwise they are
     matrices.minplus_closure(w, cap): at caps that wide, squaring by
-    fixed-width relaxation loses to Floyd-Warshall. At cap =
-    primal_cap(g) that happens only when W < M + 1, and then cap = M + 1.
+    fixed-width relaxation loses to Floyd-Warshall. At a cap primal_cap
+    gives, that happens only when W < M + 1, and then cap = M + 1.
 
     Exactness of the squares. On [0, cap] the first-index matrix of a
     nonnegative D is D truncated at cap, so each square takes
@@ -129,9 +143,7 @@ def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
     most cap arcs, and a shortest path at most n - 1, so after r squares
     every pair within cap is exact and every other entry exceeds cap.
     """
-    bad = g.arcs[2][g.arcs[2] < 1]
-    if bad.size:
-        raise ValueError(f"non-positive weight {bad[0]}; this path needs weights in 1..M")
+    _require_positive(g)
     w = to_matrix(g)
     if cap is None:
         cap = primal_cap(g)
@@ -184,51 +196,42 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
                        primal: np.ndarray | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
 
-    primal, when given, must be primal_distances(g), at cap =
-    primal_cap(g); callers probing several d on one graph pass it to
-    build it once. It is only read, never modified. Otherwise the call
-    builds its own at cap = max(M + 1, min(d, W)), W the widest float
-    window at n, so a d within the float window costs no more squares
-    than its own cap needs. Past n M every reachable pair is within d (a
-    shortest path has at most n - 1 arcs), so the report is the
-    reachability matrix and nothing else is built. A d up to the cap is
-    read off the primal matrix, levels 0.
+    A weight below 1 is a ValueError at every d. primal, when given, must
+    be primal_distances(g), at cap primal_cap(g); callers probing several
+    d on one graph pass it to build it once. It is only read, never
+    modified. Otherwise the call builds its own at cap primal_cap(g, d),
+    so a d within the float window costs no more squares than its own cap
+    needs. Past n M every reachable pair is within d (a shortest path has
+    at most n - 1 arcs), so the report is the reachability matrix and
+    nothing else is built. A d up to the cap is read off the primal
+    matrix, levels 0.
 
-    A larger d walks level_plan(d, M) bottom-up, cut after its first
-    interval whose top is at most the cap; stats["levels"] counts the
-    intervals kept. Why the cut is exact: the plan's intervals (lo_j,
-    hi_j) do not depend on the base, since hi_(j+1) = floor((hi_j + M +
-    1) / 2) and lo_(j+1) = floor((max(lo_j, M + 2) - M) / 2) never read
-    it, and hi_j falls strictly while hi_j > M + 1 and the plan ends at
-    hi <= M + 1 <= cap, so the cut interval exists and lies past level 0
-    (d > cap). It lies wholly within the cap, so primal holds A_i for
-    every i in it, which is all level_step asks of its source window.
-    Each kept level j above it needs exactness only at its targets past
-    the cap, low = max(lo_j, cap + 1) .. hi_j (nonempty, since hi_j >
-    cap); indices up to the cap come from the primal through
-    minimum(primal, R), see level_step. Those targets are a subset of
-    the plan's own, max(lo_j, M + 2) .. hi_j, whose expansion intervals
-    the plan's window (lo_(j+1), hi_(j+1)) covers, so 2 lo_(j+1) <= low
-    <= hi_j <= 2 hi_(j+1) still holds, every window is the plan's and
-    stays within width 2M + 3, and a source index past the cap,
-    lo_(j+1) <= i <= hi_(j+1) with i > cap, is one of level j + 1's
-    targets, exact by induction.
+    A larger d walks level_plan(d, M, cap) bottom-up; stats["levels"]
+    counts its intervals. The paper's argument holds with M + 1 read as
+    the base. The last interval lies within the cap, where primal holds
+    A_i for every i. Each level (lo, hi) above it needs exactness only at
+    its targets past the cap, low = max(lo, cap + 1) .. hi; indices up to
+    the cap come from the primal through minimum(primal, R), see
+    level_step. The next interval (lo', hi') is the union of the targets'
+    expansion intervals, so 2 lo' <= low <= hi <= 2 hi' and level_step
+    gives A_k at every target k, as long as its source window is exact:
+    its indices up to the cap are, and each one past the cap is a target
+    of the next level, exact by induction.
     """
+    _require_positive(g)
     if d < 0:
         return ThresholdReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,
                                stats={"edge_case": "negative_d"})
     if d > g.n * g.M:
         return ThresholdReport(reported=transitive_closure(g), d=d,
                                stats={"edge_case": "closure"})
-    cap = primal_cap(g)
+    cap = primal_cap(g, d if primal is None else None)
     if primal is None:
-        cap = min(cap, max(g.M + 1, d))
         primal = primal_distances(g, cap)
     if d <= cap:
         return ThresholdReport(reported=primal <= d, d=d,
                                stats={"edge_case": "primal", "levels": 0})
-    levels = level_plan(d, g.M).levels
-    levels = levels[:next(j for j, (_, hi) in enumerate(levels) if hi <= cap) + 1]
+    levels = level_plan(d, g.M, cap).levels
     dist = primal  # walked bottom-up, see level_step
     for (lo, hi), source in reversed(list(zip(levels, levels[1:]))):
         low = max(lo, cap + 1)  # the targets past the cap are low..hi

@@ -47,8 +47,7 @@ def schedule_levels(g: Graph, config, rng: Rng) -> list:
     levels, this still builds them all, so the level lemmas keep being
     checked on small instances."""
     sched = build_schedule(g.n, g.M, omega=config.omega,
-                           force_beta=config.force_beta,
-                           force_levels=config.force_levels)
+                           force_beta=config.force_beta)
     return [(lev, pdm, est) for lev, (pdm, est)
             in zip(sched.levels, build_levels(g, sched, config, rng))]
 
@@ -102,6 +101,27 @@ def minplus_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                         best = cand
             out[i, j] = best
     return out
+
+
+def f_set_based(k: int, m_bound: int, base: int) -> set:
+    """threshold_positive.f_set(k, M) with the recursion's base M + 1
+    replaced by base: {0..k} once k <= base; otherwise k together with
+    the closures of every index in [floor((k-M)/2), ceil((k+M)/2)]. The
+    reference for level_plan(d, M, base), written without its interval
+    arithmetic."""
+    memo = {}
+
+    def rec(i: int) -> frozenset:
+        if i <= base:
+            return frozenset(range(i + 1))
+        if i not in memo:
+            acc = {i}
+            for j in range((i - m_bound) // 2, (i + m_bound + 1) // 2 + 1):
+                acc |= rec(j)
+            memo[i] = frozenset(acc)
+        return memo[i]
+
+    return set(rec(k))
 
 
 def poly_square_direct(coeffs: np.ndarray) -> np.ndarray:

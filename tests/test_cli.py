@@ -599,6 +599,8 @@ def test_tapsp_settings_parse_and_flags_win(monkeypatch):
 @pytest.mark.parametrize("name,raw,message", [
     ("SEED", "x", "invalid literal for int()"),
     ("OMEGA", "fast", "could not convert string to float"),
+    ("OMEGA", "9", "omega must lie in [2, 3]"),
+    ("OMEGA", "nan", "omega must lie in [2, 3]"),
     ("KERNEL", "gpu", "kernel must be one of"),
     ("MODE", "exact", "mode must be one of"),
     ("VERIFY", "ture", "bad boolean 'ture'"),
@@ -613,6 +615,24 @@ def test_bad_tapsp_setting_exits_3(tmp_path, monkeypatch, capsys, name, raw, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arcs,flags,message", [
+    ([(1, 2, 1), (2, 3, 2)], ["--omega", "7"], "omega must lie in [2, 3]"),
+    ([(1, 2, 1), (2, 3, 2)], ["--omega", "nan"], "omega must lie in [2, 3]"),
+    ([(1, 2, 1), (2, 3, 2)], ["--force-beta", "2"], "forced beta must lie in [0, 1]"),
+    ([(1, 2, 1), (2, 3, 2)], ["--force-beta", "-0.5"], "forced beta must lie in [0, 1]"),
+    # a forced beta skips compute_beta, the schedule's own omega check
+    ([(1, 2, -1), (2, 3, 2), (3, 1, 1)], ["--force-beta", "0.5", "--omega", "7"],
+     "omega must lie in [2, 3]"),
+])
+def test_out_of_range_setting_exits_3(tmp_path, capsys, arcs, flags, message):
+    # the positive path builds no schedule, so only RunConfig can refuse
+    path = tmp_path / "g.gr"
+    path.write_text(write_graph(make_graph(3, arcs)))
+    for cmd in (["threshold", str(path), "-d", "3"], ["diameter", str(path)]):
+        assert main(cmd + flags) == 3
+        assert message in capsys.readouterr().err
+
+
 def test_threads_zero_exits_3(tmp_path, capsys):
     path = tmp_path / "g.gr"
     path.write_text(write_graph(make_graph(2, [(1, 2, 1)])))
@@ -625,6 +645,10 @@ def test_usage_error_exits_3(tmp_path, capsys):
     path.write_text(write_graph(make_graph(2, [(1, 2, 1)])))
     with pytest.raises(SystemExit) as exc:
         main(["threshold", str(path)])
+    assert exc.value.code == 3
+    # an unknown flag is a usage error too
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", str(path), "-d", "1", "--force-levels", "2"])
     assert exc.value.code == 3
 
 

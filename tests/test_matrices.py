@@ -1,3 +1,4 @@
+import re
 import time
 from unittest import mock
 
@@ -575,13 +576,14 @@ def test_poly_square_dense_coefficients_no_carry():
 def test_poly_matrix_validation(monkeypatch):
     # a level whose targets past the primal cap (63 at n = 64) leave
     # [2 lo, 2 hi] of the level below, above its top and below its bottom;
-    # M = 8 keeps d <= n M, below the reachability shortcut
+    # the level under it is sound, so the walk gets there. M = 8 keeps
+    # d <= n M, below the reachability shortcut
     g = make_graph(64, [(i, i + 1, 1) for i in range(1, 64)], M=8)
-    for levels in (((130, 130), (50, 60), (1, 40)),
-                   ((100, 100), (52, 60), (1, 40))):
+    for levels in (((130, 130), (60, 64), (20, 40)),
+                   ((100, 100), (52, 64), (20, 40))):
         monkeypatch.setattr(threshold_positive, "level_plan",
-                            lambda d, m, levels=levels: LevelPlan(d, m, levels))
-        with pytest.raises(ValueError, match="outside convolution range"):
+                            lambda d, m, base, levels=levels: LevelPlan(d, m, levels))
+        with pytest.raises(ValueError, match=re.escape(f"targets {levels[0]} outside")):
             threshold_apsp_pos(g, levels[0][0])
 
 

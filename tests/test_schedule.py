@@ -71,13 +71,15 @@ def test_schedule_shapes():
 
 
 def test_forced_beta_and_levels():
-    sched = build_schedule(64, 2, force_beta=0.5, force_levels=2)
+    # a forced beta sets the level count as a computed one would:
+    # floor((1 - beta) log2 n) + 1 levels cover every edge count below
+    # t_far = ceil(n^(1 - beta)) = 8
+    sched = build_schedule(64, 2, force_beta=0.5)
     assert sched.beta == 0.5
-    assert len(sched.levels) == 2
+    assert sched.t_far == 8
+    assert len(sched.levels) == 4
     with pytest.raises(ValueError):
         build_schedule(64, 2, force_beta=1.5)
-    with pytest.raises(ValueError):
-        build_schedule(64, 2, force_levels=0)
 
 
 @given(st.integers(min_value=2, max_value=300),

@@ -298,7 +298,7 @@ def test_report_pairs_are_one_based():
 
 def test_forced_schedule_still_exact():
     g = sc_mixed_graph(12, 0.35, 2, seed=23)
-    cfg = RunConfig(force_beta=0.5, force_levels=3)
+    cfg = RunConfig(force_beta=0.5)
     for d in (-2, 0, 3, 9):
         rep = threshold_apsp_neg(g, d, config=cfg)
         assert np.array_equal(rep.reported, _oracle(g, d))

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lower_strassen_cutoff, sc_positive_graph
+from helpers import f_set_based, lower_strassen_cutoff, sc_positive_graph
 from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
 from tapsp.graphs import gen_random, make_graph, to_matrix
@@ -52,6 +54,36 @@ def test_level_plan_interval_width_bound():
             assert plan.levels[-1][1] <= m + 1
 
 
+def test_level_plan_at_every_base_in_the_float_window():
+    # based anywhere from M + 1 to the widest float window W, the plan's
+    # intervals lie in F(d) with that base, are at most 2M + 3 wide, span
+    # exactly the expansion intervals of the targets (indices > base) of
+    # the level above, and stop at the first top <= base. Their tops are
+    # those of the plan based at M + 1, cut there: the base moves only the
+    # bottoms
+    for n in (8, 64, 1024):
+        for m in (1, 2, 4, 8):
+            for base in range(m + 1, matrices.widest_float_window(n) + 1):
+                for d in {0, base, base + 1, base + m + 2, 2 * base + 1, 3 * base + m,
+                          100, 513}:
+                    fs = f_set_based(d, m, base)
+                    if base == m + 1:
+                        assert fs == f_set(d, m), (d, m)
+                    levels = level_plan(d, m, base).levels
+                    tops = [hi for _, hi in levels]
+                    assert min(tops[:-1], default=base + 1) > base >= tops[-1]
+                    assert tops == [hi for _, hi in level_plan(d, m).levels][:len(tops)]
+                    for lo, hi in levels:
+                        assert hi - lo <= 2 * m + 3, (n, m, base, d)
+                        assert set(range(lo, hi + 1)) <= fs, (n, m, base, d)
+                    for (lo, hi), below in zip(levels, levels[1:]):
+                        targets = range(max(lo, base + 1), hi + 1)
+                        assert below == (min((k - m) // 2 for k in targets),
+                                         max(-((-(k + m)) // 2) for k in targets))
+    with pytest.raises(ValueError):
+        level_plan(10, 4, 4)
+
+
 def test_level_plan_targets_lie_in_convolution_range():
     # every non-primal index of a level is a sum of two indices of the next
     for m in (1, 2, 4, 8):
@@ -73,6 +105,14 @@ def test_primal_distances_rejects_nonpositive_weight():
     g = make_graph(2, [(1, 2, 0)])
     with pytest.raises(ValueError):
         primal_distances(g)
+
+
+def test_threshold_rejects_weights_below_one_at_every_d():
+    # before the negative-d and reachability shortcuts too (n M = 6)
+    g = make_graph(3, [(1, 2, -2), (2, 3, 1)])
+    for d in (-1, 3, g.n * g.M + 1):
+        with pytest.raises(ValueError, match="non-positive weight -2"):
+            threshold_apsp_pos(g, d)
 
 
 def test_primal_matches_oracle_threshold():
@@ -262,7 +302,7 @@ def test_all_kernels_give_identical_reports(monkeypatch):
                                                (33, 3, 3), (12, 90, 4)])
 def test_reports_around_the_primal_cap_on_every_kernel(n, m_bound, seed):
     # n M > cap, so d = cap + 1 runs levels: the plan's next interval tops
-    # out at (cap + M + 2) // 2 <= cap, so the cut keeps one level step. At
+    # out at (cap + M + 2) // 2 <= cap, so the plan is one level step. At
     # n = 12 and M = 90 the float window (85) is below M + 1 and the cap
     # is M + 1 = 91
     g = gen_random(n, 3 / n, 1, m_bound, seed=seed)
@@ -295,13 +335,15 @@ def test_shared_primal_family_gives_identical_reports():
 
 def test_level_walk_bounds_distances():
     # every intermediate matrix bounds the distances from above and is
-    # exact at distances <= M + 1 and inside its level's interval
+    # exact at distances <= M + 1 and inside its level's interval, with
+    # the plan based at M + 1 or at the primal cap
     for seed in range(6):
         g = sc_positive_graph(14, 0.2, 2 + seed % 4, seed=seed + 60)
         dist = floyd_warshall(to_matrix(g))
         primal = primal_distances(g)
-        for d in (g.M + 2, 17, 40, 3 * g.n * g.M):
-            levels = level_plan(d, g.M).levels
+        for d, base in itertools.product((g.M + 2, 17, 40, 3 * g.n * g.M),
+                                         (g.M + 1, threshold_positive.primal_cap(g))):
+            levels = level_plan(d, g.M, base).levels
             cur = primal
             for j in range(len(levels) - 2, -1, -1):
                 cur = np.minimum(primal, level_step(cur, levels[j + 1]))
