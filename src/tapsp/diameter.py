@@ -35,7 +35,8 @@ rng.derive(1000 + attempt).
   is max(delta_star) and the witnesses are the pairs at it, in
   row-major order. No probe or certificate runs, and lo = hi = value.
   Proof: with every vertex sampled, compute_delta_t builds far.delta as
-  the exact closure, the combine through every x (its docstring). Each
+  exact APSP (matrices.nonneg_distances of the reweighted matrix), which
+  is the combine through every x (its docstring). Each
   term dist(u, x) + dist(x, v) is >= dist(u, v), and the x = u term
   equals it (dist(u, u) = 0 without negative cycles), so far.delta =
   dist. prepare_general builds no level then, so delta_star = far.delta

@@ -5,9 +5,9 @@ vertex sample large enough to hit every long path (w.h.p.), one Dijkstra
 per sampled vertex in each direction over Johnson-reweighted arcs, and a
 min-plus combine through the sample, one matrices.dist_product_fast
 product. A sample of every vertex makes the combine the exact distance
-matrix, which the capped Floyd-Warshall closure
-(matrices.minplus_closure) of the Johnson-reweighted weight matrix
-builds with no Dijkstra.
+matrix, which matrices.nonneg_distances builds from the Johnson-reweighted
+weight matrix with no Dijkstra: a few float-route window squares, or the
+capped Floyd-Warshall closure when some pair lies past the window.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, to_matrix
-from .matrices import INF, dist_product_fast, full_inf, minplus_closure
+from .matrices import INF, dist_product_fast, full_inf, nonneg_distances
 from .sampling import Rng, sample
 
 
@@ -101,14 +101,18 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     A sample of all n vertices makes the combine dist itself: each term
     dist(u, x) + dist(x, v) is >= dist(u, v), the x = u term equals it
     (dist(u, u) = 0 without negative cycles), and a pair at INF has no
-    finite term. Any exact APSP may then build delta; it is the closure
-    (matrices.minplus_closure, which takes no kernel) of the weight matrix
+    finite term. Any exact APSP may then build delta; it is
+    matrices.nonneg_distances (which takes no kernel) of the weight matrix
     reweighted by h, shifted back. Reweighted arcs w + h[u] - h[v] are
     nonnegative, and as h lies in [-(n - 1) M, 0], a reweighted distance
-    dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M, the cap.
+    dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M, the cap. Zero-weight
+    reweighted arcs let a path within any cap use up to n - 1 arcs, so
+    the hop bound is n - 1: at most ceil(log2(n - 1)) window squares at
+    the widest float window W, and the closure at the cap when some pair
+    lies past W or is unreachable.
 
     A smaller sample X combines by one dist_product_fast (kernel "numpy";
-    like minplus_closure, this takes no kernel) of the reverse rows
+    like nonneg_distances, this takes no kernel) of the reverse rows
     stacked as an n x |X| matrix, dist(u, x), by the forward rows, |X| x
     n, dist(x, v).
     """
@@ -120,8 +124,8 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     xs = hitting_set(n, t, rng)
     if xs.size == n:
         w = to_matrix(g)
-        dp = minplus_closure(np.where(w < INF, w + h[:, None] - h[None, :], INF),
-                             2 * (n - 1) * g.M)
+        dp = nonneg_distances(np.where(w < INF, w + h[:, None] - h[None, :], INF),
+                              2 * (n - 1) * g.M, n - 1)
         delta = np.where(dp < INF, dp - h[:, None] + h[None, :], INF)
         return FarDistances(delta=delta, hitting=xs, potentials=h)
     delta = dist_product_fast(sssp_rows(g, h, xs, reverse=True).T,

@@ -9,6 +9,7 @@ approximation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,8 +64,11 @@ def _covered(c: int, levels) -> bool:
     return any(lev.t / 2.0 <= c < lev.t for lev in levels)
 
 
+@functools.lru_cache(maxsize=256)
 def build_schedule(n: int, M: int, omega: float = 2.376,
                    force_beta: float | None = None) -> Schedule:
+    """The schedule for (n, M, omega, force_beta). It is a pure function
+    of them and frozen, so calls share one cached instance."""
     if force_beta is not None:
         if not (0.0 <= force_beta <= 1.0):
             raise ValueError("forced beta must lie in [0, 1]")

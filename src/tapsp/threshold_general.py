@@ -24,7 +24,7 @@ from .config import RunConfig
 from .far_pairs import FarDistances, compute_delta_t
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
-from .matrices import full_inf, window_square
+from .matrices import INF, full_inf, window_square
 from .oracle import brute_threshold, floyd_warshall
 from .partial_distances import PartialDistanceMatrix, build_partial
 from .sampling import Rng
@@ -141,29 +141,45 @@ def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
 
 
 def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdReport:
-    """Report pairs with delta_star <= d; resolve the (d, d+K] band."""
+    """Report pairs with delta_star <= d; resolve the (d, d+K] band.
+
+    A capped run (hitting set every vertex) has no partials and
+    delta_star = far.delta (prepare_general). The band resolution then
+    sets window_exact to far.delta = delta_star on the window pairs, and
+    each window pair has delta_star > d, so no pair is kept. The capped
+    case therefore reports delta_star <= d and sets window_exact to
+    np.where(window, delta_star, INF) directly, with the same stats.
+    """
     k_margin = run.schedule.K
     ds = run.delta_star
     accepted = ds <= d
     window = (ds > d) & (ds <= d + k_margin)
-    window_exact = full_inf(*ds.shape)
-    if window.any():
-        exact = run.far.delta
-        for pdm in run.partials:
-            exact = np.minimum(exact, target_distances(
-                pdm, d, k_margin, kernel=config.kernel))
-        window_exact[window] = exact[window]
-    keep = window_exact <= d
+    if run.partials:
+        window_exact = full_inf(*ds.shape)
+        if window.any():
+            exact = run.far.delta
+            for pdm in run.partials:
+                exact = np.minimum(exact, target_distances(
+                    pdm, d, k_margin, kernel=config.kernel))
+            window_exact[window] = exact[window]
+        keep = window_exact <= d
+        reported = accepted | keep
+        window_reported = int(keep.sum())
+    else:
+        window_exact = np.where(window, ds, INF)
+        reported, window_reported = accepted, 0
+    n_accepted, n_window = int(accepted.sum()), int(window.sum())
     stats = {
-        "accepted": int(accepted.sum()),
-        "rejected": int((~accepted & ~window).sum()),
-        "window": int(window.sum()),
-        "window_reported": int(keep.sum()),
+        "accepted": n_accepted,
+        # accepted and window pairs are disjoint
+        "rejected": ds.size - n_accepted - n_window,
+        "window": n_window,
+        "window_reported": window_reported,
         "K": k_margin,
         "levels": len(run.partials),
         "edge_case": None,
     }
-    return ThresholdReport(reported=accepted | keep, d=d, stats=stats,
+    return ThresholdReport(reported=reported, d=d, stats=stats,
                            window_exact=window_exact)
 
 

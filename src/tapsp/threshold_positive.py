@@ -6,8 +6,8 @@ straight from the primal matrix, the distances capped at a cap >= M + 1
 W)), W = matrices.widest_float_window(n) the widest window the float
 route holds at n (63 at n = 64, 72 at n = 32, 42 at n = 1024). While
 2 cap s <= 1020, s the bit length of 4n - 1, the primal matrix is
-ceil(log2(min(cap, n - 1))) window squares of the weight matrix, and
-otherwise (W < M + 1) one Floyd-Warshall closure at M + 1
+ceil(log2(min(cap, n - 1))) window squares of the weight matrix
+(matrices.nonneg_distances), and otherwise (W < M + 1) one Floyd-Warshall closure at M + 1
 (matrices.minplus_closure). Past n M, A_k is the reachability matrix.
 Large k in between are built top-down by the paper's halving recursion
 based at the cap (level_plan): the target set {d} expands level by level
@@ -26,12 +26,10 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph, to_matrix, transitive_closure
-from .matrices import (INF, float_window_admits, minplus_closure,
+from .matrices import (float_window_admits, minplus_closure, nonneg_distances,
                        widest_float_window, window_square)
 from .threshold_general import ThresholdReport
 
@@ -67,16 +65,10 @@ def f_set(k: int, m_bound: int) -> set:
     return set(rec(k))
 
 
-@dataclass(frozen=True)
-class LevelPlan:
-    d: int
-    M: int
-    levels: tuple  # (lo, hi) index intervals, level 0 first
-
-
-def level_plan(d: int, m_bound: int, base: int | None = None) -> LevelPlan:
-    """Intervals of indices touched per recursion level, top down, for
-    the recursion based at base (default M + 1, the paper's).
+def level_plan(d: int, m_bound: int, base: int | None = None) -> tuple:
+    """(lo, hi) intervals of indices touched per recursion level, top
+    down (level 0 first), for the recursion based at base (default M + 1,
+    the paper's).
 
     Level 0 is {d}; level j+1 collects the expansion intervals
     [floor((k-M)/2), ceil((k+M)/2)] of the level's targets, its indices
@@ -97,7 +89,7 @@ def level_plan(d: int, m_bound: int, base: int | None = None) -> LevelPlan:
         lo = (max(lo, base + 1) - m_bound) // 2
         hi = (hi + m_bound + 1) // 2
         levels.append((lo, hi))
-    return LevelPlan(d=d, M=m_bound, levels=tuple(levels))
+    return tuple(levels)
 
 
 def primal_cap(g: Graph, d: int | None = None) -> int:
@@ -121,27 +113,14 @@ def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
     it at M + 1 or above. Takes no kernel.
 
     When the numpy float route admits the window [0, cap] at n
-    (matrices.float_window_admits), they are r = ceil(log2(min(cap,
-    n - 1))) window squares of the weight matrix w at [0, cap] (r = 0 for
-    n <= 2), with entries past cap set to INF. Otherwise they are
-    matrices.minplus_closure(w, cap): at caps that wide, squaring by
-    fixed-width relaxation loses to Floyd-Warshall. At a cap primal_cap
-    gives, that happens only when W < M + 1, and then cap = M + 1.
-
-    Exactness of the squares. On [0, cap] the first-index matrix of a
-    nonnegative D is D truncated at cap, so each square takes
-    D'[u, v] = min over x of D[u, x] + D[x, v], both terms within cap.
-    Every term is the weight of a walk, so D' >= dist throughout. After
-    j squares, D holds dist(u, v) exactly whenever dist(u, v) <= cap and
-    some shortest u-v path has at most 2**j arcs: for j = 0 that is w
-    (zero diagonal); for j + 1, cut such a path at a vertex x into two
-    halves of at most 2**j arcs each. Both are shortest paths and, with
-    nonnegative weights, weigh at most dist(u, v) <= cap, so D holds
-    both exactly inside the window, and their sum is a term. Truncating
-    at the window therefore loses nothing, for the same reason as in
-    minplus_closure. With weights >= 1 a path of weight <= cap has at
-    most cap arcs, and a shortest path at most n - 1, so after r squares
-    every pair within cap is exact and every other entry exceeds cap.
+    (matrices.float_window_admits), they are matrices.nonneg_distances(w,
+    cap, min(cap, n - 1)) of the weight matrix w: ceil(log2(min(cap,
+    n - 1))) window squares at [0, cap]. With weights >= 1 a path of
+    weight <= cap has at most cap arcs, and a shortest path at most
+    n - 1, which bounds the hops that routine's proof asks for. Otherwise they are matrices.minplus_closure(
+    w, cap): at caps that wide, squaring by fixed-width relaxation loses
+    to Floyd-Warshall. At a cap primal_cap gives, that happens only when
+    W < M + 1, and then cap = M + 1.
     """
     _require_positive(g)
     w = to_matrix(g)
@@ -149,10 +128,7 @@ def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
         cap = primal_cap(g)
     if not float_window_admits(g.n, cap):
         return minplus_closure(w, cap)
-    for _ in range(max(min(cap, g.n - 1) - 1, 0).bit_length()):
-        w = window_square(w, 0, cap)
-    np.putmask(w, w > cap, INF)
-    return w
+    return nonneg_distances(w, cap, min(cap, g.n - 1))
 
 
 def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.ndarray:
@@ -231,7 +207,7 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
     if d <= cap:
         return ThresholdReport(reported=primal <= d, d=d,
                                stats={"edge_case": "primal", "levels": 0})
-    levels = level_plan(d, g.M, cap).levels
+    levels = level_plan(d, g.M, cap)
     dist = primal  # walked bottom-up, see level_step
     for (lo, hi), source in reversed(list(zip(levels, levels[1:]))):
         low = max(lo, cap + 1)  # the targets past the cap are low..hi

@@ -184,7 +184,7 @@ def test_criterion_4_worked_example():
     assert f_set(100, 4) == want_f
     want_levels = ((100, 100), (48, 52), (22, 28), (9, 16), (2, 10),
                    (1, 7), (1, 6), (1, 5))
-    assert level_plan(100, 4).levels == want_levels
+    assert level_plan(100, 4) == want_levels
     _verdict(4, "f_set(100,4) and level_plan(100,4) match bit-exact")
 
 
@@ -303,12 +303,13 @@ def test_criterion_6_component_lemmas():
                 f"nonnegative, {wall:.1f}s")
 
 
-def _plan_member_count(plan) -> int:
-    """|F(d,M)| from the plan: merged interval lengths plus the primal block."""
-    if plan.d <= plan.M + 1:
-        return plan.d + 1
-    spans = sorted(plan.levels)
-    spans.append((0, plan.M + 1))
+def _plan_member_count(levels, d: int, m_bound: int) -> int:
+    """|F(d,M)| from level_plan(d, M): merged interval lengths plus the
+    primal block."""
+    if d <= m_bound + 1:
+        return d + 1
+    spans = sorted(levels)
+    spans.append((0, m_bound + 1))
     spans.sort()
     total = 0
     cur_lo, cur_hi = spans[0]
@@ -328,20 +329,19 @@ def test_criterion_7_structural_index_sets():
     # recursive closure, so the exhaustive sweep below can use plan sizes
     for m_bound in range(1, 9):
         for d in range(0, 301):
-            plan = level_plan(d, m_bound)
+            levels = level_plan(d, m_bound)
             members = set(range(min(d, m_bound + 1) + 1))
-            for lo, hi in plan.levels:
+            for lo, hi in levels:
                 members.update(range(lo, hi + 1))
             assert members == f_set(d, m_bound), (d, m_bound)
-            assert len(members) == _plan_member_count(plan)
+            assert len(members) == _plan_member_count(levels, d, m_bound)
 
     worst_ratio = 0.0
     worst_at = None
     checked = 0
     for m_bound in range(1, 9):
         for d in range(0, 10_001):
-            plan = level_plan(d, m_bound)
-            levels = plan.levels
+            levels = level_plan(d, m_bound)
             for j in range(len(levels) - 1):
                 lo, hi = levels[j]
                 nlo, nhi = levels[j + 1]
@@ -358,7 +358,7 @@ def test_criterion_7_structural_index_sets():
                         i_lo = (k - m_bound) // 2
                         i_hi = (k + m_bound + 1) // 2
                         assert i_lo >= nlo and i_hi <= nhi
-            ratio = _plan_member_count(plan) / (m_bound * math.log2(d + 2))
+            ratio = _plan_member_count(levels, d, m_bound) / (m_bound * math.log2(d + 2))
             if ratio > worst_ratio:
                 worst_ratio, worst_at = ratio, (d, m_bound)
             checked += 1

@@ -395,16 +395,20 @@ def test_bench_general_rows_below_wmin_one(capsys):
         ("32", "threshold"), ("32", "diameter")]
 
 
-def test_bench_capped_general_row_counts_one_closure(capsys):
-    # a capped general threshold call is one Floyd-Warshall closure, n**2
-    # relaxations per pivot, and no product
+def test_bench_capped_general_row_counts_window_squares(capsys):
+    # a capped general threshold call is at most ceil(log2(n - 1)) = 4
+    # window squares of the reweighted matrix, n**3 relaxations each,
+    # whatever the kernel, and no product. Here some pair has no shortest
+    # path of fewer than 9 arcs, so all four squares run; every pair is
+    # reachable within the window, so no closure follows
     argv = ["bench", "--ns", "16", "--ms", "2", "--densities", "0.2",
             "--algos", "threshold", "--wmin", "-2", "--seed", "3"]
-    assert main(argv) == 0
-    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == 1
-    assert int(rows[0][7]) == 16 ** 3
-    assert int(rows[0][6]) == int(rows[0][8]) == 0
+    for kernel in KERNELS:
+        assert main(argv + ["--kernel", kernel]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 1
+        assert int(rows[0][7]) == 4 * 16 ** 3, kernel
+        assert int(rows[0][6]) == int(rows[0][8]) == 0, kernel
 
 
 def _bench_rows(argv, capsys) -> list:

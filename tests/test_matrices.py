@@ -21,7 +21,7 @@ from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
                             minplus_closure, minplus_identity, ring_matmul,
                             scale_div_ceil, truncate)
 from tapsp.oracle import floyd_warshall
-from tapsp.threshold_positive import LevelPlan, threshold_apsp_pos
+from tapsp.threshold_positive import threshold_apsp_pos
 
 
 def test_minplus_worked_example():
@@ -539,6 +539,111 @@ def test_reweighted_closure_matches_the_oracle_property(n, p, m_bound, seed):
     assert np.array_equal(_shift_back(got, h), floyd_warshall(to_matrix(g)))
 
 
+def _count_matrices_calls(monkeypatch, *names) -> dict:
+    """Count the calls made to each named matrices function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(matrices, name)
+
+        def wrapper(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(matrices, name, wrapper)
+    return calls
+
+
+def _capped_oracle(w, cap):
+    dist = floyd_warshall(w)
+    return np.where(dist <= cap, dist, INF)
+
+
+def test_nonneg_distances_square_count_follows_the_hop_bound(monkeypatch):
+    # a zero-weight path of n - 1 = 16 arcs: at cap 1 its ends are within
+    # the cap, but 16 arcs apart, so all ceil(log2 16) = 4 squares must run.
+    # A square count taken from the cap (min(cap, n - 1) = 1 hop: none)
+    # misses them, and so does stopping one square early (8 arcs)
+    n = 17
+    w = full_inf(n, n)
+    np.fill_diagonal(w, 0)
+    w[np.arange(n - 1), np.arange(1, n)] = 0
+    w[0, n - 1] = 2
+    calls = _count_matrices_calls(monkeypatch, "window_square", "minplus_closure")
+    got = matrices.nonneg_distances(w, 1, n - 1)
+    assert np.array_equal(got, _capped_oracle(w, 1))
+    assert got[0, n - 1] == 0
+    assert calls == {"window_square": 4, "minplus_closure": 0}
+    assert not is_finite(matrices.nonneg_distances(w, 1, 1)[0, n - 1])
+
+
+def test_nonneg_distances_stop_at_a_fixpoint(monkeypatch):
+    # on a complete unit-weight matrix the first square changes nothing.
+    # With the cap past the window it is the only one, at any hop bound;
+    # within the window all ceil(log2(n - 1)) squares run
+    calls = _count_matrices_calls(monkeypatch, "window_square")
+    for n in (3, 16, 64):
+        w = np.ones((n, n), dtype=np.int64)
+        np.fill_diagonal(w, 0)
+        for cap, squares in ((10 ** 6, 1), (2, (n - 2).bit_length())):
+            calls["window_square"] = 0
+            assert np.array_equal(matrices.nonneg_distances(w, cap, n - 1), w)
+            assert calls["window_square"] == squares, (n, cap)
+
+
+def test_nonneg_distances_past_the_window_run_the_closure(monkeypatch):
+    # a 16-cycle of arcs of weight c: distances reach 15 c, against the
+    # window W = 85 at n = 16 and the cap 2 (n - 1) c. At c = 5 every
+    # distance is within W and the squares alone answer; at c = 7 the
+    # farthest pairs (up to 105) pass W and the closure runs once
+    n = 16
+    assert matrices.widest_float_window(n) == 85
+    calls = _count_matrices_calls(monkeypatch, "window_square", "minplus_closure")
+    for c, closures in ((5, 0), (7, 1)):
+        w = full_inf(n, n)
+        np.fill_diagonal(w, 0)
+        w[np.arange(n), (np.arange(n) + 1) % n] = c
+        calls.update(window_square=0, minplus_closure=0)
+        got = matrices.nonneg_distances(w, 2 * (n - 1) * c, n - 1)
+        assert np.array_equal(got, floyd_warshall(w)), c
+        assert calls == {"window_square": 4, "minplus_closure": closures}, c
+
+
+def test_nonneg_distances_with_unreachable_pairs(monkeypatch):
+    # an INF row and column: at the general path's cap 2 (n - 1) M, past
+    # the window (72 at n = 17), the squares leave INF entries and the
+    # closure runs; at a cap within the window they are read as past it
+    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
+    for n, seed in ((17, 1), (32, 2)):
+        g = _unreachable_corner_graph(n, seed)
+        wp, h, cap = _reweighted(g)
+        assert cap > matrices.widest_float_window(n)
+        calls["minplus_closure"] = 0
+        got = matrices.nonneg_distances(wp, cap, n - 1)
+        assert np.array_equal(got, floyd_warshall(wp)), n
+        assert not is_finite(got[-1, :-1]).any()
+        assert calls["minplus_closure"] == 1
+        for small in (0, 3, 20):
+            assert np.array_equal(matrices.nonneg_distances(wp, small, n - 1),
+                                  _capped_oracle(wp, small)), (n, small)
+        assert calls["minplus_closure"] == 1
+
+
+@given(st.integers(min_value=1, max_value=24),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=120),
+       st.integers(min_value=0, max_value=200),
+       st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=120, deadline=None)
+def test_nonneg_distances_match_floyd_warshall_property(n, p, top, cap, seed):
+    # nonnegative entries up to top, zeros included, caps on either side
+    # of the window (85 at n = 16)
+    gen = np.random.default_rng(seed)
+    w = np.where(gen.random((n, n)) < p, gen.integers(0, top + 1, (n, n)), INF)
+    np.fill_diagonal(w, 0)
+    got = matrices.nonneg_distances(w, cap, n - 1)
+    assert np.array_equal(got, _capped_oracle(w, cap))
+
+
 def test_fast_kernels_reject_entries_beyond_bound():
     a = np.array([[1, INF], [-6, 2]], dtype=np.int64)
     b = np.array([[0, 1], [2, 3]], dtype=np.int64)
@@ -582,7 +687,7 @@ def test_poly_matrix_validation(monkeypatch):
     for levels in (((130, 130), (60, 64), (20, 40)),
                    ((100, 100), (52, 64), (20, 40))):
         monkeypatch.setattr(threshold_positive, "level_plan",
-                            lambda d, m, base, levels=levels: LevelPlan(d, m, levels))
+                            lambda d, m, base, levels=levels: levels)
         with pytest.raises(ValueError, match=re.escape(f"targets {levels[0]} outside")):
             threshold_apsp_pos(g, levels[0][0])
 

@@ -82,6 +82,16 @@ def test_forced_beta_and_levels():
         build_schedule(64, 2, force_beta=1.5)
 
 
+def test_schedule_is_built_once_per_arguments():
+    # a pure function of its arguments, returning a frozen value: repeated
+    # calls share the cached instance, and other arguments get their own
+    sched = build_schedule(64, 2, omega=2.5, force_beta=0.5)
+    assert build_schedule(64, 2, omega=2.5, force_beta=0.5) is sched
+    assert build_schedule(64, 2, omega=2.5) is not sched
+    with pytest.raises(AttributeError):
+        sched.K = 0
+
+
 @given(st.integers(min_value=2, max_value=300),
        st.integers(min_value=1, max_value=16),
        st.floats(min_value=2.0, max_value=3.0))

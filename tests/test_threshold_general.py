@@ -253,12 +253,18 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
     for module in (partial_distances, approx, matrices):
         count(module, "dist_product_fast", "product")
     count(threshold_general, "window_square", "product")
-    count(far_pairs, "minplus_closure", "closure")
+    count(matrices, "minplus_closure", "closure")
 
-    # capped: no Dijkstra, one closure for the far pairs, no product,
-    # answers still exact
-    for seed in range(3):
-        g = mixed_graph(16, 0.3, 3, seed + 40)
+    # capped: no Dijkstra and no product. Every pair is reachable and its
+    # reweighted distance lies within the float window, so the far pairs
+    # come from window squares alone, with no closure; answers still exact.
+    # A path with unreachable pairs (back along it) runs the closure once
+    # after the squares, as its cap 2 (n - 1) M = 90 passes the window (85
+    # at n = 16)
+    cases = [mixed_graph(16, 0.3, 3, seed + 40) for seed in range(3)]
+    cases.append(make_graph(16, [(i, i + 1, 2 if i % 2 else -1)
+                                 for i in range(1, 16)], M=3))
+    for seed, g in enumerate(cases):
         dist = floyd_warshall(to_matrix(g))
         calls.update(dijkstra=0, product=0, closure=0)
         cfg = RunConfig()
@@ -266,7 +272,8 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         assert run.far.hitting.size == g.n
         assert run.partials == []
         assert calls["dijkstra"] == calls["product"] == 0
-        assert calls["closure"] == 1
+        assert calls["closure"] == (0 if is_finite(dist).all() else 1), seed
+        assert np.array_equal(run.delta_star, dist), seed
         for d in (-2, 0, 2, 5):
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)

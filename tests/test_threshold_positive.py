@@ -25,9 +25,8 @@ def test_f_set_worked_example():
 
 
 def test_level_plan_worked_example():
-    plan = level_plan(100, 4)
-    assert plan.levels == ((100, 100), (48, 52), (22, 28), (9, 16),
-                           (2, 10), (1, 7), (1, 6), (1, 5))
+    assert level_plan(100, 4) == ((100, 100), (48, 52), (22, 28), (9, 16),
+                                  (2, 10), (1, 7), (1, 6), (1, 5))
 
 
 def test_f_set_small_closure():
@@ -39,8 +38,7 @@ def test_f_set_small_closure():
 def test_f_set_contains_plan_levels():
     for (d, m) in ((100, 4), (37, 2), (513, 8), (19, 1)):
         fs = f_set(d, m)
-        plan = level_plan(d, m)
-        for (lo, hi) in plan.levels:
+        for (lo, hi) in level_plan(d, m):
             for i in range(max(lo, m + 2), hi + 1):
                 assert i in fs, (d, m, i)
 
@@ -48,10 +46,10 @@ def test_f_set_contains_plan_levels():
 def test_level_plan_interval_width_bound():
     for m in (1, 2, 4, 8):
         for d in (m + 2, 17, 100, 999, 10 ** 4):
-            plan = level_plan(d, m)
-            for (lo, hi) in plan.levels[1:]:
+            levels = level_plan(d, m)
+            for (lo, hi) in levels[1:]:
                 assert hi - lo <= 2 * m + 3
-            assert plan.levels[-1][1] <= m + 1
+            assert levels[-1][1] <= m + 1
 
 
 def test_level_plan_at_every_base_in_the_float_window():
@@ -69,10 +67,10 @@ def test_level_plan_at_every_base_in_the_float_window():
                     fs = f_set_based(d, m, base)
                     if base == m + 1:
                         assert fs == f_set(d, m), (d, m)
-                    levels = level_plan(d, m, base).levels
+                    levels = level_plan(d, m, base)
                     tops = [hi for _, hi in levels]
                     assert min(tops[:-1], default=base + 1) > base >= tops[-1]
-                    assert tops == [hi for _, hi in level_plan(d, m).levels][:len(tops)]
+                    assert tops == [hi for _, hi in level_plan(d, m)][:len(tops)]
                     for lo, hi in levels:
                         assert hi - lo <= 2 * m + 3, (n, m, base, d)
                         assert set(range(lo, hi + 1)) <= fs, (n, m, base, d)
@@ -88,7 +86,7 @@ def test_level_plan_targets_lie_in_convolution_range():
     # every non-primal index of a level is a sum of two indices of the next
     for m in (1, 2, 4, 8):
         for d in range(m + 2, 10 ** 4 + 1):
-            levels = level_plan(d, m).levels
+            levels = level_plan(d, m)
             for (lo, hi), (src_lo, src_hi) in zip(levels, levels[1:]):
                 assert 2 * src_lo <= max(lo, m + 2) <= hi <= 2 * src_hi, (d, m)
 
@@ -343,7 +341,7 @@ def test_level_walk_bounds_distances():
         primal = primal_distances(g)
         for d, base in itertools.product((g.M + 2, 17, 40, 3 * g.n * g.M),
                                          (g.M + 1, threshold_positive.primal_cap(g))):
-            levels = level_plan(d, g.M, base).levels
+            levels = level_plan(d, g.M, base)
             cur = primal
             for j in range(len(levels) - 2, -1, -1):
                 cur = np.minimum(primal, level_step(cur, levels[j + 1]))
