@@ -28,10 +28,12 @@ from .sampling import Rng
 # radius <= 3 n M, the far-pair combine of a sampled hitting set
 # (n - 1) M, the primal family M + 1, the level steps at most 2M + 2, the
 # scaled estimates about 6 n). The numpy kernel's float route
-# (matrices._minplus_float) forms entry - lo and decodes at offset
-# lo_a + lo_b. Under dist_product_fast, lo is an operand's least finite
-# entry: entry - lo is at most INF + bound for an INF entry, and the
-# offset at least -2 * bound. Under matrices.window_square, lo is the
+# (matrices._minplus_float) forms entry - lo where lo is not 0, and
+# decodes at offset lo_a + lo_b; matrices.nonneg_distances encodes at
+# lo = 0 and decodes at offset 0. Under dist_product_fast, lo is an
+# operand's least finite entry: entry - lo is at most INF + bound for an
+# INF entry, and the offset at least -2 * bound. Under
+# matrices.window_square, lo is the
 # window's floor, and the lowest is target_distances'
 # lo = ceil(d/2) - K >= -5 n M / 2 (d lies in [-n M, n M] there):
 # entry - lo is largest for an INF entry, at most INF + 5 n M / 2, and

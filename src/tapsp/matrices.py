@@ -38,9 +38,12 @@ matrix and calls dist_product_fast.
 
 nonneg_distances is the one exact-distance routine, for the positive
 path's primal distances and the general path's far distances when the
-hitting set is every vertex: float-route window squares at [0, W], which
-stop at a fixpoint when the cap lies past W, with minplus_closure as the
-fallback for pairs past the window. It takes no kernel.
+hitting set is every vertex. It squares on the float route at
+[0, min(cap, W)] and keeps its matrix encoded between squares: one
+encode, then one dgemm and one table lookup per square, then one decode.
+The squares stop at a fixpoint when the cap lies past W, and
+minplus_closure is the fallback for pairs past the window, taken without
+a square when a vertex has no in-arc or no out-arc. It takes no kernel.
 """
 
 from __future__ import annotations
@@ -313,9 +316,8 @@ def window_square(d: np.ndarray, lo: int, hi: int,
     The first-index matrix C maps entries <= lo to 0, entries in [lo, hi]
     to d - lo and entries above hi (INF included) to INF. The result is
     (C min-plus C) + 2 lo, and exactly INF where no term is finite.
-    nonneg_distances, threshold_positive.level_step and
-    threshold_general.target_distances say what it holds for their
-    matrices; lo may be negative there.
+    threshold_positive.level_step and threshold_general.target_distances
+    say what it holds for their matrices; lo may be negative there.
 
     Under the numpy kernel, when float_window_admits(n, hi - lo), this is
     _minplus_float on d with both ranges given as (lo, hi): _pow2_encode
@@ -336,8 +338,9 @@ def window_square(d: np.ndarray, lo: int, hi: int,
 def _pow2_encode(mat: np.ndarray, lo: int, hi: int, s: int) -> np.ndarray:
     """2.0**(-(e - lo) * s) for each entry e of mat in [lo, hi]; an entry
     below lo encodes as lo (its index e - lo clips to slot 0), and one
-    above hi, INF included, as 0.0 (it clips to the table's last slot)."""
-    return _pow2_table(hi - lo, s).take(mat - lo, mode="clip")
+    above hi, INF included, as 0.0 (it clips to the table's last slot).
+    At lo = 0 the index is mat itself."""
+    return _pow2_table(hi - lo, s).take(mat - lo if lo else mat, mode="clip")
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,21 +397,39 @@ def _pow2_decode(total: np.ndarray, s: int, offset: int) -> np.ndarray:
     (s - 1 - E) // s from frexp's exponent E, plus offset; INF where the
     entry is 0. _minplus_float proves it exact.
 
-    E is read from the bits: a nonzero entry is a normal float64 of at
-    least 2**-1020, whose 11-bit biased exponent field is b = E + 1022,
-    and 0.0 has b = 0. So one lookup in a table indexed by b decodes every
-    entry, INF included."""
-    table = _exponent_digits(s) + offset
-    table[0] = INF
-    return table.take(total.view(np.int64) >> 52)
+    E is read from the bits: a nonzero entry is a normal float64 in
+    [2**-1020, m], m <= 2**(s - 2), whose 11-bit biased exponent field is
+    b = E + 1022 <= s + 1021, and 0.0 has b = 0. So one lookup in
+    _digit_table(s, offset), indexed by b, decodes every entry, INF
+    included."""
+    return _digit_table(s, offset).take(total.view(np.int64) >> 52)
 
 
-@functools.lru_cache(maxsize=None)
-def _exponent_digits(s: int) -> np.ndarray:
-    """(s - 1 - E) // s for each biased exponent field b = E + 1022."""
-    out = (s + 1021 - np.arange(2048, dtype=np.int64)) // s
+@functools.lru_cache(maxsize=64)
+def _digit_table(s: int, offset: int) -> np.ndarray:
+    """(s - 1 - E) // s + offset for each biased exponent field
+    b = E + 1022 = 1 .. s + 1021, and INF at b = 0. Read-only, and cached
+    per (s, offset)."""
+    out = (s + 1021 - np.arange(s + 1022, dtype=np.int64)) // s + offset
+    out[0] = INF
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_tables(s: int, win: int) -> tuple:
+    """The two tables nonneg_distances reads by the biased exponent field
+    b of an encoded square, indexed like _digit_table(s, 0), whose digit
+    x they truncate at win: 2.0**(-x s) and x where x <= win, 0.0 and INF
+    elsewhere (b = 0 included, as its digit is INF). Read-only; cached per
+    (s, win)."""
+    x = _digit_table(s, 0)
+    idx = np.where(x <= win, x, win + 1)
+    square = _pow2_table(win, s).take(idx)
+    square.flags.writeable = False
+    decode = np.where(idx <= win, idx, INF)
+    decode.flags.writeable = False
+    return square, decode
 
 
 def _narrowest_int(top: int) -> type:
@@ -488,54 +509,87 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     exact-distance routine: threshold_positive.primal_distances and
     far_pairs.compute_delta_t call it. Takes no kernel.
 
-    D = w is squared by window_square(D, 0, win), win = min(cap, W) and W
-    = widest_float_window(n), at most r = ceil(log2(hops)) times. If
-    win = cap, entries past cap become INF. Otherwise (the general path's
-    cap of 2 (n - 1) M) the squares stop early once one changes nothing,
-    and an entry still above W is a pair past the window or unreachable,
-    so the answer is minplus_closure(w, cap).
+    Let W = widest_float_window(n), win = min(cap, W), and T truncate a
+    matrix at win (entries above it become INF). The routine squares
+    D = T(w) at most r = ceil(log2(hops)) times, D <- T(D min-plus D),
+    and keeps D encoded between squares as _pow2_encode does at [0, win]
+    with s = _digit_bits(n): 2**(-x s) for an entry x, 0.0 for INF. So w
+    is encoded once, and a square is one dgemm e @ e and one lookup by
+    the product's biased exponent fields in the first of
+    _chain_tables(s, win). That lookup is _pow2_decode's digit, exact by
+    _minplus_float's proof (every x is at most win, as there), then T,
+    then _pow2_encode: the chain forms exactly T(window_square(D, 0,
+    win)) at each square. The second table decodes the last product's
+    fields to int64 (x, or INF past win); at a fixpoint they read as e's
+    do. With no square run it decodes e itself: 2**(-x s) has field
+    1023 - x s, whose digit is x.
+    Every square adds n**3 to COUNTERS.minplus_relaxations.
+
+    If win = cap, D is the answer. Otherwise (the general path's cap of
+    2 (n - 1) M) the squares stop early once one changes nothing, and an
+    INF left in D is a pair past the window or unreachable, so the answer
+    is minplus_closure(w, cap). A row or column of w finite only on its
+    diagonal (n >= 2) is a vertex with no out-arc or no in-arc, which
+    proves such a pair, so then the closure runs without a square.
 
     The fixpoint exit runs only when the cap lies past W. Every pair is
     then wanted and, in the good case, within W, so D settles as a whole
     once its hop depth is covered, which the hop bound n - 1 of a matrix
     with zero-weight arcs far overstates. Within the cap (the positive
-    path) the hop bound follows the cap, and entries past it keep
-    changing between squares: on sparse positive graphs at n = 64-256
-    the check saved no square and cost 5-12% of the time.
+    path) the hop bound follows the cap and is tight, so pairs keep
+    entering the window until the last square: on sparse positive graphs
+    at n = 64-256 the check saved no square and cost 5-12% of the time.
 
-    Exactness. On [0, win] the first-index matrix of a nonnegative D is D
-    truncated at win, so a square takes D'[u, v] = min over x of
-    D[u, x] + D[x, v], both terms within win, and INF without a term.
-    Every term is the weight of a walk, so D >= dist throughout, and the
-    diagonal stays 0. A shortest path weighs at most win only if each of
-    its subpaths does, as weights are nonnegative, and each subpath is
-    itself shortest. So a pair with dist(u, v) <= win is exact
+    Exactness. A square takes D'[u, v] = min over x of D[u, x] + D[x, v]
+    where that is within win, and INF otherwise. Every term is the weight
+    of a walk, so D >= dist throughout, and the diagonal stays 0. A
+    shortest path weighs at most win only if each of its subpaths does,
+    as weights are nonnegative, and each subpath is itself shortest. So
+    a pair with dist(u, v) <= win is exact
     - after j squares when some shortest u-v path has at most 2**j arcs:
-      for j = 0 that is w; for j + 1, cut the path into two halves of at
-      most 2**j arcs each, both exact and within win, so their sum is a
-      term. Hence after r squares every such pair is exact;
-    - at a fixpoint, D = D min-plus D on the window: by induction on the
-      arcs of a shortest u-v path, a single arc is exact (the x = u term
-      keeps an entry within win from rising, so D <= w there), and a
-      longer one splits at an inner vertex into two exact halves within
-      win, whose sum bounds D[u, v] from above, while D >= dist.
-    Every other entry exceeds win, as D >= dist. So either way D holds
-    each pair within win exactly and nothing else within win; when every
-    entry is within W, every pair is exact.
+      for j = 0 that is T(w); for j + 1, cut the path into two halves of
+      at most 2**j arcs each, both exact and within win, so their sum is
+      a term. Hence after r squares every such pair is exact;
+    - at a fixpoint, D = T(D min-plus D): by induction on the arcs of a
+      shortest u-v path, a single arc is exact (the x = u term keeps an
+      entry within win from rising, so D <= w there), and a longer one
+      splits at an inner vertex into two exact halves within win, whose
+      sum bounds D[u, v] from above, while D >= dist.
+    Every other entry is INF, as D >= dist. So either way D holds each
+    pair within win exactly and INF elsewhere; when D has no INF, every
+    pair is exact.
     """
-    win = min(cap, widest_float_window(w.shape[0]))
-    d = w.copy()
+    n = w.shape[0]
+    win = min(cap, widest_float_window(n))
+    if win < cap and n >= 2 and _has_source_or_sink(w):
+        return minplus_closure(w, cap)
+    s = _digit_bits(n)
+    square, decode = _chain_tables(s, win)
+    e = _pow2_encode(w, 0, win, s)
+    bits = e.view(np.int64) >> 52
     for left in reversed(range(max(hops - 1, 0).bit_length())):
-        sq = window_square(d, 0, win)
-        # after the last square a fixpoint would save nothing
-        if left and win < cap and (sq == d).all():
+        COUNTERS.minplus_relaxations += n ** 3
+        bits = (e @ e).view(np.int64)
+        bits >>= 52
+        if not left:  # the last product is decoded, not re-encoded
             break
-        d = sq
-    if win == cap:
-        np.putmask(d, d > cap, INF)
-    elif (d > win).any():
+        nxt = square.take(bits)
+        # at a fixpoint bits decodes as e does
+        if win < cap and (nxt == e).all():
+            break
+        e = nxt
+    d = decode.take(bits)
+    if win < cap and not is_finite(d).all():
         return minplus_closure(w, cap)
     return d
+
+
+def _has_source_or_sink(w: np.ndarray) -> bool:
+    """Whether some row or column of the square matrix w is finite at
+    most on its diagonal: a vertex with no out-arc or no in-arc."""
+    arcs = is_finite(w)
+    np.fill_diagonal(arcs, False)
+    return not (arcs.any(axis=0).all() and arcs.any(axis=1).all())
 
 
 def truncate(a: np.ndarray, t: int) -> np.ndarray:

@@ -168,3 +168,23 @@ def squaring_apsp(w: np.ndarray) -> np.ndarray:
     for _ in range(rounds):
         d = np.minimum(d, dist_product_naive(d, d))
     return d
+
+
+def nonneg_distances_reference(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
+    """matrices.nonneg_distances as a loop of int64 window_square(D, 0,
+    win) squares, win = min(cap, W), each kept untruncated and compared
+    untruncated for the fixpoint exit (past the cap only), then truncated
+    at cap or sent to the closure when an entry lies past win. It has no
+    encoded chain and no shortcut for sources and sinks."""
+    win = min(cap, matrices.widest_float_window(w.shape[0]))
+    d = w.copy()
+    for left in reversed(range(max(hops - 1, 0).bit_length())):
+        sq = matrices.window_square(d, 0, win)
+        if left and win < cap and (sq == d).all():
+            break
+        d = sq
+    if win == cap:
+        return np.where(d <= cap, d, INF)
+    if (d > win).any():
+        return matrices.minplus_closure(w, cap)
+    return d

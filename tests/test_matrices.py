@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (level_step_square, lower_strassen_cutoff,
-                     minplus_reference, nested_coeffs, poly_square_direct,
+                     minplus_reference, nested_coeffs,
+                     nonneg_distances_reference, poly_square_direct,
                      rand_dist_matrix)
 from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
@@ -553,6 +554,13 @@ def _count_matrices_calls(monkeypatch, *names) -> dict:
     return calls
 
 
+def _squares_run(n: int, closures: int) -> int:
+    """The squares nonneg_distances ran on an n x n matrix since COUNTERS
+    was reset: each adds n**3 minplus_relaxations, as does each of the
+    closures."""
+    return COUNTERS.minplus_relaxations // n ** 3 - closures
+
+
 def _capped_oracle(w, cap):
     dist = floyd_warshall(w)
     return np.where(dist <= cap, dist, INF)
@@ -568,11 +576,13 @@ def test_nonneg_distances_square_count_follows_the_hop_bound(monkeypatch):
     np.fill_diagonal(w, 0)
     w[np.arange(n - 1), np.arange(1, n)] = 0
     w[0, n - 1] = 2
-    calls = _count_matrices_calls(monkeypatch, "window_square", "minplus_closure")
+    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
+    COUNTERS.reset()
     got = matrices.nonneg_distances(w, 1, n - 1)
     assert np.array_equal(got, _capped_oracle(w, 1))
     assert got[0, n - 1] == 0
-    assert calls == {"window_square": 4, "minplus_closure": 0}
+    assert calls == {"minplus_closure": 0}
+    assert _squares_run(n, calls["minplus_closure"]) == 4
     assert not is_finite(matrices.nonneg_distances(w, 1, 1)[0, n - 1])
 
 
@@ -580,14 +590,15 @@ def test_nonneg_distances_stop_at_a_fixpoint(monkeypatch):
     # on a complete unit-weight matrix the first square changes nothing.
     # With the cap past the window it is the only one, at any hop bound;
     # within the window all ceil(log2(n - 1)) squares run
-    calls = _count_matrices_calls(monkeypatch, "window_square")
+    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
     for n in (3, 16, 64):
         w = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(w, 0)
         for cap, squares in ((10 ** 6, 1), (2, (n - 2).bit_length())):
-            calls["window_square"] = 0
+            COUNTERS.reset()
             assert np.array_equal(matrices.nonneg_distances(w, cap, n - 1), w)
-            assert calls["window_square"] == squares, (n, cap)
+            assert calls["minplus_closure"] == 0
+            assert _squares_run(n, 0) == squares, (n, cap)
 
 
 def test_nonneg_distances_past_the_window_run_the_closure(monkeypatch):
@@ -597,15 +608,17 @@ def test_nonneg_distances_past_the_window_run_the_closure(monkeypatch):
     # farthest pairs (up to 105) pass W and the closure runs once
     n = 16
     assert matrices.widest_float_window(n) == 85
-    calls = _count_matrices_calls(monkeypatch, "window_square", "minplus_closure")
+    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
     for c, closures in ((5, 0), (7, 1)):
         w = full_inf(n, n)
         np.fill_diagonal(w, 0)
         w[np.arange(n), (np.arange(n) + 1) % n] = c
-        calls.update(window_square=0, minplus_closure=0)
+        calls["minplus_closure"] = 0
+        COUNTERS.reset()
         got = matrices.nonneg_distances(w, 2 * (n - 1) * c, n - 1)
         assert np.array_equal(got, floyd_warshall(w)), c
-        assert calls == {"window_square": 4, "minplus_closure": closures}, c
+        assert calls == {"minplus_closure": closures}, c
+        assert _squares_run(n, closures) == 4, c
 
 
 def test_nonneg_distances_with_unreachable_pairs(monkeypatch):
@@ -642,6 +655,104 @@ def test_nonneg_distances_match_floyd_warshall_property(n, p, top, cap, seed):
     np.fill_diagonal(w, 0)
     got = matrices.nonneg_distances(w, cap, n - 1)
     assert np.array_equal(got, _capped_oracle(w, cap))
+
+
+@given(st.sampled_from((15, 16, 17, 32, 33, 64, 65)),
+       st.sampled_from(("weights", "zeros", "ties")),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.sampled_from(("W-1", "W", "W+1", "far")),
+       st.sampled_from((0, 1, None)),
+       st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_nonneg_distances_match_the_window_square_loop_property(
+        n, kind, p, cap_at, hops, seed):
+    # n either side of each digit-width change (s = 6 bits up to n = 16,
+    # 7 up to 32, 8 up to 64, 9 at 65); caps either side of the window W
+    # and at the far path's 2 (n - 1) M; "zeros" draws weights 0 and 1,
+    # and "ties" puts every arc at the top of the window; hops 0 and 1
+    # run no square, None is n - 1
+    top = 8
+    big_w = matrices.widest_float_window(n)
+    cap = {"W-1": big_w - 1, "W": big_w, "W+1": big_w + 1,
+           "far": 2 * (n - 1) * top}[cap_at]
+    gen = np.random.default_rng(seed)
+    weights = {"weights": gen.integers(0, top + 1, (n, n)),
+               "zeros": gen.integers(0, 2, (n, n)),
+               "ties": np.full((n, n), min(cap, big_w))}[kind]
+    w = np.where(gen.random((n, n)) < p, weights, INF)
+    np.fill_diagonal(w, 0)
+    hops = n - 1 if hops is None else hops
+    got = matrices.nonneg_distances(w, cap, hops)
+    assert np.array_equal(got, nonneg_distances_reference(w, cap, hops))
+
+
+def test_nonneg_distances_send_sources_and_sinks_to_the_closure(monkeypatch):
+    # a unit cycle on vertices 0 .. n - 2 and one arc between it and vertex
+    # n - 1, which is then a source or a sink. Past the window that proves
+    # an unreachable pair: the closure runs and no square. Within the
+    # window every square runs and no closure. Two cycles joined one way
+    # have neither, so all their squares run before the closure
+    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
+    far = 10 ** 4
+    for n in (2, 17, 32):
+        for arc in ((n - 1, 0), (0, n - 1)):
+            w = minplus_identity(n)
+            w[np.arange(n - 1), (np.arange(n - 1) + 1) % (n - 1)] = 1
+            w[arc] = 1
+            cap_w = matrices.widest_float_window(n)
+            for cap, squares, closures in ((far, 0, 1),
+                                           (cap_w, (n - 2).bit_length(), 0)):
+                calls["minplus_closure"] = 0
+                COUNTERS.reset()
+                got = matrices.nonneg_distances(w, cap, n - 1)
+                assert np.array_equal(got, _capped_oracle(w, cap)), (n, arc, cap)
+                assert calls["minplus_closure"] == closures, (n, arc, cap)
+                assert _squares_run(n, closures) == squares, (n, arc, cap)
+    for n in (17, 32):
+        half = n // 2
+        w = minplus_identity(n)
+        for lo, hi in ((0, half), (half, n)):
+            w[np.arange(lo, hi), lo + (np.arange(1, hi - lo + 1) % (hi - lo))] = 1
+        w[0, half] = 1
+        calls["minplus_closure"] = 0
+        COUNTERS.reset()
+        assert np.array_equal(matrices.nonneg_distances(w, far, n - 1),
+                              floyd_warshall(w)), n
+        assert calls["minplus_closure"] == 1
+        assert _squares_run(n, 1) == (n - 2).bit_length(), n
+
+
+def test_nonneg_distances_tables_are_read_only_and_built_once():
+    # two read-only tables per (s, win), indexed by the biased exponent
+    # field b of an encoded entry: b = 1023 - x s holds 2.0**(-x s), which
+    # reads as the digit x; past win, and at b = 0 (the entry 0.0), they
+    # hold 0.0 and INF
+    n, win = 16, 20
+    s = matrices._digit_bits(n)
+    w = to_matrix(gen_random(n, 0.2, 1, 8, seed=3))
+    matrices._chain_tables.cache_clear()
+    for _ in range(3):
+        got = matrices.nonneg_distances(w, win, n - 1)
+        assert np.array_equal(got, _capped_oracle(w, win))
+    info = matrices._chain_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    square, decode = matrices._chain_tables(s, win)
+    assert square.shape == decode.shape == (s + 1022,)
+    x = np.arange(win + 2)
+    b = 1023 - x * s
+    assert np.array_equal(square[b[:-1]], np.ldexp(1.0, -s * x[:-1]))
+    assert np.array_equal(decode[b[:-1]], x[:-1])
+    assert square[b[-1]] == square[0] == 0.0
+    assert decode[b[-1]] == decode[0] == INF
+    # window_square reads its decode table per (s, offset) the same way
+    matrices._digit_table.cache_clear()
+    for _ in range(2):
+        matrices.window_square(w, 3, 30)
+    assert matrices._digit_table.cache_info().misses == 1
+    for table in (square, decode, matrices._digit_table(s, 6)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
 
 
 def test_fast_kernels_reject_entries_beyond_bound():
