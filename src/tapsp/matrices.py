@@ -42,8 +42,8 @@ hitting set is every vertex. It squares on the float route at
 [0, min(cap, W)] and keeps its matrix encoded between squares: one
 encode, then one dgemm and one table lookup per square, then one decode.
 The squares stop at a fixpoint when the cap lies past W, and
-minplus_closure is the fallback for pairs past the window, taken without
-a square when a vertex has no in-arc or no out-arc. It takes no kernel.
+minplus_closure is the fallback for pairs past the window. It takes no
+kernel.
 """
 
 from __future__ import annotations
@@ -528,9 +528,7 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     If win = cap, D is the answer. Otherwise (the general path's cap of
     2 (n - 1) M) the squares stop early once one changes nothing, and an
     INF left in D is a pair past the window or unreachable, so the answer
-    is minplus_closure(w, cap). A row or column of w finite only on its
-    diagonal (n >= 2) is a vertex with no out-arc or no in-arc, which
-    proves such a pair, so then the closure runs without a square.
+    is minplus_closure(w, cap).
 
     The fixpoint exit runs only when the cap lies past W. Every pair is
     then wanted and, in the good case, within W, so D settles as a whole
@@ -561,8 +559,6 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     """
     n = w.shape[0]
     win = min(cap, widest_float_window(n))
-    if win < cap and n >= 2 and _has_source_or_sink(w):
-        return minplus_closure(w, cap)
     s = _digit_bits(n)
     square, decode = _chain_tables(s, win)
     e = _pow2_encode(w, 0, win, s)
@@ -582,14 +578,6 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     if win < cap and not is_finite(d).all():
         return minplus_closure(w, cap)
     return d
-
-
-def _has_source_or_sink(w: np.ndarray) -> bool:
-    """Whether some row or column of the square matrix w is finite at
-    most on its diagonal: a vertex with no out-arc or no in-arc."""
-    arcs = is_finite(w)
-    np.fill_diagonal(arcs, False)
-    return not (arcs.any(axis=0).all() and arcs.any(axis=1).all())
 
 
 def truncate(a: np.ndarray, t: int) -> np.ndarray:

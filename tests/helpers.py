@@ -175,7 +175,7 @@ def nonneg_distances_reference(w: np.ndarray, cap: int, hops: int) -> np.ndarray
     win) squares, win = min(cap, W), each kept untruncated and compared
     untruncated for the fixpoint exit (past the cap only), then truncated
     at cap or sent to the closure when an entry lies past win. It has no
-    encoded chain and no shortcut for sources and sinks."""
+    encoded chain."""
     win = min(cap, matrices.widest_float_window(w.shape[0]))
     d = w.copy()
     for left in reversed(range(max(hops - 1, 0).bit_length())):

@@ -686,42 +686,6 @@ def test_nonneg_distances_match_the_window_square_loop_property(
     assert np.array_equal(got, nonneg_distances_reference(w, cap, hops))
 
 
-def test_nonneg_distances_send_sources_and_sinks_to_the_closure(monkeypatch):
-    # a unit cycle on vertices 0 .. n - 2 and one arc between it and vertex
-    # n - 1, which is then a source or a sink. Past the window that proves
-    # an unreachable pair: the closure runs and no square. Within the
-    # window every square runs and no closure. Two cycles joined one way
-    # have neither, so all their squares run before the closure
-    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
-    far = 10 ** 4
-    for n in (2, 17, 32):
-        for arc in ((n - 1, 0), (0, n - 1)):
-            w = minplus_identity(n)
-            w[np.arange(n - 1), (np.arange(n - 1) + 1) % (n - 1)] = 1
-            w[arc] = 1
-            cap_w = matrices.widest_float_window(n)
-            for cap, squares, closures in ((far, 0, 1),
-                                           (cap_w, (n - 2).bit_length(), 0)):
-                calls["minplus_closure"] = 0
-                COUNTERS.reset()
-                got = matrices.nonneg_distances(w, cap, n - 1)
-                assert np.array_equal(got, _capped_oracle(w, cap)), (n, arc, cap)
-                assert calls["minplus_closure"] == closures, (n, arc, cap)
-                assert _squares_run(n, closures) == squares, (n, arc, cap)
-    for n in (17, 32):
-        half = n // 2
-        w = minplus_identity(n)
-        for lo, hi in ((0, half), (half, n)):
-            w[np.arange(lo, hi), lo + (np.arange(1, hi - lo + 1) % (hi - lo))] = 1
-        w[0, half] = 1
-        calls["minplus_closure"] = 0
-        COUNTERS.reset()
-        assert np.array_equal(matrices.nonneg_distances(w, far, n - 1),
-                              floyd_warshall(w)), n
-        assert calls["minplus_closure"] == 1
-        assert _squares_run(n, 1) == (n - 2).bit_length(), n
-
-
 def test_nonneg_distances_tables_are_read_only_and_built_once():
     # two read-only tables per (s, win), indexed by the biased exponent
     # field b of an encoded entry: b = 1023 - x s holds 2.0**(-x s), which
