@@ -17,12 +17,32 @@ the unreachable ones.
 Reports are one-sided on both paths: a reported pair is always truly
 within d, so a probe that reports every pair proves diameter <= d.
 
-Both paths settle reachability first: any unreachable ordered pair makes
-the diameter +inf, its witnesses are those pairs, and nothing else runs.
-On the general path one Bellman-Ford runs before it: it gives the
-Johnson potentials every run shares and is the negative-cycle check, so
-a negative cycle raises NegativeCycleError even when some pair is
-unreachable.
+Any unreachable ordered pair makes the diameter +inf, its witnesses are
+those pairs, and no search runs. On the general path one Bellman-Ford
+runs first: it gives the Johnson potentials every run shares and is the
+negative-cycle check, so a negative cycle raises NegativeCycleError even
+when some pair is unreachable. Reachability is then read off one of two
+sources:
+- A capped general run (hitting set every vertex, below) of a graph
+  where every vertex has an out-arc and an in-arc prepares its run first
+  and reads reachability off delta_star, with no separate closure.
+  Proof: a capped run's delta_star is far.delta, which
+  compute_delta_t builds from matrices.nonneg_distances of the
+  reweighted matrix at the cap 2 (n - 1) M, shifted back. That routine
+  gives every pair within the cap exactly and INF past it: when the cap
+  lies past the float window, it returns minplus_closure(w, 2 (n - 1) M)
+  whenever an INF is left after its squares. The cap holds every
+  reachable reweighted distance (compute_delta_t), so the INF entries
+  of far.delta are exactly the unreachable pairs. Whether the run is
+  capped is decided before it, from the schedule: the hitting set's
+  size is far_pairs.hitting_count(n, t_far), a function of n and the
+  schedule alone.
+- Otherwise, the positive path, a sampled general run, or a graph with
+  a vertex that has no out-arc or no in-arc, the Boolean closure
+  graphs.transitive_closure runs before any run. Such a vertex
+  with n > 1 leaves a pair unreachable, so the closure answers +inf
+  there at the cost of a few Boolean squares rather than a full run, and
+  a capped general run never gets past it.
 
 Positive weights: every probe is the deterministic path over one primal
 matrix built per call at its full cap (threshold_positive.primal_cap), so
@@ -31,19 +51,19 @@ a probe within the cap runs no level step, and binary search over
 
 General weights: each attempt prepares one run, prepare_general on
 rng.derive(1000 + attempt).
-- If its hitting set is every vertex, the answer is direct: the value
-  is max(delta_star) and the witnesses are the pairs at it, in
-  row-major order. No probe or certificate runs, and lo = hi = value.
+- If its hitting set is every vertex, one attempt answers directly: the
+  value is max(delta_star) and the witnesses are the pairs at it, in
+  row-major order, or +inf and the INF pairs (above). No probe or
+  certificate runs, and lo = hi = value (0 for +inf).
   Proof: with every vertex sampled, compute_delta_t builds far.delta as
   exact APSP (matrices.nonneg_distances of the reweighted matrix), which
   is the combine through every x (its docstring). Each
   term dist(u, x) + dist(x, v) is >= dist(u, v), and the x = u term
   equals it (dist(u, u) = 0 without negative cycles), so far.delta =
   dist. prepare_general builds no level then, so delta_star = far.delta
-  is the exact distance matrix, finite since every pair is reachable,
-  and its maximum and the pairs at it are the diameter and its
-  witnesses by definition. The hitting set's size depends only on n
-  and the schedule, so this is decided on the first attempt.
+  is the exact distance matrix, and when every pair is reachable its
+  maximum and the pairs at it are the diameter and its
+  witnesses by definition.
 - Otherwise the hitting set is sampled, and a probe is only
   classify_threshold(run, d). Since dist <= delta_star <= dist + K (the
   upper bound with high probability), the search covers the K-wide
@@ -75,12 +95,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, pick_mode
-from .far_pairs import sssp_rows
+from .far_pairs import hitting_count, sssp_rows
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
 from .matrices import INF, is_finite
 from .oracle import floyd_warshall
 from .sampling import Rng
+from .schedule import build_schedule
 from .threshold_general import (GeneralRun, ThresholdReport, VerifyMismatchError,
                                 classify_threshold, oracle_report,
                                 prepare_general, threshold_apsp_neg)
@@ -204,22 +225,46 @@ def _verify(g: Graph, res: DiameterResult) -> None:
         raise VerifyMismatchError("witness set disagrees with the oracle")
 
 
+def _one_capped_run(g: Graph, config: RunConfig) -> bool:
+    """Whether a general diameter of g (n > 1) is one capped run that
+    reads reachability off delta_star (module docstring): every vertex
+    has an out-arc and an in-arc, an O(m) scatter over the arcs, and the
+    schedule caps the hitting set."""
+    u, v, _ = g.arcs
+    ends = np.zeros((2, g.n), dtype=bool)
+    ends[0, u] = True
+    ends[1, v] = True
+    if not ends.all():
+        return False
+    sched = build_schedule(g.n, g.M, omega=config.omega,
+                           force_beta=config.force_beta)
+    return hitting_count(g.n, sched.t_far) == g.n
+
+
 def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     """diameter() before its oracle check, in the module docstring's
-    order: the Bellman-Ford (general path), reachability, then up to
-    config.max_attempts general runs, each answered directly when its
-    hitting set is every vertex (proof there) and otherwise searched and
+    order: the Bellman-Ford (general path), then either one capped
+    general run answered directly off delta_star, reachability included
+    (proof there), or the reachability closure followed by up to
+    config.max_attempts sampled general runs, each searched and
     certified; the positive path builds one primal matrix and searches
     once.
     """
     mode = pick_mode(g, config)
     positive = mode == "positive"
     h = None if positive else johnson_potentials(g)
+    if g.n == 1:
+        return DiameterResult(value=0, witnesses=[(1, 1)])
+    if not positive and _one_capped_run(g, config):
+        ds = prepare_general(g, config, rng.derive(1000), h).delta_star
+        value = int(ds.max())
+        if value == INF:
+            return DiameterResult(value=math.inf, witnesses=one_based_pairs(ds == INF))
+        return DiameterResult(value=value, lo=value, hi=value,
+                              witnesses=one_based_pairs(ds == value))
     closure = transitive_closure(g)
     if not closure.all():
         return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))
-    if g.n == 1:
-        return DiameterResult(value=0, witnesses=[(1, 1)])
     primal = primal_distances(g) if positive else None
     run = None
     # the positive path is deterministic: a failed certificate fails again
@@ -227,10 +272,6 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     for attempt in range(searches):
         if not positive:
             run = prepare_general(g, config, rng.derive(1000 + attempt), h)
-            if run.far.hitting.size == g.n:
-                value = int(run.delta_star.max())
-                return DiameterResult(value=value, lo=value, hi=value,
-                                      witnesses=one_based_pairs(run.delta_star == value))
         out = _search(g, config, primal, run)
         if out is not None:
             return out

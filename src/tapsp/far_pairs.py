@@ -18,17 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, to_matrix
-from .matrices import INF, dist_product_fast, full_inf, nonneg_distances
+from .graphs import Graph
+from .matrices import (INF, dist_product_fast, full_inf, minplus_identity,
+                       nonneg_distances)
 from .sampling import Rng, sample
 
 
-def hitting_set(n: int, t: int, rng: Rng) -> np.ndarray:
-    """Sample ceil(8 n ln n / t) vertices (capped at n), 0-based sorted."""
+def hitting_count(n: int, t: int) -> int:
+    """The size of hitting_set(n, t, rng) for every rng: ceil(8 n ln n / t)
+    capped at n, and 0 for n = 1. A size of n is a capped sample."""
     if t < 1:
         raise ValueError("path-length threshold t must be >= 1")
-    count = 8.0 * n * math.log(n) / t if n > 1 else 0.0
-    return sample(np.arange(n), count, rng)
+    return min(math.ceil(8.0 * n * math.log(n) / t), n) if n > 1 else 0
+
+
+def hitting_set(n: int, t: int, rng: Rng) -> np.ndarray:
+    """Sample hitting_count(n, t) vertices, 0-based sorted."""
+    return sample(np.arange(n), hitting_count(n, t), rng)
 
 
 def _adjacency(g: Graph, h: np.ndarray, reverse: bool):
@@ -103,13 +109,16 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     (dist(u, u) = 0 without negative cycles), and a pair at INF has no
     finite term. Any exact APSP may then build delta; it is
     matrices.nonneg_distances (which takes no kernel) of the weight matrix
-    reweighted by h, shifted back. Reweighted arcs w + h[u] - h[v] are
-    nonnegative, and as h lies in [-(n - 1) M, 0], a reweighted distance
-    dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M, the cap. Zero-weight
-    reweighted arcs let a path within any cap use up to n - 1 arcs, so
-    the hop bound is n - 1: at most ceil(log2(n - 1)) window squares at
-    the widest float window W, and the closure at the cap when some pair
-    lies past W or is unreachable.
+    reweighted by h, built straight from the arc list (INF, a 0 diagonal
+    and w + h[u] - h[v] at each arc), shifted back by -h[u] + h[v].
+    Reweighted arcs are nonnegative, and as h lies in [-(n - 1) M, 0], a
+    reweighted distance dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M,
+    the cap. Zero-weight reweighted arcs let a path within any cap use up
+    to n - 1 arcs, so the hop bound is n - 1: at most ceil(log2(n - 1))
+    window squares at the widest float window W, and the closure at the
+    cap when some pair lies past W or is unreachable. As the cap holds
+    every reachable reweighted distance, the INF entries of delta are
+    exactly the unreachable pairs: a caller may read reachability off it.
 
     A smaller sample X combines by one dist_product_fast (kernel "numpy";
     like nonneg_distances, this takes no kernel) of the reverse rows
@@ -123,10 +132,15 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
                             potentials=h)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
-        w = to_matrix(g)
-        dp = nonneg_distances(np.where(w < INF, w + h[:, None] - h[None, :], INF),
-                              2 * (n - 1) * g.M, n - 1)
-        delta = np.where(dp < INF, dp - h[:, None] + h[None, :], INF)
+        u, v, w = g.arcs
+        rw = minplus_identity(n)
+        rw[u, v] = w + h[u] - h[v]
+        dp = nonneg_distances(rw, 2 * (n - 1) * g.M, n - 1)
+        # the shift moves INF entries off INF: pin them back, if any
+        delta = dp - h[:, None]
+        delta += h[None, :]
+        if dp.max() == INF:
+            delta[dp == INF] = INF
         return FarDistances(delta=delta, hitting=xs, potentials=h)
     delta = dist_product_fast(sssp_rows(g, h, xs, reverse=True).T,
                               sssp_rows(g, h, xs))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -94,7 +95,10 @@ class Graph:
     def arcs(self) -> tuple:
         """The edges as read-only int64 arrays (u, v, w), 0-based
         vertices, in edges order."""
-        a = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T.copy()
+        # fromiter over the flattened triples: np.array on the tuple of
+        # tuples takes about twice as long
+        a = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                        count=3 * len(self.edges)).reshape(-1, 3).T.copy()
         a[:2] -= 1
         a.flags.writeable = False
         return a[0], a[1], a[2]
@@ -272,16 +276,18 @@ def _bellman_ford(g: Graph):
     so some round among the first n changes nothing and h is the distance
     vector, the one the sequential pass reaches too. A change in round n
     means a negative cycle; the sequential pass then traces it, so the
-    witness does not depend on the round order.
+    witness does not depend on the round order. A round reads every
+    candidate h[u] + w before it lowers h in place, so it is the Jacobi
+    step, and it changes nothing exactly when no candidate is below its
+    h[v].
     """
     u, v, w = g.arcs
     h = np.zeros(g.n, dtype=np.int64)
     for _ in range(g.n):
-        new = h.copy()
-        np.minimum.at(new, v, h[u] + w)
-        if np.array_equal(new, h):
+        cand = h[u] + w
+        if not (cand < h[v]).any():
             return h, None, None
-        h = new
+        np.minimum.at(h, v, cand)
     return _bellman_ford_sequential(g)
 
 

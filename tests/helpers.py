@@ -76,6 +76,21 @@ def sc_mixed_graph(n: int, density: float, M: int, seed: int) -> Graph:
     return gen_mixed_ncf(n, density, M, seed, backbone=True)
 
 
+def two_scc_graph(n: int, density: float, M: int, seed: int) -> Graph:
+    """Two strongly connected mixed halves joined by arcs from the first
+    half to the second only, so no vertex of the second reaches the
+    first; negative-cycle-free, and every vertex has an out-arc and an
+    in-arc."""
+    k = n // 2
+    rng = Rng(seed)
+    arcs = list(sc_mixed_graph(k, density, M, seed).edges)
+    arcs += [(u + k, v + k, w)
+             for u, v, w in sc_mixed_graph(n - k, density, M, seed + 1).edges]
+    arcs += [(u, v, rng.randint(-M, M)) for u in range(1, k + 1)
+             for v in range(k + 1, n + 1) if rng.unit() < density]
+    return make_graph(n, arcs, M=M)
+
+
 def rand_dist_matrix(gen: np.random.Generator, rows: int, cols: int,
                      bound: int, inf_frac: float = 0.2) -> np.ndarray:
     """Random int64 matrix with entries in [-bound, bound] and some INF."""

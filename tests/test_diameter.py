@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
-                     sc_positive_graph)
+                     sc_positive_graph, two_scc_graph)
 from tapsp import graphs
 from tapsp.config import KERNELS, RunConfig
 from tapsp.diameter import diameter, threshold
@@ -23,6 +23,7 @@ from tapsp.threshold_general import (VerifyMismatchError, prepare_general,
 dia_mod = importlib.import_module("tapsp.diameter")
 pos_mod = importlib.import_module("tapsp.threshold_positive")
 tg_mod = importlib.import_module("tapsp.threshold_general")
+fp_mod = importlib.import_module("tapsp.far_pairs")
 
 
 def _oracle_diameter(g):
@@ -323,10 +324,14 @@ def test_exact_under_forced_beta():
 
 # capped: the hitting set is every vertex, so delta_star is exact APSP
 CAPPED = [sc_mixed_graph(n, 0.3, 3, seed=n + 40) for n in (2, 3, 12, 32)]
-UNREACHABLE = [make_graph(3, [(1, 2, -1), (2, 1, 2)]),
-               make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1), (4, 3, -1)]),
-               make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0), (4, 5, -3)]),
-               mixed_graph(32, 0.1, 3, seed=2)]
+# (graph, whether some vertex has no out-arc or no in-arc)
+UNREACHABLE = {"n3": (make_graph(3, [(1, 2, -1), (2, 1, 2)]), True),
+               "n4": (make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1),
+                                     (4, 3, -1)]), False),
+               "n5": (make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0),
+                                     (4, 5, -3)]), True),
+               "n32": (mixed_graph(32, 0.1, 3, seed=2), True),
+               "n32-two-scc": (two_scc_graph(32, 0.1, 3, seed=2), False)}
 WATCHED = ("prepare_general", "transitive_closure", "_search",
            "classify_threshold", "_exact_witnesses")
 
@@ -342,8 +347,7 @@ def test_capped_general_run_answers_from_delta_star(monkeypatch, g):
     res = diameter(g, RunConfig(seed=1))
     assert (res.value, sorted(res.witnesses)) == (want, wit)
     assert res.witnesses == sorted(res.witnesses)
-    assert calls == {"prepare_general": 1, "_bellman_ford": 1,
-                     "transitive_closure": 1}
+    assert calls == {"prepare_general": 1, "_bellman_ford": 1}
     assert hitting == [g.n]
     assert res.probes == []
     assert (res.lo, res.hi) == (want, want)
@@ -351,21 +355,46 @@ def test_capped_general_run_answers_from_delta_star(monkeypatch, g):
 
 @pytest.mark.parametrize("cfg", [RunConfig(seed=1), SAMPLED.with_(seed=1)],
                          ids=["capped", "sampled"])
-@pytest.mark.parametrize("g", UNREACHABLE, ids=[f"n{g.n}" for g in UNREACHABLE])
-def test_unreachable_pair_ends_the_general_call_before_any_run(monkeypatch, g, cfg):
-    # reachability is settled before any run is prepared, so an inf
-    # answer costs one Bellman-Ford and one closure however the hitting
-    # set would have been drawn
+@pytest.mark.parametrize("name", UNREACHABLE)
+def test_unreachable_pair_ends_the_general_call_before_any_run(monkeypatch, name, cfg):
+    # a graph with a source or sink, or a sampled run (SAMPLED samples
+    # only the n = 32 graphs here), settles reachability by the closure
+    # before any run: one Bellman-Ford and one closure. A capped run of
+    # any other graph reads it off its delta_star: one Bellman-Ford and
+    # one run
+    g, source_or_sink = UNREACHABLE[name]
     want, wit = _oracle_diameter(g)
     calls = {}
-    for name in WATCHED:
-        _count_calls(monkeypatch, dia_mod, name, calls)
+    for fn in WATCHED:
+        _count_calls(monkeypatch, dia_mod, fn, calls)
     _count_calls(monkeypatch, graphs, "_bellman_ford", calls)
     res = diameter(g, cfg)
     assert want == math.inf
     assert (res.value, sorted(res.witnesses)) == (want, wit)
-    assert calls == {"_bellman_ford": 1, "transitive_closure": 1}
+    closure_first = source_or_sink or (cfg.force_beta == 0.0 and g.n == 32)
+    second = "transitive_closure" if closure_first else "prepare_general"
+    assert calls == {"_bellman_ford": 1, second: 1}
     assert (res.probes, res.lo, res.hi) == ([], 0, 0)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_capped_two_scc_diameter_is_inf_without_the_closure(monkeypatch, n):
+    # no vertex lacks an out-arc or an in-arc, so the capped run's
+    # delta_star settles reachability: its INF pairs are the witnesses
+    calls = {}
+    for fn in WATCHED:
+        _count_calls(monkeypatch, dia_mod, fn, calls)
+    hitting = _record_hitting(monkeypatch)
+    for seed in range(3):
+        g = two_scc_graph(n, 4.0 / n, 4, seed=seed + n)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        res = diameter(g, RunConfig(seed=seed))
+        assert want == math.inf
+        assert (res.value, res.witnesses) == (want, wit)
+        assert (res.probes, res.lo, res.hi) == ([], 0, 0)
+        assert calls == {"prepare_general": 1}
+    assert hitting == [n] * 3
 
 
 def test_sampled_general_run_still_searches_and_certifies(monkeypatch):
@@ -404,12 +433,12 @@ def test_certificate_exact_with_sampled_hitting_set():
 
 
 def test_certificate_runs_dijkstra_for_unsampled_sources(monkeypatch):
-    def forget_hitting(run, call):
-        run.far.hitting = run.far.hitting[:0]
-        return run
-
+    # an empty hitting set takes the sampled route and leaves every
+    # candidate to a Dijkstra from its source
+    for module in (dia_mod, fp_mod):
+        monkeypatch.setattr(module, "hitting_count", lambda n, t: 0)
     calls = {}
-    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, forget_hitting)
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls)
     _count_calls(monkeypatch, dia_mod, "sssp_rows", calls)
     for seed in range(4):
         g = sc_mixed_graph(12, 0.3, 3, seed=seed + 110)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mixed_graph, sc_mixed_graph
+from helpers import mixed_graph, sc_mixed_graph, two_scc_graph
+from tapsp import matrices
 from tapsp.far_pairs import compute_delta_t, hitting_set, sssp_rows
 from tapsp.graphs import gen_mixed_ncf, johnson_potentials, make_graph, to_matrix
 from tapsp.matrices import INF, is_finite
@@ -56,18 +57,38 @@ def test_sssp_rejects_potentials_that_leave_a_negative_arc():
     assert sssp_rows(g, johnson_potentials(g), [0])[0].tolist() == [0, 2, 1]
 
 
-def test_delta_t_dominates_and_caps_exactly():
-    # with the sample capped to every vertex delta_t is plain exact; the
-    # sparse instances leave pairs unreachable, which must stay INF
+def test_delta_t_dominates_and_caps_exactly(monkeypatch):
+    # with the sample capped to every vertex delta_t is plain exact: on
+    # mixed graphs with and without a backbone, on two-SCC graphs, whose
+    # unreachable pairs have no source or sink behind them, and with
+    # weights large enough that reweighted distances pass the float
+    # window, so the closure runs. Unreachable pairs must stay INF
+    closures = []
+    real = matrices.minplus_closure
+
+    def closure(w, cap):
+        closures.append(cap)
+        return real(w, cap)
+
+    monkeypatch.setattr(matrices, "minplus_closure", closure)
+    cases = [(mixed_graph(10, density, 3, seed), False)
+             for seed in range(10) for density in (0.4, 0.15)]
+    cases += [(gen_mixed_ncf(n, 3 / n, 4, seed, backbone=backbone), False)
+              for seed, n in enumerate((5, 16, 33, 64)) for backbone in (True, False)]
+    cases += [(two_scc_graph(n, 3 / n, 4, seed), False)
+              for seed, n in enumerate((6, 17, 32, 64))]
+    cases += [(gen_mixed_ncf(n, 2 / n, 1000, seed, backbone=True), True)
+              for seed, n in enumerate((8, 24, 40))]
     unreachable = 0
-    for seed in range(10):
-        for density in (0.4, 0.15):
-            g = mixed_graph(10, density, 3, seed)
-            dist = floyd_warshall(to_matrix(g))
-            far = compute_delta_t(g, 1, Rng(seed), johnson_potentials(g))
-            assert far.hitting.size == g.n
-            assert np.array_equal(far.delta, dist)
-            unreachable += int((~is_finite(dist)).sum())
+    for i, (g, past_window) in enumerate(cases):
+        dist = floyd_warshall(to_matrix(g))
+        before = len(closures)
+        far = compute_delta_t(g, 1, Rng(i), johnson_potentials(g))
+        assert far.hitting.size == g.n
+        assert np.array_equal(far.delta, dist), i
+        if past_window:
+            assert len(closures) == before + 1, i
+        unreachable += int((~is_finite(dist)).sum())
     assert unreachable > 0
 
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from helpers import mixed_graph, squaring_apsp
 from tapsp import graphs
 from tapsp.graphs import (MAX_SPAN, Graph, GraphParseError, NegativeCycleError,
-                          find_negative_cycle, gen_random, johnson_potentials,
-                          make_graph, parse_graph, to_matrix,
-                          transitive_closure, write_graph)
+                          find_negative_cycle, gen_mixed_ncf, gen_random,
+                          johnson_potentials, make_graph, parse_graph,
+                          to_matrix, transitive_closure, write_graph)
 from tapsp.matrices import INF
 from tapsp.oracle import floyd_warshall
 
@@ -180,6 +180,30 @@ def test_jacobi_bellman_ford_matches_the_sequential_pass():
         else:
             assert got[2] == want[2]
             assert np.array_equal(got[1], want[1]), seed
+
+
+def test_in_place_bellman_ford_rounds_match_the_sequential_pass():
+    # mixed graphs up to n = 64 with and without a backbone, then each
+    # with a planted cycle of 0-arcs and one -1 arc: its rounds never
+    # settle, so the n-round fallback traces it
+    gen = np.random.default_rng(23)
+    for seed in range(30):
+        n = int(gen.integers(2, 65))
+        g = gen_mixed_ncf(n, float(gen.uniform(0.02, 0.3)),
+                          int(gen.integers(1, 9)), seed, backbone=bool(seed % 2))
+        h, pred, relaxable = graphs._bellman_ford(g)
+        want = graphs._bellman_ford_sequential(g)
+        assert (pred, relaxable, want[2]) == (None, None, None)
+        assert np.array_equal(h, want[0]), seed
+        cyc = (gen.permutation(n)[:int(gen.integers(2, n + 1))] + 1).tolist()
+        plant = [(a, b, -1 if i == 0 else 0)
+                 for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1]))]
+        neg = make_graph(n, list(g.edges) + plant, M=g.M)
+        got = graphs._bellman_ford(neg)
+        want = graphs._bellman_ford_sequential(neg)
+        assert want[2] is not None and got[2] == want[2], seed
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert find_negative_cycle(neg) == graphs._trace_cycle(want[1], want[2])
 
 
 def test_johnson_raises_on_negative_cycle():
