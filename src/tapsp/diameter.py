@@ -23,10 +23,9 @@ runs first: it gives the Johnson potentials every run shares and is the
 negative-cycle check, so a negative cycle raises NegativeCycleError even
 when some pair is unreachable. Reachability is then read off one of two
 sources:
-- A capped general run (hitting set every vertex, below) of a graph
-  where every vertex has an out-arc and an in-arc prepares its run first
-  and reads reachability off delta_star, with no separate closure.
-  Proof: a capped run's delta_star is far.delta, which
+- A capped general run (hitting set every vertex, below) prepares its
+  run first and reads reachability off delta_star, with no separate
+  closure. Proof: a capped run's delta_star is far.delta, which
   compute_delta_t builds from matrices.nonneg_distances of the
   reweighted matrix at the cap 2 (n - 1) M, shifted back. That routine
   gives every pair within the cap exactly and INF past it: when the cap
@@ -34,15 +33,10 @@ sources:
   whenever an INF is left after its squares. The cap holds every
   reachable reweighted distance (compute_delta_t), so the INF entries
   of far.delta are exactly the unreachable pairs. Whether the run is
-  capped is decided before it, from the schedule: the hitting set's
-  size is far_pairs.hitting_count(n, t_far), a function of n and the
-  schedule alone.
-- Otherwise, the positive path, a sampled general run, or a graph with
-  a vertex that has no out-arc or no in-arc, the Boolean closure
-  graphs.transitive_closure runs before any run. Such a vertex
-  with n > 1 leaves a pair unreachable, so the closure answers +inf
-  there at the cost of a few Boolean squares rather than a full run, and
-  a capped general run never gets past it.
+  capped is decided before it, from the schedule alone
+  (threshold_general.capped).
+- The positive path and sampled general runs run the Boolean closure
+  graphs.transitive_closure before any run.
 
 Positive weights: every probe is the deterministic path over one primal
 matrix built per call at its full cap (threshold_positive.primal_cap), so
@@ -95,7 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, pick_mode
-from .far_pairs import hitting_count, sssp_rows
+from .far_pairs import sssp_rows
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
 from .matrices import INF, is_finite
@@ -103,7 +97,7 @@ from .oracle import floyd_warshall
 from .sampling import Rng
 from .schedule import build_schedule
 from .threshold_general import (GeneralRun, ThresholdReport, VerifyMismatchError,
-                                classify_threshold, oracle_report,
+                                capped, classify_threshold, oracle_report,
                                 prepare_general, threshold_apsp_neg)
 from .threshold_positive import primal_distances, threshold_apsp_pos
 
@@ -225,22 +219,6 @@ def _verify(g: Graph, res: DiameterResult) -> None:
         raise VerifyMismatchError("witness set disagrees with the oracle")
 
 
-def _one_capped_run(g: Graph, config: RunConfig) -> bool:
-    """Whether a general diameter of g (n > 1) is one capped run that
-    reads reachability off delta_star (module docstring): every vertex
-    has an out-arc and an in-arc, an O(m) scatter over the arcs, and the
-    schedule caps the hitting set."""
-    u, v, _ = g.arcs
-    ends = np.zeros((2, g.n), dtype=bool)
-    ends[0, u] = True
-    ends[1, v] = True
-    if not ends.all():
-        return False
-    sched = build_schedule(g.n, g.M, omega=config.omega,
-                           force_beta=config.force_beta)
-    return hitting_count(g.n, sched.t_far) == g.n
-
-
 def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     """diameter() before its oracle check, in the module docstring's
     order: the Bellman-Ford (general path), then either one capped
@@ -255,8 +233,10 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     h = None if positive else johnson_potentials(g)
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
-    if not positive and _one_capped_run(g, config):
-        ds = prepare_general(g, config, rng.derive(1000), h).delta_star
+    sched = None if positive else build_schedule(
+        g.n, g.M, omega=config.omega, force_beta=config.force_beta)
+    if not positive and capped(g.n, sched):
+        ds = prepare_general(g, config, rng.derive(1000), h, sched).delta_star
         value = int(ds.max())
         if value == INF:
             return DiameterResult(value=math.inf, witnesses=one_based_pairs(ds == INF))
@@ -271,7 +251,7 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     searches = 1 if positive else config.max_attempts
     for attempt in range(searches):
         if not positive:
-            run = prepare_general(g, config, rng.derive(1000 + attempt), h)
+            run = prepare_general(g, config, rng.derive(1000 + attempt), h, sched)
         out = _search(g, config, primal, run)
         if out is not None:
             return out

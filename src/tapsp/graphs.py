@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -95,10 +94,7 @@ class Graph:
     def arcs(self) -> tuple:
         """The edges as read-only int64 arrays (u, v, w), 0-based
         vertices, in edges order."""
-        # fromiter over the flattened triples: np.array on the tuple of
-        # tuples takes about twice as long
-        a = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
-                        count=3 * len(self.edges)).reshape(-1, 3).T.copy()
+        a = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T.copy()
         a[:2] -= 1
         a.flags.writeable = False
         return a[0], a[1], a[2]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .approx import additive_approximate
 from .config import RunConfig
-from .far_pairs import FarDistances, compute_delta_t
+from .far_pairs import FarDistances, compute_delta_t, hitting_count
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
 from .matrices import INF, full_inf, window_square
@@ -84,22 +84,32 @@ def build_levels(g: Graph, sched: Schedule, config: RunConfig,
     return out
 
 
+def capped(n: int, sched: Schedule) -> bool:
+    """Whether a run on sched samples every one of the n vertices as its
+    hitting set (far_pairs.hitting_count). It depends on n and sched
+    alone, so it is known before any run."""
+    return hitting_count(n, sched.t_far) == n
+
+
 def prepare_general(g: Graph, config: RunConfig, rng: Rng,
-                    h: np.ndarray) -> GeneralRun:
+                    h: np.ndarray, sched: Schedule | None = None) -> GeneralRun:
     """Everything that does not depend on the threshold: schedule, far
     distances, one partial matrix and scaled estimate per level. h are
-    g's Johnson potentials (graphs.johnson_potentials).
+    g's Johnson potentials (graphs.johnson_potentials); sched, when given,
+    is g's schedule under config, built once by a caller that runs more.
 
-    A hitting set of all n vertices makes far.delta exact, so no level is
-    built (delta_star = far.delta): estimate and target_distances entries
-    are >= dist and could lower neither delta_star nor a window pair's
-    exact value. A capped sample draws nothing and Rng.derive consumes
-    nothing, so uncapped runs keep their random streams.
+    A capped run, whose hitting set is all n vertices, makes far.delta
+    exact, so no level is built (delta_star = far.delta): estimate and
+    target_distances entries are >= dist and could lower neither
+    delta_star nor a window pair's exact value. A capped sample draws
+    nothing and Rng.derive consumes nothing, so uncapped runs keep their
+    random streams.
     """
-    sched = build_schedule(g.n, g.M, omega=config.omega,
-                           force_beta=config.force_beta)
+    if sched is None:
+        sched = build_schedule(g.n, g.M, omega=config.omega,
+                               force_beta=config.force_beta)
     far = compute_delta_t(g, sched.t_far, rng.derive(0), h)
-    if far.hitting.size == g.n:
+    if capped(g.n, sched):
         return GeneralRun(schedule=sched, far=far, partials=[],
                           delta_star=far.delta)
     levels = build_levels(g, sched, config, rng)

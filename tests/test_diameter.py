@@ -324,14 +324,11 @@ def test_exact_under_forced_beta():
 
 # capped: the hitting set is every vertex, so delta_star is exact APSP
 CAPPED = [sc_mixed_graph(n, 0.3, 3, seed=n + 40) for n in (2, 3, 12, 32)]
-# (graph, whether some vertex has no out-arc or no in-arc)
-UNREACHABLE = {"n3": (make_graph(3, [(1, 2, -1), (2, 1, 2)]), True),
-               "n4": (make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1),
-                                     (4, 3, -1)]), False),
-               "n5": (make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0),
-                                     (4, 5, -3)]), True),
-               "n32": (mixed_graph(32, 0.1, 3, seed=2), True),
-               "n32-two-scc": (two_scc_graph(32, 0.1, 3, seed=2), False)}
+UNREACHABLE = {"n3": make_graph(3, [(1, 2, -1), (2, 1, 2)]),
+               "n4": make_graph(4, [(1, 2, -2), (2, 1, 3), (3, 4, 1), (4, 3, -1)]),
+               "n5": make_graph(5, [(1, 2, 2), (2, 3, -1), (3, 1, 0), (4, 5, -3)]),
+               "n32": mixed_graph(32, 0.1, 3, seed=2),
+               "n32-two-scc": two_scc_graph(32, 0.1, 3, seed=2)}
 WATCHED = ("prepare_general", "transitive_closure", "_search",
            "classify_threshold", "_exact_witnesses")
 
@@ -357,12 +354,11 @@ def test_capped_general_run_answers_from_delta_star(monkeypatch, g):
                          ids=["capped", "sampled"])
 @pytest.mark.parametrize("name", UNREACHABLE)
 def test_unreachable_pair_ends_the_general_call_before_any_run(monkeypatch, name, cfg):
-    # a graph with a source or sink, or a sampled run (SAMPLED samples
-    # only the n = 32 graphs here), settles reachability by the closure
-    # before any run: one Bellman-Ford and one closure. A capped run of
-    # any other graph reads it off its delta_star: one Bellman-Ford and
-    # one run
-    g, source_or_sink = UNREACHABLE[name]
+    # a sampled run (SAMPLED samples only the n = 32 graphs here) settles
+    # reachability by the closure before any run: one Bellman-Ford and
+    # one closure. A capped run reads it off its delta_star: one
+    # Bellman-Ford and one run
+    g = UNREACHABLE[name]
     want, wit = _oracle_diameter(g)
     calls = {}
     for fn in WATCHED:
@@ -371,7 +367,7 @@ def test_unreachable_pair_ends_the_general_call_before_any_run(monkeypatch, name
     res = diameter(g, cfg)
     assert want == math.inf
     assert (res.value, sorted(res.witnesses)) == (want, wit)
-    closure_first = source_or_sink or (cfg.force_beta == 0.0 and g.n == 32)
+    closure_first = cfg.force_beta == 0.0 and g.n == 32
     second = "transitive_closure" if closure_first else "prepare_general"
     assert calls == {"_bellman_ford": 1, second: 1}
     assert (res.probes, res.lo, res.hi) == ([], 0, 0)
@@ -379,8 +375,8 @@ def test_unreachable_pair_ends_the_general_call_before_any_run(monkeypatch, name
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_capped_two_scc_diameter_is_inf_without_the_closure(monkeypatch, n):
-    # no vertex lacks an out-arc or an in-arc, so the capped run's
-    # delta_star settles reachability: its INF pairs are the witnesses
+    # the capped run's delta_star settles reachability: its INF pairs
+    # are the witnesses
     calls = {}
     for fn in WATCHED:
         _count_calls(monkeypatch, dia_mod, fn, calls)
@@ -435,7 +431,7 @@ def test_certificate_exact_with_sampled_hitting_set():
 def test_certificate_runs_dijkstra_for_unsampled_sources(monkeypatch):
     # an empty hitting set takes the sampled route and leaves every
     # candidate to a Dijkstra from its source
-    for module in (dia_mod, fp_mod):
+    for module in (tg_mod, fp_mod):
         monkeypatch.setattr(module, "hitting_count", lambda n, t: 0)
     calls = {}
     _count_calls(monkeypatch, dia_mod, "prepare_general", calls)
