@@ -95,7 +95,6 @@ from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
 from .matrices import INF, is_finite
 from .oracle import floyd_warshall
 from .sampling import Rng
-from .schedule import build_schedule
 from .threshold_general import (GeneralRun, ThresholdReport, VerifyMismatchError,
                                 capped, classify_threshold, oracle_report,
                                 prepare_general, threshold_apsp_neg)
@@ -233,10 +232,8 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     h = None if positive else johnson_potentials(g)
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
-    sched = None if positive else build_schedule(
-        g.n, g.M, omega=config.omega, force_beta=config.force_beta)
-    if not positive and capped(g.n, sched):
-        ds = prepare_general(g, config, rng.derive(1000), h, sched).delta_star
+    if not positive and capped(g, config):
+        ds = prepare_general(g, config, rng.derive(1000), h).delta_star
         value = int(ds.max())
         if value == INF:
             return DiameterResult(value=math.inf, witnesses=one_based_pairs(ds == INF))
@@ -251,7 +248,7 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     searches = 1 if positive else config.max_attempts
     for attempt in range(searches):
         if not positive:
-            run = prepare_general(g, config, rng.derive(1000 + attempt), h, sched)
+            run = prepare_general(g, config, rng.derive(1000 + attempt), h)
         out = _search(g, config, primal, run)
         if out is not None:
             return out

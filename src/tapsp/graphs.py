@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class Graph:
     M: int
 
     def __post_init__(self):
+        # a float would be truncated silently once the arcs become int64
+        if not (isinstance(self.n, Integral) and isinstance(self.M, Integral)):
+            raise ValueError(f"n = {self.n!r} and M = {self.M!r} must be integers")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         if self.M < 1:
@@ -76,6 +80,8 @@ class Graph:
             raise ValueError(f"n*M = {self.n * self.M} exceeds the limit {MAX_SPAN}")
         seen = set()
         for (u, v, w) in self.edges:
+            if not all(isinstance(x, Integral) for x in (u, v, w)):
+                raise ValueError(f"arc ({u!r},{v!r},{w!r}) has a non-integer entry")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u},{v}) out of range 1..{self.n}")
             if u == v:

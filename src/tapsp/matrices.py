@@ -41,7 +41,7 @@ path's primal distances and the general path's far distances when the
 hitting set is every vertex. It squares on the float route at
 [0, min(cap, W)] and keeps its matrix encoded between squares: one
 encode, then one dgemm and one table lookup per square, then one decode.
-The squares stop at a fixpoint when the cap lies past W, and
+It runs ceil(log2(hops)) squares whatever the matrix, and
 minplus_closure is the fallback for pairs past the window. It takes no
 kernel.
 """
@@ -511,7 +511,7 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
 
     Let W = widest_float_window(n), win = min(cap, W), and T truncate a
     matrix at win (entries above it become INF). The routine squares
-    D = T(w) at most r = ceil(log2(hops)) times, D <- T(D min-plus D),
+    D = T(w) exactly r = ceil(log2(hops)) times, D <- T(D min-plus D),
     and keeps D encoded between squares as _pow2_encode does at [0, win]
     with s = _digit_bits(n): 2**(-x s) for an entry x, 0.0 for INF. So w
     is encoded once, and a square is one dgemm e @ e and one lookup by
@@ -520,42 +520,26 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     _minplus_float's proof (every x is at most win, as there), then T,
     then _pow2_encode: the chain forms exactly T(window_square(D, 0,
     win)) at each square. The second table decodes the last product's
-    fields to int64 (x, or INF past win); at a fixpoint they read as e's
-    do. With no square run it decodes e itself: 2**(-x s) has field
-    1023 - x s, whose digit is x.
+    fields to int64 (x, or INF past win). With no square run it decodes
+    e itself: 2**(-x s) has field 1023 - x s, whose digit is x.
     Every square adds n**3 to COUNTERS.minplus_relaxations.
 
     If win = cap, D is the answer. Otherwise (the general path's cap of
-    2 (n - 1) M) the squares stop early once one changes nothing, and an
-    INF left in D is a pair past the window or unreachable, so the answer
-    is minplus_closure(w, cap).
-
-    The fixpoint exit runs only when the cap lies past W. Every pair is
-    then wanted and, in the good case, within W, so D settles as a whole
-    once its hop depth is covered, which the hop bound n - 1 of a matrix
-    with zero-weight arcs far overstates. Within the cap (the positive
-    path) the hop bound follows the cap and is tight, so pairs keep
-    entering the window until the last square: on sparse positive graphs
-    at n = 64-256 the check saved no square and cost 5-12% of the time.
+    2 (n - 1) M) an INF left in D is a pair past the window or
+    unreachable, so the answer is minplus_closure(w, cap).
 
     Exactness. A square takes D'[u, v] = min over x of D[u, x] + D[x, v]
     where that is within win, and INF otherwise. Every term is the weight
     of a walk, so D >= dist throughout, and the diagonal stays 0. A
     shortest path weighs at most win only if each of its subpaths does,
     as weights are nonnegative, and each subpath is itself shortest. So
-    a pair with dist(u, v) <= win is exact
-    - after j squares when some shortest u-v path has at most 2**j arcs:
-      for j = 0 that is T(w); for j + 1, cut the path into two halves of
-      at most 2**j arcs each, both exact and within win, so their sum is
-      a term. Hence after r squares every such pair is exact;
-    - at a fixpoint, D = T(D min-plus D): by induction on the arcs of a
-      shortest u-v path, a single arc is exact (the x = u term keeps an
-      entry within win from rising, so D <= w there), and a longer one
-      splits at an inner vertex into two exact halves within win, whose
-      sum bounds D[u, v] from above, while D >= dist.
-    Every other entry is INF, as D >= dist. So either way D holds each
-    pair within win exactly and INF elsewhere; when D has no INF, every
-    pair is exact.
+    a pair with dist(u, v) <= win is exact after j squares when some
+    shortest u-v path has at most 2**j arcs: for j = 0 that is T(w); for
+    j + 1, cut the path into two halves of at most 2**j arcs each, both
+    exact and within win, so their sum is a term. Hence after r squares
+    every such pair is exact, and every other entry is INF, as D >= dist.
+    So D holds each pair within win exactly and INF elsewhere; when D has
+    no INF, every pair is exact.
     """
     n = w.shape[0]
     win = min(cap, widest_float_window(n))
@@ -567,13 +551,8 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
         COUNTERS.minplus_relaxations += n ** 3
         bits = (e @ e).view(np.int64)
         bits >>= 52
-        if not left:  # the last product is decoded, not re-encoded
-            break
-        nxt = square.take(bits)
-        # at a fixpoint bits decodes as e does
-        if win < cap and (nxt == e).all():
-            break
-        e = nxt
+        if left:  # the last product is decoded, not re-encoded
+            e = square.take(bits)
     d = decode.take(bits)
     if win < cap and not is_finite(d).all():
         return minplus_closure(w, cap)

@@ -84,19 +84,20 @@ def build_levels(g: Graph, sched: Schedule, config: RunConfig,
     return out
 
 
-def capped(n: int, sched: Schedule) -> bool:
-    """Whether a run on sched samples every one of the n vertices as its
-    hitting set (far_pairs.hitting_count). It depends on n and sched
-    alone, so it is known before any run."""
-    return hitting_count(n, sched.t_far) == n
+def capped(g: Graph, config: RunConfig) -> bool:
+    """Whether a general run on g samples every one of its n vertices as
+    its hitting set (far_pairs.hitting_count). It depends on n and the
+    schedule alone, so it is known before any run."""
+    sched = build_schedule(g.n, g.M, omega=config.omega,
+                           force_beta=config.force_beta)
+    return hitting_count(g.n, sched.t_far) == g.n
 
 
 def prepare_general(g: Graph, config: RunConfig, rng: Rng,
-                    h: np.ndarray, sched: Schedule | None = None) -> GeneralRun:
+                    h: np.ndarray) -> GeneralRun:
     """Everything that does not depend on the threshold: schedule, far
     distances, one partial matrix and scaled estimate per level. h are
-    g's Johnson potentials (graphs.johnson_potentials); sched, when given,
-    is g's schedule under config, built once by a caller that runs more.
+    g's Johnson potentials (graphs.johnson_potentials).
 
     A capped run, whose hitting set is all n vertices, makes far.delta
     exact, so no level is built (delta_star = far.delta): estimate and
@@ -105,11 +106,10 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng,
     nothing and Rng.derive consumes nothing, so uncapped runs keep their
     random streams.
     """
-    if sched is None:
-        sched = build_schedule(g.n, g.M, omega=config.omega,
-                               force_beta=config.force_beta)
+    sched = build_schedule(g.n, g.M, omega=config.omega,
+                           force_beta=config.force_beta)
     far = compute_delta_t(g, sched.t_far, rng.derive(0), h)
-    if capped(g.n, sched):
+    if capped(g, config):
         return GeneralRun(schedule=sched, far=far, partials=[],
                           delta_star=far.delta)
     levels = build_levels(g, sched, config, rng)

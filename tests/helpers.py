@@ -187,17 +187,13 @@ def squaring_apsp(w: np.ndarray) -> np.ndarray:
 
 def nonneg_distances_reference(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     """matrices.nonneg_distances as a loop of int64 window_square(D, 0,
-    win) squares, win = min(cap, W), each kept untruncated and compared
-    untruncated for the fixpoint exit (past the cap only), then truncated
-    at cap or sent to the closure when an entry lies past win. It has no
-    encoded chain."""
+    win) squares, win = min(cap, W), each kept untruncated, then
+    truncated at cap or sent to the closure when an entry lies past win.
+    It has no encoded chain."""
     win = min(cap, matrices.widest_float_window(w.shape[0]))
     d = w.copy()
-    for left in reversed(range(max(hops - 1, 0).bit_length())):
-        sq = matrices.window_square(d, 0, win)
-        if left and win < cap and (sq == d).all():
-            break
-        d = sq
+    for _ in range(max(hops - 1, 0).bit_length()):
+        d = matrices.window_square(d, 0, win)
     if win == cap:
         return np.where(d <= cap, d, INF)
     if (d > win).any():

@@ -57,6 +57,21 @@ def test_round_trip():
     assert parse_graph(write_graph(g, comment="x")) == g
 
 
+def test_graph_rejects_non_integer_sizes_and_weights():
+    # int64 arc arrays would truncate these weights to 0 and to 1 and 2
+    with pytest.raises(ValueError):
+        make_graph(2, [(1, 2, 0.5), (2, 1, 0.5)])
+    with pytest.raises(ValueError):
+        make_graph(3, [(1, 2, 1.5), (2, 3, 2.7)])
+    with pytest.raises(ValueError):
+        Graph(n=2.5, edges=(), M=1)
+    with pytest.raises(ValueError):
+        Graph(n=2, edges=((1, 2.0, 1),), M=1)
+    g = make_graph(np.int64(3), [(1, np.int64(2), np.int64(-2)), (2, 3, 1)])
+    assert g.M == 2
+    assert list(g.arcs[2]) == [-2, 1]
+
+
 def test_duplicate_arcs_keep_minimum():
     g = make_graph(3, [(1, 2, 5), (1, 2, 2), (1, 2, 7)])
     assert g.edges == ((1, 2, 2),)

@@ -586,19 +586,19 @@ def test_nonneg_distances_square_count_follows_the_hop_bound(monkeypatch):
     assert not is_finite(matrices.nonneg_distances(w, 1, 1)[0, n - 1])
 
 
-def test_nonneg_distances_stop_at_a_fixpoint(monkeypatch):
-    # on a complete unit-weight matrix the first square changes nothing.
-    # With the cap past the window it is the only one, at any hop bound;
-    # within the window all ceil(log2(n - 1)) squares run
+def test_nonneg_distances_run_every_square_on_a_settled_matrix(monkeypatch):
+    # on a complete unit-weight matrix the first square changes nothing,
+    # yet all ceil(log2(n - 1)) squares run, with the cap past the window
+    # and within it: the square count follows n and the hop bound alone
     calls = _count_matrices_calls(monkeypatch, "minplus_closure")
     for n in (3, 16, 64):
         w = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(w, 0)
-        for cap, squares in ((10 ** 6, 1), (2, (n - 2).bit_length())):
+        for cap in (10 ** 6, 2):
             COUNTERS.reset()
             assert np.array_equal(matrices.nonneg_distances(w, cap, n - 1), w)
             assert calls["minplus_closure"] == 0
-            assert _squares_run(n, 0) == squares, (n, cap)
+            assert _squares_run(n, 0) == (n - 2).bit_length(), (n, cap)
 
 
 def test_nonneg_distances_past_the_window_run_the_closure(monkeypatch):
