@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import INF, dist_product_fast, is_finite, scale_div_ceil
+from .matrices import dist_product_fast, full_inf, is_finite, scale_div_ceil
 from .partial_distances import PartialDistanceMatrix
 from .sampling import Rng, sample
 from .schedule import Level
@@ -34,8 +34,7 @@ def additive_approximate(pdm: PartialDistanceMatrix, level: Level, rng: Rng,
     count = 12.0 * n ** (1.0 - level.gamma) * math.log(n) if n > 1 else 1.0
     xs = sample(np.arange(n), count, rng)
     q = dist_product_fast(scaled[:, xs], scaled[xs, :], kernel=kernel)
-    delta = np.empty((n, n), dtype=np.int64)
-    delta.fill(INF)
+    delta = full_inf(n, n)
     fin = is_finite(q)
     delta[fin] = k * q[fin]
     return LevelEstimate(delta=delta, sample=xs)

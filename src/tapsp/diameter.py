@@ -25,16 +25,10 @@ when some pair is unreachable. Reachability is then read off one of two
 sources:
 - A capped general run (hitting set every vertex, below) prepares its
   run first and reads reachability off delta_star, with no separate
-  closure. Proof: a capped run's delta_star is far.delta, which
-  compute_delta_t builds from matrices.nonneg_distances of the
-  reweighted matrix at the cap 2 (n - 1) M, shifted back. That routine
-  gives every pair within the cap exactly and INF past it: when the cap
-  lies past the float window, it returns minplus_closure(w, 2 (n - 1) M)
-  whenever an INF is left after its squares. The cap holds every
-  reachable reweighted distance (compute_delta_t), so the INF entries
-  of far.delta are exactly the unreachable pairs. Whether the run is
-  capped is decided before it, from the schedule alone
-  (threshold_general.capped).
+  closure: a capped run's delta_star is far.delta, whose INF entries
+  are exactly the unreachable pairs (compute_delta_t gives the proof).
+  Whether the run is capped is decided before it, from the schedule
+  alone (threshold_general.capped).
 - The positive path and sampled general runs run the Boolean closure
   graphs.transitive_closure before any run.
 
@@ -49,15 +43,11 @@ rng.derive(1000 + attempt).
   value is max(delta_star) and the witnesses are the pairs at it, in
   row-major order, or +inf and the INF pairs (above). No probe or
   certificate runs, and lo = hi = value (0 for +inf).
-  Proof: with every vertex sampled, compute_delta_t builds far.delta as
-  exact APSP (matrices.nonneg_distances of the reweighted matrix), which
-  is the combine through every x (its docstring). Each
-  term dist(u, x) + dist(x, v) is >= dist(u, v), and the x = u term
-  equals it (dist(u, u) = 0 without negative cycles), so far.delta =
-  dist. prepare_general builds no level then, so delta_star = far.delta
-  is the exact distance matrix, and when every pair is reachable its
-  maximum and the pairs at it are the diameter and its
-  witnesses by definition.
+  Proof: a capped run has no levels, so delta_star = far.delta
+  (prepare_general), which is exact APSP when every vertex is sampled
+  (compute_delta_t gives the proof). When every pair is reachable, its
+  maximum and the pairs at it are the diameter and its witnesses by
+  definition.
 - Otherwise the hitting set is sampled, and a probe is only
   classify_threshold(run, d). Since dist <= delta_star <= dist + K (the
   upper bound with high probability), the search covers the K-wide
@@ -256,11 +246,11 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
                        f"{searches} search(es) on the {mode} path")
 
 
-def diameter(g: Graph, config: RunConfig = None, rng: Rng = None) -> DiameterResult:
+def diameter(g: Graph, config: RunConfig | None = None) -> DiameterResult:
     """Exact diameter of g, or +inf with unreachable witness pairs;
     checked against the oracle when config.verify_due(g.n)."""
     config = config or RunConfig()
-    res = _solve(g, config, rng or Rng(config.seed))
+    res = _solve(g, config, Rng(config.seed))
     if config.verify_due(g.n):
         _verify(g, res)
     return res

@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .matrices import COUNTERS, INF
+from .matrices import COUNTERS, INF, minplus_identity
 from .sampling import Rng
 
 # Largest accepted n * M. Apart from the masked INF + INF, the largest
@@ -130,9 +130,7 @@ def one_based_pairs(mask: np.ndarray) -> list:
 
 def to_matrix(g: Graph) -> np.ndarray:
     """Weight matrix with 0 diagonal and INF for absent arcs."""
-    w = np.empty((g.n, g.n), dtype=np.int64)
-    w.fill(INF)
-    np.fill_diagonal(w, 0)
+    w = minplus_identity(g.n)
     u, v, wt = g.arcs
     w[u, v] = wt
     return w

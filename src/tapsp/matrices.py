@@ -140,8 +140,7 @@ def dist_product_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook",
-                strassen_cutoff: int = STRASSEN_CUTOFF) -> np.ndarray:
+def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook") -> np.ndarray:
     """Exact integer matrix product over object arrays of Python ints.
 
     This is the ring behind the encoded kernels, so kernel is one of
@@ -151,7 +150,7 @@ def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook",
     if kernel == "schoolbook":
         return _schoolbook(a, b)
     if kernel == "strassen":
-        return _strassen(a, b, strassen_cutoff)
+        return _strassen(a, b)
     raise ValueError(f"unknown ring kernel {kernel!r}")
 
 
@@ -173,26 +172,26 @@ def _pad_even(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
+def _strassen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Strassen's recursion on an l x m by m x n product while every side
-    exceeds max(cutoff, 2), schoolbook below. An odd side is padded with
-    one zero row or column at that level, and the padding is cut from the
-    result."""
+    exceeds max(STRASSEN_CUTOFF, 2), schoolbook below. An odd side is
+    padded with one zero row or column at that level, and the padding is
+    cut from the result."""
     l, m = a.shape
     n = b.shape[1]
-    if min(l, m, n) <= max(cutoff, 2):
+    if min(l, m, n) <= max(STRASSEN_CUTOFF, 2):
         return _schoolbook(a, b)
     a, b = _pad_even(a), _pad_even(b)
     r, h, c = (l + 1) // 2, (m + 1) // 2, (n + 1) // 2
     a11, a12, a21, a22 = a[:r, :h], a[:r, h:], a[r:, :h], a[r:, h:]
     b11, b12, b21, b22 = b[:h, :c], b[:h, c:], b[h:, :c], b[h:, c:]
-    m1 = _strassen(a11 + a22, b11 + b22, cutoff)
-    m2 = _strassen(a21 + a22, b11, cutoff)
-    m3 = _strassen(a11, b12 - b22, cutoff)
-    m4 = _strassen(a22, b21 - b11, cutoff)
-    m5 = _strassen(a11 + a12, b22, cutoff)
-    m6 = _strassen(a21 - a11, b11 + b12, cutoff)
-    m7 = _strassen(a12 - a22, b21 + b22, cutoff)
+    m1 = _strassen(a11 + a22, b11 + b22)
+    m2 = _strassen(a21 + a22, b11)
+    m3 = _strassen(a11, b12 - b22)
+    m4 = _strassen(a22, b21 - b11)
+    m5 = _strassen(a11 + a12, b22)
+    m6 = _strassen(a21 - a11, b11 + b12)
+    m7 = _strassen(a12 - a22, b21 + b22)
     out = np.empty((2 * r, 2 * c), dtype=object)
     out[:r, :c] = m1 + m4 - m5 + m7
     out[:r, c:] = m3 + m5
@@ -260,8 +259,7 @@ def dist_product_fast(a: np.ndarray, b: np.ndarray, bound: int | None = None,
     pows[0] = 1
     for e in range(1, len(pows)):
         pows[e] = pows[e - 1] * z
-    prod = ring_matmul(_encode(a, bound, pows), _encode(b, bound, pows),
-                       kernel, STRASSEN_CUTOFF)
+    prod = ring_matmul(_encode(a, bound, pows), _encode(b, bound, pows), kernel)
     return _decode_min(prod, bound, pows)
 
 

@@ -7,9 +7,9 @@ uncertainty band in between is resolved exactly from each level's
 partial matrix by one matrices.window_square around d/2, the product
 the positive path's level steps run. delta_star itself is the pointwise
 minimum of the hitting set distances (long paths) and one scaled
-estimate per schedule level (each covering one band of path lengths),
-or the hitting set distances alone when that set is every vertex and
-they are exact. build_levels builds the levels, each on its own derived
+estimate per schedule level (each covering one band of path lengths).
+A run whose hitting set is every vertex has exact hitting set distances
+and no levels. build_levels builds the levels, each on its own derived
 random streams.
 """
 
@@ -24,7 +24,7 @@ from .config import RunConfig
 from .far_pairs import FarDistances, compute_delta_t, hitting_count
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
-from .matrices import INF, full_inf, window_square
+from .matrices import INF, window_square
 from .oracle import brute_threshold, floyd_warshall
 from .partial_distances import PartialDistanceMatrix, build_partial
 from .sampling import Rng
@@ -53,8 +53,9 @@ class ThresholdReport:
     reported: np.ndarray
     d: int
     stats: dict = field(default_factory=dict)
-    # exact distances on the window pairs, INF elsewhere; None on the
-    # positive path and on shortcuts
+    # exact distances on the window pairs (far.delta lowered by each
+    # level's window square), INF elsewhere; None on the positive path
+    # and on shortcuts
     window_exact: np.ndarray | None = None
 
     @property
@@ -99,23 +100,18 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng,
     distances, one partial matrix and scaled estimate per level. h are
     g's Johnson potentials (graphs.johnson_potentials).
 
-    A capped run, whose hitting set is all n vertices, makes far.delta
-    exact, so no level is built (delta_star = far.delta): estimate and
-    target_distances entries are >= dist and could lower neither
-    delta_star nor a window pair's exact value. A capped sample draws
-    nothing and Rng.derive consumes nothing, so uncapped runs keep their
-    random streams.
+    A capped run, whose hitting set is all n vertices, has no levels:
+    far.delta is then exact (compute_delta_t), so delta_star = far.delta.
+    A capped sample draws nothing and no level derives a stream, so
+    uncapped runs keep their random streams.
     """
     sched = build_schedule(g.n, g.M, omega=config.omega,
                            force_beta=config.force_beta)
     far = compute_delta_t(g, sched.t_far, rng.derive(0), h)
-    if capped(g, config):
-        return GeneralRun(schedule=sched, far=far, partials=[],
-                          delta_star=far.delta)
-    levels = build_levels(g, sched, config, rng)
-    delta_star = far.delta.copy()
+    levels = [] if far.hitting.size == g.n else build_levels(g, sched, config, rng)
+    delta_star = far.delta
     for _, est in levels:
-        np.minimum(delta_star, est.delta, out=delta_star)
+        delta_star = np.minimum(delta_star, est.delta)
     # distances to self are identically 0 on negative-cycle-free graphs;
     # no level band covers edge count 0, so pin the diagonal directly
     np.fill_diagonal(delta_star, 0)
@@ -153,38 +149,31 @@ def target_distances(pdm: PartialDistanceMatrix, d: int, k_margin: int,
 def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdReport:
     """Report pairs with delta_star <= d; resolve the (d, d+K] band.
 
-    A capped run (hitting set every vertex) has no partials and
-    delta_star = far.delta (prepare_general). The band resolution then
-    sets window_exact to far.delta = delta_star on the window pairs, and
-    each window pair has delta_star > d, so no pair is kept. The capped
-    case therefore reports delta_star <= d and sets window_exact to
-    np.where(window, delta_star, INF) directly, with the same stats.
+    delta_star <= far.delta entrywise, so far.delta never reports a
+    window pair (delta_star > d): only a partial matrix's window square
+    can. A capped run has none, so it reports exactly delta_star <= d.
     """
     k_margin = run.schedule.K
     ds = run.delta_star
     accepted = ds <= d
     window = (ds > d) & (ds <= d + k_margin)
-    if run.partials:
-        window_exact = full_inf(*ds.shape)
-        if window.any():
-            exact = run.far.delta
-            for pdm in run.partials:
-                exact = np.minimum(exact, target_distances(
-                    pdm, d, k_margin, kernel=config.kernel))
-            window_exact[window] = exact[window]
-        keep = window_exact <= d
-        reported = accepted | keep
-        window_reported = int(keep.sum())
-    else:
-        window_exact = np.where(window, ds, INF)
-        reported, window_reported = accepted, 0
-    n_accepted, n_window = int(accepted.sum()), int(window.sum())
+    exact = run.far.delta
+    if window.any():
+        for pdm in run.partials:
+            exact = np.minimum(exact, target_distances(
+                pdm, d, k_margin, kernel=config.kernel))
+    window_exact = np.where(window, exact, INF)
+    keep = window_exact <= d
+    reported = accepted | keep
+    # count_nonzero is several times faster than a Boolean sum at this size
+    n_accepted = int(np.count_nonzero(accepted))
+    n_window = int(np.count_nonzero(window))
     stats = {
         "accepted": n_accepted,
         # accepted and window pairs are disjoint
         "rejected": ds.size - n_accepted - n_window,
         "window": n_window,
-        "window_reported": window_reported,
+        "window_reported": int(np.count_nonzero(keep)),
         "K": k_margin,
         "levels": len(run.partials),
         "edge_case": None,
@@ -212,8 +201,8 @@ def oracle_report(g: Graph, d: int, config: RunConfig) -> np.ndarray | None:
     return brute_threshold(floyd_warshall(to_matrix(g)), d)
 
 
-def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
-                       rng: Rng | None = None) -> ThresholdReport:
+def threshold_apsp_neg(g: Graph, d: int,
+                       config: RunConfig | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d, weights in [-M, M].
 
     Raises NegativeCycleError (with a witness cycle) if distances are
@@ -222,7 +211,7 @@ def threshold_apsp_neg(g: Graph, d: int, config: RunConfig | None = None,
     seeds until they agree, up to config.max_attempts passes.
     """
     config = config or RunConfig()
-    rng = rng or Rng(config.seed)
+    rng = Rng(config.seed)
     h = johnson_potentials(g)
     shortcut = _edge_case_report(g, d)
     if shortcut is not None:

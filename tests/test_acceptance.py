@@ -17,6 +17,7 @@ import numpy as np
 from helpers import (level_step_square, mixed_graph, nested_coeffs,
                      poly_square_direct, rand_dist_matrix, sc_mixed_graph,
                      sc_positive_graph, schedule_levels)
+from tapsp import matrices
 from tapsp.config import RunConfig
 from tapsp.diameter import diameter
 from tapsp.graphs import (Graph, gen_random, johnson_potentials, make_graph,
@@ -188,7 +189,7 @@ def test_criterion_4_worked_example():
     _verdict(4, "f_set(100,4) and level_plan(100,4) match bit-exact")
 
 
-def test_criterion_5_kernel_equivalence():
+def test_criterion_5_kernel_equivalence(monkeypatch):
     start = time.monotonic()
     kernels = ("numpy", "schoolbook")
     minplus_trials = 10_000
@@ -227,9 +228,9 @@ def test_criterion_5_kernel_equivalence():
         if t % 50 == 0:
             a = a * (1 << 120)
             b = b * (1 << 131)
-        cutoff = (2, 4, 8)[t % 3]
+        monkeypatch.setattr(matrices, "STRASSEN_CUTOFF", (2, 4, 8)[t % 3])
         school = ring_matmul(a, b, kernel="schoolbook")
-        stras = ring_matmul(a, b, kernel="strassen", strassen_cutoff=cutoff)
+        stras = ring_matmul(a, b, kernel="strassen")
         assert np.array_equal(school, stras)
 
     wall = time.monotonic() - start

@@ -140,8 +140,8 @@ def test_mode_mismatch_rejected():
 def test_deterministic(monkeypatch):
     hitting = _record_hitting(monkeypatch)
     g = sampled_graph(31)
-    a = diameter(g, SAMPLED, rng=Rng(2))
-    b = diameter(g, SAMPLED, rng=Rng(2))
+    a = diameter(g, SAMPLED.with_(seed=2))
+    b = diameter(g, SAMPLED.with_(seed=2))
     assert a.value == b.value and a.witnesses == b.witnesses and a.probes == b.probes
     assert a.probes and max(hitting) < g.n
 

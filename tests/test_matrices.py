@@ -48,12 +48,12 @@ def test_fast_scalar_case():
     assert dist_product_fast(a, b, bound=2)[0, 0] == 1
 
 
-def test_ring_matmul_square_example():
+def test_ring_matmul_square_example(monkeypatch):
+    lower_strassen_cutoff(monkeypatch, 2)
     a = np.array([[1, 2], [3, 4]], dtype=object)
     want = np.array([[7, 10], [15, 22]], dtype=object)
     assert np.array_equal(ring_matmul(a, a), want)
-    assert np.array_equal(ring_matmul(a, a, kernel="strassen", strassen_cutoff=2),
-                          want)
+    assert np.array_equal(ring_matmul(a, a, kernel="strassen"), want)
 
 
 def test_minplus_identity_neutral():
@@ -129,7 +129,8 @@ def test_ring_matmul_counts_multiplications():
     assert COUNTERS.ring_mults == 3 * 4 * 5
 
 
-def test_strassen_equals_schoolbook():
+def test_strassen_equals_schoolbook(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 2)
     gen = np.random.default_rng(3)
     for _ in range(60):
         n = int(gen.integers(1, 13))
@@ -138,17 +139,20 @@ def test_strassen_equals_schoolbook():
         a = gen.integers(-50, 50, size=(n, m)).astype(object)
         b = gen.integers(-50, 50, size=(m, r)).astype(object)
         school = ring_matmul(a, b, kernel="schoolbook")
-        stras = ring_matmul(a, b, kernel="strassen", strassen_cutoff=2)
+        stras = ring_matmul(a, b, kernel="strassen")
         assert np.array_equal(school, stras)
+    assert strassen["calls"] > 0
 
 
-def test_strassen_handles_big_integers():
+def test_strassen_handles_big_integers(monkeypatch):
+    strassen = lower_strassen_cutoff(monkeypatch, 2)
     gen = np.random.default_rng(4)
     a = np.array([[int(x) << 200 for x in row]
                   for row in gen.integers(1, 9, size=(5, 5))], dtype=object)
     school = ring_matmul(a, a, kernel="schoolbook")
-    stras = ring_matmul(a, a, kernel="strassen", strassen_cutoff=2)
+    stras = ring_matmul(a, a, kernel="strassen")
     assert np.array_equal(school, stras)
+    assert strassen["calls"] > 0
 
 
 def test_strassen_thin_product_counts_schoolbook_mults():

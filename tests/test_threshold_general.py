@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,8 +210,8 @@ def test_verify_skipped_above_bound():
 
 def test_runs_are_deterministic():
     g = mixed_graph(12, 0.35, 3, seed=17)
-    a = threshold_apsp_neg(g, 2, rng=Rng(4))
-    b = threshold_apsp_neg(g, 2, rng=Rng(4))
+    a = threshold_apsp_neg(g, 2, RunConfig(seed=4))
+    b = threshold_apsp_neg(g, 2, RunConfig(seed=4))
     assert np.array_equal(a.reported, b.reported)
     assert a.stats == b.stats
 
@@ -277,7 +279,15 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         for d in (-2, 0, 2, 5):
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)
-            assert rep.stats["levels"] == 0
+            # a capped run's stats are the oracle's counts of dist <= d
+            # and d < dist <= d + K
+            K = run.schedule.K
+            accepted = int((dist <= d).sum())
+            window = int(((dist > d) & (dist <= d + K)).sum())
+            assert rep.stats == {"accepted": accepted, "window": window,
+                                 "rejected": g.n * g.n - accepted - window,
+                                 "window_reported": 0, "levels": 0, "K": K,
+                                 "edge_case": None}, (seed, d)
             win = _window(run, d)
             assert np.array_equal(rep.window_exact[win], dist[win])
             assert (rep.window_exact[~win] == INF).all()
@@ -290,6 +300,27 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
     assert len(run.partials) > 0
     assert calls["dijkstra"] == 2 * run.far.hitting.size
     assert calls["product"] > 0
+
+
+def test_sampled_run_without_partials_reports_delta_star_within_d():
+    # delta_star <= far.delta entrywise, so far.delta alone never reports a
+    # window pair: with the partial matrices dropped, a sampled run
+    # reports exactly delta_star <= d
+    windows = 0
+    for g, seed in ((sc_mixed_graph(32, 0.1, 3, seed=2), 2),
+                    (mixed_graph(32, 0.1, 3, seed=6), 6)):
+        cfg = RunConfig(force_beta=0.0)
+        run = prepare_general(g, cfg, Rng(seed), johnson_potentials(g))
+        assert run.far.hitting.size < g.n and run.partials
+        bare = dataclasses.replace(run, partials=[])
+        for d in (-3, 0, 1, 2, 3, 4, 10):
+            rep = classify_threshold(bare, d, cfg)
+            assert np.array_equal(rep.reported, run.delta_star <= d), (seed, d)
+            assert rep.stats["window_reported"] == 0
+            win = _window(run, d)
+            assert np.array_equal(rep.window_exact, np.where(win, run.far.delta, INF))
+            windows += int(win.sum())
+    assert windows > 0
 
 
 def test_report_pairs_are_one_based():
