@@ -56,15 +56,23 @@ rng.derive(1000 + attempt).
   distances are 0). If some delta_star entry is infinite the search
   covers [0, M(n-1)].
 
-Certificate: the answer is checked, not re-sampled, since probes sharing
-one run are correlated. probe(diam) must report every pair. The
-candidates are the pairs it reports that probe(diam - 1) does not; by
-one-sidedness they include every pair at distance diam. A candidate is
-kept only when its exact distance equals diam: the hitting-set distance
-when an endpoint was sampled (exact, as dist(x, x) = 0), otherwise one
-Dijkstra from its source. If the probe trace is not monotone or no
-candidate survives, the whole search is retried with a fresh derived
-seed, so a returned value and witness set are exact (Las Vegas).
+Certificate: both paths search and certify by one rule (_search), given
+a range, classify(d) and exact(cand, diam). probe(diam) must report
+every pair and the probe trace must be monotone. The candidates are the
+pairs probe(diam) reports that probe(diam - 1) does not; by
+one-sidedness they include every pair at distance diam, and
+exact(cand, diam) keeps those whose distance is diam.
+- Positive path: reports are exact, so the candidates are exactly the
+  pairs at diam and exact keeps them all. The path is deterministic, so
+  one search runs and a failed certificate raises.
+- Sampled general path: probes sharing one run are correlated, so the
+  answer is checked, not re-sampled. A candidate is kept only when its
+  exact distance equals diam: the hitting-set distance when an endpoint
+  was sampled (exact, as dist(x, x) = 0), otherwise one Dijkstra from
+  its source (_exact_witnesses). If the trace is not monotone or no
+  candidate survives, the whole search is retried on a fresh run with a
+  fresh derived seed, up to config.max_attempts searches, so a returned
+  value and witness set are exact (Las Vegas).
 
 The probe trace lists each threshold classified once, in order, the two
 certificate probes included; it is empty for a direct answer and for
@@ -144,25 +152,13 @@ def _exact_witnesses(g: Graph, run: GeneralRun, cand: np.ndarray,
     return cand & (exact == diam)
 
 
-def _search(g: Graph, config: RunConfig, primal: np.ndarray | None,
-            run: GeneralRun | None) -> DiameterResult | None:
-    """One certified binary search; None when the general path must retry.
+def _search(lo: int, hi: int, classify, exact) -> DiameterResult | None:
+    """One certified binary search over [lo, hi]; None when it fails.
 
-    primal selects the positive path; otherwise every probe classifies
-    against the prepared general run, a sampled one (_solve answers a
-    capped run directly).
+    classify(d) is the one-sided report at d, and exact(cand, diam) keeps
+    the candidates whose distance is diam. Each d is classified once; the
+    trace lists them in call order, the two certificate probes last.
     """
-    lo, hi = 1, g.M * (g.n - 1)
-    if primal is not None:
-        def classify(d):
-            return threshold_apsp_pos(g, d, kernel=config.kernel,
-                                      primal=primal).reported
-    else:
-        lo, hi = _window(run, hi)
-
-        def classify(d):
-            return classify_threshold(run, d, config).reported
-
     reports = {}
 
     def probe(d: int) -> np.ndarray:
@@ -170,8 +166,8 @@ def _search(g: Graph, config: RunConfig, primal: np.ndarray | None,
             reports[d] = classify(d)
         return reports[d]
 
-    # the top of the range is an upper bound (closure check or delta_star);
-    # the certificate below confirms whatever the search settles on
+    # the caller's hi bounds the diameter from above; the certificate
+    # below confirms whatever the search settles on
     a, b = lo, hi
     while a < b:
         mid = (a + b) // 2
@@ -186,9 +182,7 @@ def _search(g: Graph, config: RunConfig, primal: np.ndarray | None,
     # every probe below diam False, at or above diam True
     if any(ok != (d >= diam) for (d, ok) in probes):
         return None
-    wit = at & ~below
-    if primal is None:
-        wit = _exact_witnesses(g, run, wit, diam)
+    wit = exact(at & ~below, diam)
     if not wit.any():
         return None
     return DiameterResult(value=diam, witnesses=one_based_pairs(wit),
@@ -210,12 +204,12 @@ def _verify(g: Graph, res: DiameterResult) -> None:
 
 def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     """diameter() before its oracle check, in the module docstring's
-    order: the Bellman-Ford (general path), then either one capped
-    general run answered directly off delta_star, reachability included
-    (proof there), or the reachability closure followed by up to
-    config.max_attempts sampled general runs, each searched and
-    certified; the positive path builds one primal matrix and searches
-    once.
+    order: the Bellman-Ford (general path), a capped general run
+    answered directly off delta_star (reachability included, proof
+    there), else the reachability closure and the attempts. Each attempt
+    prepares its path's state, the primal matrix or a sampled general
+    run on a fresh derived seed, and hands _search its range, classify
+    and exact; only the general path makes more than one.
     """
     mode = pick_mode(g, config)
     positive = mode == "positive"
@@ -232,14 +226,21 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     closure = transitive_closure(g)
     if not closure.all():
         return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))
-    primal = primal_distances(g) if positive else None
-    run = None
+    top = g.M * (g.n - 1)
     # the positive path is deterministic: a failed certificate fails again
     searches = 1 if positive else config.max_attempts
     for attempt in range(searches):
-        if not positive:
+        if positive:
+            primal = primal_distances(g)
+            out = _search(1, top,
+                          lambda d: threshold_apsp_pos(g, d, kernel=config.kernel,
+                                                       primal=primal).reported,
+                          lambda cand, diam: cand)  # positive reports are exact
+        else:
             run = prepare_general(g, config, rng.derive(1000 + attempt), h)
-        out = _search(g, config, primal, run)
+            out = _search(*_window(run, top),
+                          lambda d: classify_threshold(run, d, config).reported,
+                          lambda cand, diam: _exact_witnesses(g, run, cand, diam))
         if out is not None:
             return out
     raise RuntimeError(f"diameter search failed its certificate after "

@@ -26,10 +26,10 @@ from .sampling import Rng, sample
 
 def hitting_count(n: int, t: int) -> int:
     """The size of hitting_set(n, t, rng) for every rng: ceil(8 n ln n / t)
-    capped at n, and 0 for n = 1. A size of n is a capped sample."""
+    capped at n, and 0 at n = 1 (ln 1 = 0). A size of n is a capped sample."""
     if t < 1:
         raise ValueError("path-length threshold t must be >= 1")
-    return min(math.ceil(8.0 * n * math.log(n) / t), n) if n > 1 else 0
+    return min(math.ceil(8.0 * n * math.log(n) / t), n)
 
 
 def hitting_set(n: int, t: int, rng: Rng) -> np.ndarray:

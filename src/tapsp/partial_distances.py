@@ -59,7 +59,7 @@ def build_partial(w: np.ndarray, M: int, beta: float, gamma: float, rng: Rng,
     P = w.astype(np.int64).copy()
     bridge = np.arange(n, dtype=np.int64)
     log15 = math.log(1.5)
-    l_shrink = max(0, math.ceil((1.0 - beta - gamma) * math.log(n) / log15)) if n > 1 else 0
+    l_shrink = max(0, math.ceil((1.0 - beta - gamma) * math.log(n) / log15))
     l_total = max(l_shrink, math.ceil(math.log(2.0 * n ** (1.0 - beta)) / log15))
 
     s = Fraction(1)

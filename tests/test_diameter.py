@@ -105,6 +105,89 @@ def test_probe_trace_is_monotone(monkeypatch):
     assert max(hitting) < 32
 
 
+# _search on its own: exact reports from the oracle, every classify call
+# recorded; the range is chosen per case
+SEARCH_GRAPHS = [sc_positive_graph(9, 0.3, 3, seed=4), sc_mixed_graph(10, 0.3, 3, seed=2)]
+
+
+def _exact_classify(g, broken=None):
+    """classify(d) = the oracle's report, or broken(d) where that is not
+    None; the second value lists the d's classified, in call order."""
+    dist = floyd_warshall(to_matrix(g))
+    calls = []
+
+    def classify(d):
+        calls.append(d)
+        rep = broken(d) if broken else None
+        return dist <= d if rep is None else rep
+    return classify, calls
+
+
+def _bisect_mids(lo, hi, diam):
+    mids = []
+    while lo < hi:
+        mids.append((lo + hi) // 2)
+        lo, hi = (lo, mids[-1]) if mids[-1] >= diam else (mids[-1] + 1, hi)
+    return mids
+
+
+@pytest.mark.parametrize("g", SEARCH_GRAPHS)
+def test_search_is_a_certified_binary_search_over_any_classify(g):
+    want, wit = _oracle_diameter(g)
+    for lo, hi in ((0, g.M * (g.n - 1)), (want, g.M * (g.n - 1)), (0, want)):
+        classify, calls = _exact_classify(g)
+        res = dia_mod._search(lo, hi, classify, lambda cand, diam: cand)
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert (res.lo, res.hi) == (lo, hi)
+        assert len(calls) == len(set(calls))
+        assert res.probes == [(d, d >= want) for d in calls]
+        mids = _bisect_mids(lo, hi, want)
+        assert calls == mids + [d for d in (want, want - 1) if d not in mids]
+
+
+@pytest.mark.parametrize("g", SEARCH_GRAPHS)
+def test_search_rejects_a_non_monotone_classify(g):
+    want, _ = _oracle_diameter(g)
+    assert want > 0
+    dist = floyd_warshall(to_matrix(g))
+    # one d misreports: below the range, every pair; at the top of the
+    # range, every pair within want but (1, 1), at distance 0. The second
+    # still yields witnesses, so only the trace check rejects it
+    below_all = np.ones((g.n, g.n), dtype=bool)
+    top_short = dist <= want
+    top_short[0, 0] = False
+    for lo, hi, bad, rep in ((want, want + 5, want - 1, below_all),
+                             (0, want, want, top_short)):
+        classify, calls = _exact_classify(g, lambda d: rep if d == bad else None)
+        assert dia_mod._search(lo, hi, classify, lambda cand, diam: cand) is None
+        assert bad in calls
+
+
+@pytest.mark.parametrize("g", SEARCH_GRAPHS)
+def test_search_with_no_exact_candidate_returns_none(g):
+    want, _ = _oracle_diameter(g)
+    classify, calls = _exact_classify(g)
+    seen = []
+
+    def exact(cand, diam):
+        seen.append((int(cand.sum()), diam))
+        return np.zeros_like(cand)
+    assert dia_mod._search(0, g.M * (g.n - 1), classify, exact) is None
+    # exact saw the pairs at the diameter, once
+    dist = floyd_warshall(to_matrix(g))
+    assert seen == [(int((dist == want).sum()), want)]
+
+
+@pytest.mark.parametrize("g", SEARCH_GRAPHS)
+def test_search_over_one_value_probes_it_and_the_one_below(g):
+    want, wit = _oracle_diameter(g)
+    classify, calls = _exact_classify(g)
+    res = dia_mod._search(want, want, classify, lambda cand, diam: cand)
+    assert calls == [want, want - 1]
+    assert (res.value, sorted(res.witnesses), res.lo, res.hi) == (want, wit, want, want)
+    assert res.probes == [(want, True), (want - 1, False)]
+
+
 def test_single_vertex():
     res = diameter(make_graph(1, []))
     assert res.value == 0

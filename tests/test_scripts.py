@@ -14,6 +14,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ["success_rate.py", "--trials", "1", "--ns", "16"],
     ["rpdm_stress.py", "--trials", "1", "-n", "24"],
     ["bench_sweep.py", "--ns", "8,16", "--algos", "oracle,threshold"],
+    ["code_lines.py"],
 ])
 def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0])] + argv[1:],
