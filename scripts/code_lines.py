@@ -6,10 +6,8 @@ The script prints one count per module and the total.
 
 Example:
     python3 scripts/code_lines.py
-    python3 scripts/code_lines.py path/to/package
 """
 
-import argparse
 import ast
 from pathlib import Path
 
@@ -36,12 +34,8 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("package", nargs="?", type=Path, default=PACKAGE,
-                    help="directory of .py files to count (default: src/tapsp)")
-    args = ap.parse_args()
     total = 0
-    for path in sorted(args.package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{path.name:<24}{count:>6}")
