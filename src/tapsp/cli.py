@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: gen, threshold, diameter, oracle, bench. Each common flag
-sets the RunConfig field its dest names (--json sets output="json"), over
+whose dest names a RunConfig field sets that field, over
 config_from_env(), which reads TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL,
-TAPSP_MODE and TAPSP_VERIFY; explicit flags win. --threads is accepted
-and checked but sets nothing.
+TAPSP_MODE and TAPSP_VERIFY; explicit flags win. The other three are
+the CLI's own: --json and --trace choose what it prints, and --threads
+is accepted and checked but sets nothing.
 
 The commands only parse, call and print: threshold and diameter (and the
 bench rows of the same names) call the library's threshold() and
@@ -80,8 +81,8 @@ def _read_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _emit(payload: dict, cfg: RunConfig, text_lines) -> None:
-    if cfg.output == "json":
+def _emit(payload: dict, args, text_lines) -> None:
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -127,14 +128,14 @@ def cmd_threshold(args) -> int:
     }
     lines = [f"mode: {mode}", f"n: {g.n}", f"M: {g.M}", f"d: {args.d}",
              f"count: {rep.count}"]
-    if cfg.trace:
+    if args.trace:
         for k in sorted(payload["stats"]):
             lines.append(f"stat {k}: {payload['stats'][k]}")
     if args.pairs:
         pair_list = rep.pairs()
         payload["pairs"] = [list(p) for p in pair_list]
         lines.extend(f"pair: {u} {v}" for (u, v) in pair_list)
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0
 
 
@@ -154,15 +155,15 @@ def cmd_diameter(args) -> int:
     }
     lines = [f"n: {g.n}", f"M: {g.M}", f"diameter: {value_str}"]
     lines.extend(f"witness: {u} {v}" for (u, v) in res.witnesses)
-    if cfg.trace:
+    if args.trace:
         lines.append(f"search range: [{res.lo}, {res.hi}]")
         lines.extend(f"probe: d={d} all={ok}" for (d, ok) in res.probes)
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = _config(args)
+    _config(args)  # the oracle reads no setting, but a bad one still exits 3
     g = _read_graph(args.file)
     dist = floyd_warshall(to_matrix(g))
     if args.d is not None:
@@ -175,7 +176,7 @@ def cmd_oracle(args) -> int:
             pair_list = one_based_pairs(rep)
             payload["pairs"] = [list(p) for p in pair_list]
             lines.extend(f"pair: {u} {v}" for (u, v) in pair_list)
-        _emit(payload, cfg, lines)
+        _emit(payload, args, lines)
         return 0
     fin = is_finite(dist)
     rows = []
@@ -183,7 +184,7 @@ def cmd_oracle(args) -> int:
         rows.append(" ".join("inf" if not fin[i, j] else str(int(dist[i, j]))
                              for j in range(g.n)))
     payload = {"command": "oracle", "n": g.n, "M": g.M, "matrix": rows}
-    _emit(payload, cfg, rows)
+    _emit(payload, args, rows)
     return 0
 
 

@@ -1,9 +1,11 @@
-"""Run configuration shared by the library entry points and the CLI.
+"""Run configuration: every setting the library reads.
 
 The fields in ENV_FIELDS can be seeded from the environment as TAPSP_
 plus the upper-case field name (TAPSP_OMEGA, TAPSP_SEED, TAPSP_KERNEL,
 TAPSP_MODE, TAPSP_VERIFY); the CLI flags set fields of the same name and
-win over the environment. TAPSP_KERNEL takes one of KERNELS: "numpy"
+win over the environment. The CLI's own flags, --json, --trace and
+--threads, set no field: the first two choose what it prints, and
+--threads is only checked. TAPSP_KERNEL takes one of KERNELS: "numpy"
 (the default: Yuval's encoding in float64 exponents, one BLAS product,
 where the operands' ranges fit, and fixed-width min-plus relaxation
 beyond) or the paper's encoded ring products "schoolbook" and
@@ -20,7 +22,7 @@ ENV_PREFIX = "TAPSP_"
 
 MODES = ("general", "positive", "auto")
 KERNELS = ("numpy", "schoolbook", "strassen")
-OUTPUTS = ("text", "json")
+MAX_ATTEMPTS = 20  # general-threshold verify passes; sampled-diameter searches
 
 
 @dataclass(frozen=True)
@@ -29,11 +31,8 @@ class RunConfig:
     seed: int = 0
     kernel: str = "numpy"
     mode: str = "auto"
-    output: str = "text"
     verify: bool = False
     verify_bound: int = 128
-    max_attempts: int = 20
-    trace: bool = False
     force_beta: float | None = None
 
     def __post_init__(self):
@@ -45,10 +44,6 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
-        if self.output not in OUTPUTS:
-            raise ValueError(f"output must be one of {OUTPUTS}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)

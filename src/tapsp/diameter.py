@@ -58,10 +58,12 @@ rng.derive(1000 + attempt).
 
 Certificate: both paths search and certify by one rule (_search), given
 a range, classify(d) and exact(cand, diam). probe(diam) must report
-every pair and the probe trace must be monotone. The candidates are the
-pairs probe(diam) reports that probe(diam - 1) does not; by
-one-sidedness they include every pair at distance diam, and
-exact(cand, diam) keeps those whose distance is diam.
+every pair. The candidates are the pairs probe(diam) reports that
+probe(diam - 1) does not; by one-sidedness they include every pair at
+distance diam, and exact(cand, diam) keeps those whose distance is diam.
+The rest of the probe trace needs no check: the bisection leaves every
+probe below diam short of some pair, and when diam = lo a probe(lo - 1)
+that reports every pair leaves no candidate.
 - Positive path: reports are exact, so the candidates are exactly the
   pairs at diam and exact keeps them all. The path is deterministic, so
   one search runs and a failed certificate raises.
@@ -69,9 +71,9 @@ exact(cand, diam) keeps those whose distance is diam.
   answer is checked, not re-sampled. A candidate is kept only when its
   exact distance equals diam: the hitting-set distance when an endpoint
   was sampled (exact, as dist(x, x) = 0), otherwise one Dijkstra from
-  its source (_exact_witnesses). If the trace is not monotone or no
+  its source (_exact_witnesses). If probe(diam) misses a pair or no
   candidate survives, the whole search is retried on a fresh run with a
-  fresh derived seed, up to config.max_attempts searches, so a returned
+  fresh derived seed, up to MAX_ATTEMPTS searches, so a returned
   value and witness set are exact (Las Vegas).
 
 The probe trace lists each threshold classified once, in order, the two
@@ -86,7 +88,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, pick_mode
+from .config import MAX_ATTEMPTS, RunConfig, pick_mode
 from .far_pairs import sssp_rows
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
@@ -177,14 +179,12 @@ def _search(lo: int, hi: int, classify, exact) -> DiameterResult | None:
             a = mid + 1
     diam = a
     at = probe(diam)
-    below = probe(diam - 1)
-    probes = [(d, bool(rep.all())) for d, rep in reports.items()]
-    # every probe below diam False, at or above diam True
-    if any(ok != (d >= diam) for (d, ok) in probes):
+    if not at.all():
         return None
-    wit = exact(at & ~below, diam)
+    wit = exact(at & ~probe(diam - 1), diam)
     if not wit.any():
         return None
+    probes = [(d, bool(rep.all())) for d, rep in reports.items()]
     return DiameterResult(value=diam, witnesses=one_based_pairs(wit),
                           probes=probes, lo=lo, hi=hi)
 
@@ -228,7 +228,7 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
         return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))
     top = g.M * (g.n - 1)
     # the positive path is deterministic: a failed certificate fails again
-    searches = 1 if positive else config.max_attempts
+    searches = 1 if positive else MAX_ATTEMPTS
     for attempt in range(searches):
         if positive:
             primal = primal_distances(g)

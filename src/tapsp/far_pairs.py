@@ -37,13 +37,19 @@ def hitting_set(n: int, t: int, rng: Rng) -> np.ndarray:
     return sample(np.arange(n), hitting_count(n, t), rng)
 
 
-def _adjacency(g: Graph, h: np.ndarray, reverse: bool):
-    """Reweighted adjacency lists, arcs in edges order; arcs become
-    nonnegative under h."""
+def _reweighted(g: Graph, h: np.ndarray) -> tuple:
+    """g's arcs (u, v, w + h[u] - h[v]) in edges order; ValueError unless
+    h reweights every arc nonnegatively."""
     u, v, w = g.arcs
     wp = w + h[u] - h[v]
     if (wp < 0).any():
         raise ValueError("potentials do not reweight arcs nonnegatively")
+    return u, v, wp
+
+
+def _adjacency(g: Graph, h: np.ndarray, reverse: bool):
+    """Reweighted adjacency lists (_reweighted), arcs in edges order."""
+    u, v, wp = _reweighted(g, h)
     if reverse:
         u, v = v, u
     adj = [[] for _ in range(g.n)]
@@ -132,9 +138,9 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
                             potentials=h)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
-        u, v, w = g.arcs
+        u, v, wp = _reweighted(g, h)
         rw = minplus_identity(n)
-        rw[u, v] = w + h[u] - h[v]
+        rw[u, v] = wp
         dp = nonneg_distances(rw, 2 * (n - 1) * g.M, n - 1)
         # the shift moves INF entries off INF: pin them back, if any
         delta = dp - h[:, None]

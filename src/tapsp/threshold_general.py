@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import additive_approximate
-from .config import RunConfig
+from .config import MAX_ATTEMPTS, RunConfig
 from .far_pairs import FarDistances, compute_delta_t, hitting_count
 from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
                      transitive_closure)
@@ -190,6 +190,9 @@ def _edge_case_report(g: Graph, d: int) -> ThresholdReport | None:
     if d > span:
         rep = transitive_closure(g)
         return ThresholdReport(reported=rep, d=d, stats={"edge_case": "closure"})
+    if g.n == 1:
+        rep = np.array([[d >= 0]], dtype=bool)
+        return ThresholdReport(reported=rep, d=d, stats={"edge_case": "single_vertex"})
     return None
 
 
@@ -208,7 +211,8 @@ def threshold_apsp_neg(g: Graph, d: int,
     Raises NegativeCycleError (with a witness cycle) if distances are
     undefined. In verify mode, instances up to config.verify_bound are
     checked against the brute-force oracle and re-run on fresh derived
-    seeds until they agree, up to config.max_attempts passes.
+    seeds until they agree, up to MAX_ATTEMPTS passes. n = 1 and a d
+    outside [-nM, nM] are answered without a run (_edge_case_report).
     """
     config = config or RunConfig()
     rng = Rng(config.seed)
@@ -217,12 +221,8 @@ def threshold_apsp_neg(g: Graph, d: int,
     if shortcut is not None:
         shortcut.stats["attempts"] = 1
         return shortcut
-    if g.n == 1:
-        rep = np.array([[d >= 0]], dtype=bool)
-        return ThresholdReport(reported=rep, d=d,
-                               stats={"edge_case": "single_vertex", "attempts": 1})
     oracle_rep = oracle_report(g, d, config)
-    attempts = config.max_attempts if oracle_rep is not None else 1
+    attempts = MAX_ATTEMPTS if oracle_rep is not None else 1
     for attempt in range(attempts):
         run = prepare_general(g, config, rng.derive(attempt), h)
         report = classify_threshold(run, d, config)

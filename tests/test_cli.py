@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -6,14 +7,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapsp.cli import _config, build_parser, main
-from tapsp.config import KERNELS, RunConfig, config_from_env
+from tapsp.cli import _add_common, _config, build_parser, main
+from tapsp.config import ENV_FIELDS, ENV_PREFIX, KERNELS, RunConfig, config_from_env
 from tapsp.graphs import (gen_mixed_ncf, gen_random, make_graph, parse_graph,
                           to_matrix, write_graph)
 from tapsp.matrices import is_finite
@@ -594,10 +596,28 @@ def test_tapsp_settings_parse_and_flags_win(monkeypatch):
     args = parser.parse_args(["diameter", "g.gr", "--seed", "7", "--kernel", "numpy",
                               "--mode", "auto", "--omega", "3", "--json", "--trace"])
     assert _config(args) == RunConfig(seed=7, kernel="numpy", mode="auto", omega=3.0,
-                                      verify=True, output="json", trace=True)
+                                      verify=True)
+    assert args.output == "json" and args.trace
     for raw in ("0", "false", "No", " off "):
         monkeypatch.setenv("TAPSP_VERIFY", raw)
         assert not config_from_env().verify
+
+
+def test_every_common_flag_sets_a_field_or_is_the_clis_own(monkeypatch):
+    for name in ENV_FIELDS:
+        monkeypatch.delenv(ENV_PREFIX + name.upper(), raising=False)
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    dests = set(vars(parser.parse_args([])))
+    names = {f.name for f in fields(RunConfig)}
+    assert dests - names == {"output", "trace", "threads"}
+    # every field but verify_bound is set by a flag or a TAPSP_ variable
+    assert names - dests - set(ENV_FIELDS) == {"verify_bound"}
+    args = parser.parse_args(["--omega", "2.5", "--seed", "7", "--kernel", "strassen",
+                              "--mode", "general", "--verify", "--force-beta", "0.5",
+                              "--json", "--trace", "--threads", "2"])
+    cfg, default = _config(args), RunConfig()
+    assert {n for n in names if getattr(cfg, n) != getattr(default, n)} == dests & names
 
 
 @pytest.mark.parametrize("name,raw,message", [

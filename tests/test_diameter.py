@@ -7,7 +7,7 @@ import pytest
 from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
                      sc_positive_graph, two_scc_graph)
 from tapsp import graphs
-from tapsp.config import KERNELS, RunConfig
+from tapsp.config import KERNELS, MAX_ATTEMPTS, RunConfig
 from tapsp.diameter import diameter, threshold
 from tapsp.far_pairs import compute_delta_t
 from tapsp.graphs import (MAX_SPAN, NegativeCycleError, find_negative_cycle,
@@ -152,7 +152,8 @@ def test_search_rejects_a_non_monotone_classify(g):
     dist = floyd_warshall(to_matrix(g))
     # one d misreports: below the range, every pair; at the top of the
     # range, every pair within want but (1, 1), at distance 0. The second
-    # still yields witnesses, so only the trace check rejects it
+    # still yields witnesses, so only the check that probe(diam) reports
+    # every pair rejects it
     below_all = np.ones((g.n, g.n), dtype=bool)
     top_short = dist <= want
     top_short[0, 0] = False
@@ -641,7 +642,7 @@ def test_failed_certificates_name_the_path(monkeypatch, g, mode):
     monkeypatch.setattr(dia_mod, "_search", lambda *args: None)
     hitting = _record_hitting(monkeypatch)
     cfg = SAMPLED if mode == "general" else RunConfig()
-    searches = 1 if mode == "positive" else cfg.max_attempts
+    searches = 1 if mode == "positive" else MAX_ATTEMPTS
     with pytest.raises(RuntimeError,
                        match=rf"after {searches} search\(es\) on the {mode} path"):
         diameter(g, cfg)

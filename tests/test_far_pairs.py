@@ -57,6 +57,15 @@ def test_sssp_rejects_potentials_that_leave_a_negative_arc():
     assert sssp_rows(g, johnson_potentials(g), [0])[0].tolist() == [0, 2, 1]
 
 
+@pytest.mark.parametrize("t", [1, 100], ids=["capped", "sampled"])
+def test_delta_t_rejects_potentials_that_leave_a_negative_arc(t):
+    # h[1] = -5 takes the arc 2 -> 3 to 1 - 5 = -4; t = 100 samples one
+    # vertex of four, t = 1 all of them
+    g = make_graph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)])
+    with pytest.raises(ValueError, match="nonnegatively"):
+        compute_delta_t(g, t, Rng(0), np.array([0, -5, 0, 0], dtype=np.int64))
+
+
 def test_delta_t_dominates_and_caps_exactly(monkeypatch):
     # with the sample capped to every vertex delta_t is plain exact: on
     # mixed graphs with and without a backbone, on two-SCC graphs, whose
