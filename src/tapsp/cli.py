@@ -12,6 +12,13 @@ bench rows of the same names) call the library's threshold() and
 diameter(), which choose the path and apply --verify themselves. The CLI
 adds the stderr line that says a check was skipped above verify_bound.
 
+Each of threshold, diameter and oracle states its answer once, in a
+payload dict, and _print renders it: under --json the payload as one
+line, otherwise its head fields as "key: value" lines, in order, then
+tail lines listing entries of the payload (stats, pairs, witnesses,
+matrix rows) and, for diameter under --trace, the search range and
+probes.
+
 Exit codes: 0 success, 2 verification mismatch, 3 input error,
 4 negative cycle.
 """
@@ -30,7 +37,7 @@ from .diameter import diameter, threshold
 from .graphs import (Graph, GraphParseError, NegativeCycleError, gen_mixed_ncf,
                      gen_random, one_based_pairs, parse_graph, to_matrix,
                      write_graph)
-from .matrices import COUNTERS, dist_product_naive, is_finite
+from .matrices import COUNTERS, INF, dist_product_naive
 from .oracle import brute_threshold, floyd_warshall
 from .threshold_general import VerifyMismatchError
 
@@ -81,12 +88,24 @@ def _read_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _emit(payload: dict, args, text_lines) -> None:
+def _print(args, payload: dict, head, tail=()) -> None:
+    """The payload as one JSON line under --json; otherwise a "k: v" line
+    for each key in head, in order, then the tail lines."""
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    for k in head:
+        print(f"{k}: {payload[k]}")
+    for line in tail:
+        print(line)
+
+
+def _with_pairs(args, payload: dict, pair_list) -> list:
+    """Under --pairs, payload["pairs"] and the "pair: u v" lines; else []."""
+    if not args.pairs:
+        return []
+    payload["pairs"] = [list(p) for p in pair_list]
+    return [f"pair: {u} {v}" for (u, v) in pair_list]
 
 
 def cmd_gen(args) -> int:
@@ -116,26 +135,13 @@ def cmd_threshold(args) -> int:
     mode = pick_mode(g, cfg)
     rep = threshold(g, args.d, config=cfg)
     _say_verify_skipped(g, cfg)
-    payload = {
-        "command": "threshold",
-        "mode": mode,
-        "n": g.n,
-        "M": g.M,
-        "d": args.d,
-        "count": rep.count,
-        "stats": {k: v for k, v in rep.stats.items()
-                  if isinstance(v, (int, float, str, bool, type(None)))},
-    }
-    lines = [f"mode: {mode}", f"n: {g.n}", f"M: {g.M}", f"d: {args.d}",
-             f"count: {rep.count}"]
-    if args.trace:
-        for k in sorted(payload["stats"]):
-            lines.append(f"stat {k}: {payload['stats'][k]}")
-    if args.pairs:
-        pair_list = rep.pairs()
-        payload["pairs"] = [list(p) for p in pair_list]
-        lines.extend(f"pair: {u} {v}" for (u, v) in pair_list)
-    _emit(payload, args, lines)
+    stats = {k: v for k, v in rep.stats.items()
+             if isinstance(v, (int, float, str, bool, type(None)))}
+    payload = {"command": "threshold", "mode": mode, "n": g.n, "M": g.M,
+               "d": args.d, "count": rep.count, "stats": stats}
+    tail = [f"stat {k}: {stats[k]}" for k in sorted(stats)] if args.trace else []
+    tail += _with_pairs(args, payload, rep.pairs())
+    _print(args, payload, ("mode", "n", "M", "d", "count"), tail)
     return 0
 
 
@@ -144,21 +150,15 @@ def cmd_diameter(args) -> int:
     g = _read_graph(args.file)
     res = diameter(g, config=cfg)
     _say_verify_skipped(g, cfg)
-    value_str = "inf" if not res.finite else str(res.value)
-    payload = {
-        "command": "diameter",
-        "n": g.n,
-        "M": g.M,
-        "diameter": value_str,
-        "witnesses": [list(p) for p in res.witnesses],
-        "probes": len(res.probes),
-    }
-    lines = [f"n: {g.n}", f"M: {g.M}", f"diameter: {value_str}"]
-    lines.extend(f"witness: {u} {v}" for (u, v) in res.witnesses)
+    payload = {"command": "diameter", "n": g.n, "M": g.M,
+               "diameter": "inf" if not res.finite else str(res.value),
+               "witnesses": [list(p) for p in res.witnesses],
+               "probes": len(res.probes)}
+    tail = [f"witness: {u} {v}" for (u, v) in payload["witnesses"]]
     if args.trace:
-        lines.append(f"search range: [{res.lo}, {res.hi}]")
-        lines.extend(f"probe: d={d} all={ok}" for (d, ok) in res.probes)
-    _emit(payload, args, lines)
+        tail.append(f"search range: [{res.lo}, {res.hi}]")
+        tail += [f"probe: d={d} all={ok}" for (d, ok) in res.probes]
+    _print(args, payload, ("n", "M", "diameter"), tail)
     return 0
 
 
@@ -166,25 +166,16 @@ def cmd_oracle(args) -> int:
     _config(args)  # the oracle reads no setting, but a bad one still exits 3
     g = _read_graph(args.file)
     dist = floyd_warshall(to_matrix(g))
-    if args.d is not None:
-        rep = brute_threshold(dist, args.d)
-        count = int(rep.sum())
-        payload = {"command": "oracle", "n": g.n, "M": g.M, "d": args.d,
-                   "count": count}
-        lines = [f"n: {g.n}", f"M: {g.M}", f"d: {args.d}", f"count: {count}"]
-        if args.pairs:
-            pair_list = one_based_pairs(rep)
-            payload["pairs"] = [list(p) for p in pair_list]
-            lines.extend(f"pair: {u} {v}" for (u, v) in pair_list)
-        _emit(payload, args, lines)
+    payload = {"command": "oracle", "n": g.n, "M": g.M}
+    if args.d is None:
+        payload["matrix"] = [" ".join("inf" if x >= INF else str(x) for x in row)
+                             for row in dist.tolist()]
+        _print(args, payload, (), payload["matrix"])
         return 0
-    fin = is_finite(dist)
-    rows = []
-    for i in range(g.n):
-        rows.append(" ".join("inf" if not fin[i, j] else str(int(dist[i, j]))
-                             for j in range(g.n)))
-    payload = {"command": "oracle", "n": g.n, "M": g.M, "matrix": rows}
-    _emit(payload, args, rows)
+    rep = brute_threshold(dist, args.d)
+    payload.update(d=args.d, count=int(rep.sum()))
+    _print(args, payload, ("n", "M", "d", "count"),
+           _with_pairs(args, payload, one_based_pairs(rep)))
     return 0
 
 

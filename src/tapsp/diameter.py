@@ -189,16 +189,24 @@ def _search(lo: int, hi: int, classify, exact) -> DiameterResult | None:
                           probes=probes, lo=lo, hi=hi)
 
 
+def _answer(dist: np.ndarray) -> DiameterResult:
+    """The diameter read off exact distances: the largest entry and the
+    pairs at it, with lo = hi = value; +inf and the INF pairs when that
+    entry is INF."""
+    value = int(dist.max())
+    if value == INF:
+        return DiameterResult(value=math.inf, witnesses=one_based_pairs(dist == INF))
+    return DiameterResult(value=value, lo=value, hi=value,
+                          witnesses=one_based_pairs(dist == value))
+
+
 def _verify(g: Graph, res: DiameterResult) -> None:
     """VerifyMismatchError unless the oracle gives res's value and
     witnesses: the pairs at that distance, or the unreachable ones."""
-    dist = floyd_warshall(to_matrix(g))
-    fin = is_finite(dist)
-    want = int(dist.max()) if fin.all() else math.inf
-    if want != res.value:
-        raise VerifyMismatchError(f"diameter {res.value} but oracle says {want}")
-    at = dist == want if fin.all() else ~fin
-    if one_based_pairs(at) != sorted(res.witnesses):
+    want = _answer(floyd_warshall(to_matrix(g)))
+    if want.value != res.value:
+        raise VerifyMismatchError(f"diameter {res.value} but oracle says {want.value}")
+    if want.witnesses != sorted(res.witnesses):
         raise VerifyMismatchError("witness set disagrees with the oracle")
 
 
@@ -217,12 +225,7 @@ def _solve(g: Graph, config: RunConfig, rng: Rng) -> DiameterResult:
     if g.n == 1:
         return DiameterResult(value=0, witnesses=[(1, 1)])
     if not positive and capped(g, config):
-        ds = prepare_general(g, config, rng.derive(1000), h).delta_star
-        value = int(ds.max())
-        if value == INF:
-            return DiameterResult(value=math.inf, witnesses=one_based_pairs(ds == INF))
-        return DiameterResult(value=value, lo=value, hi=value,
-                              witnesses=one_based_pairs(ds == value))
+        return _answer(prepare_general(g, config, rng.derive(1000), h).delta_star)
     closure = transitive_closure(g)
     if not closure.all():
         return DiameterResult(value=math.inf, witnesses=one_based_pairs(~closure))

@@ -62,6 +62,10 @@ class NegativeCycleError(Exception):
         super().__init__(message)
 
 
+def _integer(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -69,24 +73,27 @@ class Graph:
     M: int
 
     def __post_init__(self):
-        # a float would be truncated silently once the arcs become int64
-        if not (isinstance(self.n, Integral) and isinstance(self.M, Integral)):
+        # a float would be truncated silently once the arcs become int64, a
+        # bool written as True; the bounds compare Python ints, since numpy
+        # integers wrap past 2^63
+        if not all(_integer(x) for x in (self.n, self.M)):
             raise ValueError(f"n = {self.n!r} and M = {self.M!r} must be integers")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         if self.M < 1:
             raise ValueError("weight bound M must be a positive integer")
-        if self.n * self.M > MAX_SPAN:
-            raise ValueError(f"n*M = {self.n * self.M} exceeds the limit {MAX_SPAN}")
+        span = int(self.n) * int(self.M)
+        if span > MAX_SPAN:
+            raise ValueError(f"n*M = {span} exceeds the limit {MAX_SPAN}")
         seen = set()
         for (u, v, w) in self.edges:
-            if not all(isinstance(x, Integral) for x in (u, v, w)):
+            if not all(_integer(x) for x in (u, v, w)):
                 raise ValueError(f"arc ({u!r},{v!r},{w!r}) has a non-integer entry")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u},{v}) out of range 1..{self.n}")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if abs(w) > self.M:
+            if abs(int(w)) > self.M:
                 raise ValueError(f"weight {w} exceeds bound {self.M}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate arc ({u},{v})")
@@ -118,7 +125,7 @@ def make_graph(n: int, arcs, M: int | None = None) -> Graph:
             best[key] = w
     edges = tuple(sorted((u, v, w) for (u, v), w in best.items()))
     if M is None:
-        M = max([1] + [abs(w) for (_, _, w) in edges])
+        M = max([1] + [abs(int(w)) for (_, _, w) in edges])
     return Graph(n=n, edges=edges, M=M)
 
 

@@ -35,7 +35,6 @@ class PartialDistanceMatrix:
     beta: float
     gamma: float
     bridge: np.ndarray
-    M: int
 
     @property
     def n(self) -> int:
@@ -75,7 +74,7 @@ def build_partial(w: np.ndarray, M: int, beta: float, gamma: float, rng: Rng,
         right = dist_product_fast(truncate(P[bb], radius), truncate(P[bridge, :], radius),
                                   bound=radius, kernel=kernel)
         P[bridge, :] = np.minimum(P[bridge, :], right)
-    return PartialDistanceMatrix(P=P, beta=beta, gamma=gamma, bridge=bridge, M=M)
+    return PartialDistanceMatrix(P=P, beta=beta, gamma=gamma, bridge=bridge)
 
 
 def check_rpdm_property1(pdm: PartialDistanceMatrix, dist: np.ndarray,

@@ -38,11 +38,7 @@ class Level:
 
 @dataclass(frozen=True)
 class Schedule:
-    n: int
-    M: int
-    omega: float
     beta: float
-    gamma: float
     t_far: int
     K: int
     levels: tuple
@@ -92,5 +88,4 @@ def build_schedule(n: int, M: int, omega: float = 2.376,
             raise AssertionError(f"schedule leaves edge count {c} uncovered")
     gamma = levels[0].gamma
     K = math.ceil(2.0 * M * n ** max(0.0, 1.0 - beta - gamma))
-    return Schedule(n=n, M=M, omega=omega, beta=beta, gamma=gamma,
-                    t_far=t_far, K=K, levels=tuple(levels))
+    return Schedule(beta=beta, t_far=t_far, K=K, levels=tuple(levels))

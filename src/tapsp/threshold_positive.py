@@ -172,10 +172,13 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
                        primal: np.ndarray | None = None) -> ThresholdReport:
     """Ordered pairs at distance <= d for weights in {1..M}. Deterministic.
 
-    A weight below 1 is a ValueError at every d. primal, when given, must
-    be primal_distances(g), at cap primal_cap(g); callers probing several
-    d on one graph pass it to build it once. It is only read, never
-    modified. Otherwise the call builds its own at cap primal_cap(g, d),
+    A weight below 1 is a ValueError at every d. The call works at cap
+    primal_cap(g, d). primal, when given, must be primal_distances(g), at
+    the full cap primal_cap(g); callers probing several d on one graph
+    pass it to build it once. It is only read, never modified. It serves
+    every d: for d <= W the cap max(M + 1, d) is at most the full cap, so
+    primal <= d is still exact, and for d > W the cap is the full cap
+    itself. Without it the call builds its own at cap primal_cap(g, d),
     so a d within the float window costs no more squares than its own cap
     needs. Past n M every reachable pair is within d (a shortest path has
     at most n - 1 arcs), so the report is the reachability matrix and
@@ -201,7 +204,7 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
     if d > g.n * g.M:
         return ThresholdReport(reported=transitive_closure(g), d=d,
                                stats={"edge_case": "closure"})
-    cap = primal_cap(g, d if primal is None else None)
+    cap = primal_cap(g, d)
     if primal is None:
         primal = primal_distances(g, cap)
     if d <= cap:

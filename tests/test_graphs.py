@@ -297,6 +297,22 @@ def test_weights_past_the_headroom_are_rejected():
         parse_graph(f"p sp 3 1\na 1 2 {2**63}\n")
 
 
+def test_numpy_and_bool_values_cannot_pass_the_checks():
+    # 3 * 2^62 wraps past 2^63 in int64; accepted, the graph's threshold
+    # counts came out wrong
+    for w in (np.int64(2**62), np.int64(-2**63)):
+        with pytest.raises(ValueError):
+            make_graph(3, [(1, 2, w), (2, 3, 1), (3, 1, 1)])
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        Graph(n=np.int64(3), edges=(), M=np.int64(2**62))
+    # write_graph would print "True", which parse_graph rejects
+    for arc in ((1, 2, True), (True, 2, 1)):
+        with pytest.raises(ValueError, match="non-integer"):
+            make_graph(2, [arc, (2, 1, 1)])
+    with pytest.raises(ValueError, match="must be integers"):
+        Graph(n=2, edges=(), M=True)
+
+
 @given(st.integers(min_value=1, max_value=12),
        st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=60, deadline=None)

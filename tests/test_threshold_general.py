@@ -176,7 +176,7 @@ def test_target_distances_clip_entries_below_the_window(kernel):
     g = make_graph(4, [(1, 2, 1), (2, 3, 5), (3, 4, -5)])
     dist = floyd_warshall(to_matrix(g))
     pdm = PartialDistanceMatrix(P=dist.copy(), beta=0.0, gamma=0.0,
-                                bridge=np.arange(4), M=g.M)
+                                bridge=np.arange(4))
     for d, K in ((8, 2), (1, 1), (-2, 1)):
         lo, hi = -(-d // 2) - K, d // 2 + K
         assert (pdm.P < lo).any()
