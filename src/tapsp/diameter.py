@@ -90,8 +90,8 @@ import numpy as np
 
 from .config import MAX_ATTEMPTS, RunConfig, pick_mode
 from .far_pairs import sssp_rows
-from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
-                     transitive_closure)
+from .graphs import (Graph, integer_threshold, johnson_potentials,
+                     one_based_pairs, to_matrix, transitive_closure)
 from .matrices import INF, is_finite
 from .oracle import floyd_warshall
 from .sampling import Rng
@@ -106,8 +106,10 @@ def threshold(g: Graph, d: int, config: RunConfig | None = None) -> ThresholdRep
 
     The general path verifies and retries inside threshold_apsp_neg. The
     positive path is deterministic, so under config.verify_due(g.n) its
-    report is compared once with the oracle's.
+    report is compared once with the oracle's. d is any integer, Python
+    or numpy; any other d raises ValueError (graphs.integer_threshold).
     """
+    d = integer_threshold(d)
     config = config or RunConfig()
     if pick_mode(g, config) == "general":
         return threshold_apsp_neg(g, d, config=config)

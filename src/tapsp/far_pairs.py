@@ -5,9 +5,11 @@ vertex sample large enough to hit every long path (w.h.p.), one Dijkstra
 per sampled vertex in each direction over Johnson-reweighted arcs, and a
 min-plus combine through the sample, one matrices.dist_product_fast
 product. A sample of every vertex makes the combine the exact distance
-matrix, which matrices.nonneg_distances builds from the Johnson-reweighted
-weight matrix with no Dijkstra: a few float-route window squares, or the
-capped Floyd-Warshall closure when some pair lies past the window.
+matrix, built with no Dijkstra: matrices.nonneg_distances encodes the
+Johnson-reweighted arc list straight into a few float-route window
+squares, and compute_delta_t owns the rest, one INF scan that decides
+both the capped Floyd-Warshall fallback, when some pair may lie past the
+window, and which entries the shift back must keep at INF.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .matrices import (INF, dist_product_fast, full_inf, minplus_identity,
-                       nonneg_distances)
+from .matrices import (INF, dist_product_fast, full_inf, minplus_closure,
+                       minplus_identity, nonneg_distances, widest_float_window)
 from .sampling import Rng, sample
 
 
@@ -113,18 +115,30 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
     A sample of all n vertices makes the combine dist itself: each term
     dist(u, x) + dist(x, v) is >= dist(u, v), the x = u term equals it
     (dist(u, u) = 0 without negative cycles), and a pair at INF has no
-    finite term. Any exact APSP may then build delta; it is
-    matrices.nonneg_distances (which takes no kernel) of the weight matrix
-    reweighted by h, built straight from the arc list (INF, a 0 diagonal
-    and w + h[u] - h[v] at each arc), shifted back by -h[u] + h[v].
-    Reweighted arcs are nonnegative, and as h lies in [-(n - 1) M, 0], a
-    reweighted distance dist(u, v) + h[u] - h[v] is at most 2 (n - 1) M,
-    the cap. Zero-weight reweighted arcs let a path within any cap use up
-    to n - 1 arcs, so the hop bound is n - 1: at most ceil(log2(n - 1))
-    window squares at the widest float window W, and the closure at the
-    cap when some pair lies past W or is unreachable. As the cap holds
-    every reachable reweighted distance, the INF entries of delta are
-    exactly the unreachable pairs: a caller may read reachability off it.
+    finite term. Any exact APSP may then build delta. It is the
+    reweighted distances, shifted back by -h[u] + h[v]. Reweighted arcs
+    (_reweighted) are nonnegative, and as h lies in [-(n - 1) M, 0], a
+    reweighted distance dist(u, v) + h[u] - h[v] is at most
+    cap = 2 (n - 1) M. Zero-weight reweighted arcs let a path within any
+    cap use up to n - 1 arcs, so the hop bound is n - 1.
+
+    The reweighted distances are matrices.nonneg_distances of the
+    reweighted arc list (which takes no kernel) at win = min(cap, W), W
+    the widest float window at n: at most ceil(log2(n - 1)) window
+    squares, exact for every pair within win and INF elsewhere. One scan,
+    for an INF entry, decides the rest. With none, every pair is exact.
+    If win = cap, the squares are the answer as they stand: an INF entry
+    lies past the cap, which holds every reachable reweighted distance,
+    so it is unreachable. Otherwise (win < cap) an INF entry is a pair
+    past the window or unreachable, and the answer is minplus_closure of
+    the reweighted weight matrix (INF, a 0 diagonal and the reweighted
+    arcs) at the cap, which is built there and nowhere else. Either way
+    the INF entries of delta are exactly the unreachable pairs, so a
+    caller may read reachability off them (diameter does). The shift
+    back moves INF entries off INF, so when the scan found one they are
+    pinned back, by a mask taken before the shift. The diagonal is
+    exactly 0 on both routes: 2**0 decodes to 0, the closure keeps its 0
+    diagonal, and the shift cancels there.
 
     A smaller sample X combines by one dist_product_fast (kernel "numpy";
     like nonneg_distances, this takes no kernel) of the reverse rows
@@ -138,16 +152,22 @@ def compute_delta_t(g: Graph, t: int, rng: Rng, h: np.ndarray) -> FarDistances:
                             potentials=h)
     xs = hitting_set(n, t, rng)
     if xs.size == n:
-        u, v, wp = _reweighted(g, h)
-        rw = minplus_identity(n)
-        rw[u, v] = wp
-        dp = nonneg_distances(rw, 2 * (n - 1) * g.M, n - 1)
-        # the shift moves INF entries off INF: pin them back, if any
-        delta = dp - h[:, None]
-        delta += h[None, :]
-        if dp.max() == INF:
-            delta[dp == INF] = INF
-        return FarDistances(delta=delta, hitting=xs, potentials=h)
+        arcs = _reweighted(g, h)
+        cap = 2 * (n - 1) * g.M
+        win = min(cap, widest_float_window(n))
+        dp = nonneg_distances(n, arcs, win, n - 1)
+        unreached = dp.max() == INF
+        if unreached and win < cap:
+            u, v, wp = arcs
+            rw = minplus_identity(n)
+            rw[u, v] = wp
+            dp = minplus_closure(rw, cap)
+        inf = dp == INF if unreached else None
+        dp -= h[:, None]
+        dp += h[None, :]
+        if unreached:
+            dp[inf] = INF
+        return FarDistances(delta=dp, hitting=xs, potentials=h)
     delta = dist_product_fast(sssp_rows(g, h, xs, reverse=True).T,
                               sssp_rows(g, h, xs))
     return FarDistances(delta=delta, hitting=xs, potentials=h)

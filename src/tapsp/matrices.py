@@ -38,12 +38,13 @@ matrix and calls dist_product_fast.
 
 nonneg_distances is the one exact-distance routine, for the positive
 path's primal distances and the general path's far distances when the
-hitting set is every vertex. It squares on the float route at
-[0, min(cap, W)] and keeps its matrix encoded between squares: one
-encode, then one dgemm and one table lookup per square, then one decode.
-It runs ceil(log2(hops)) squares whatever the matrix, and
-minplus_closure is the fallback for pairs past the window. It takes no
-kernel.
+hitting set is every vertex. It encodes an arc list straight into the
+float route at [0, win], win at most the widest float window W, and keeps
+its matrix encoded between squares: one dgemm and one table lookup per
+square, then one decode. It runs ceil(log2(hops)) squares whatever the
+matrix, returns every pair within win exactly and INF elsewhere, and
+neither scans for INF nor falls back: far_pairs.compute_delta_t, whose
+cap may pass W, owns the minplus_closure fallback. It takes no kernel.
 """
 
 from __future__ import annotations
@@ -500,31 +501,37 @@ def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
-    """Distances up to cap (INF beyond) of a square nonnegative weight
-    matrix w with a 0 diagonal (INF for no arc), given that some shortest
-    path of every pair within cap has at most hops arcs. The one
-    exact-distance routine: threshold_positive.primal_distances and
-    far_pairs.compute_delta_t call it. Takes no kernel.
+def nonneg_distances(n: int, arcs: tuple, win: int, hops: int) -> np.ndarray:
+    """Distances up to win (INF beyond) of the n-vertex graph with arcs
+    (u, v, w): 0-based int arrays, w >= 0, no self-loops and no repeated
+    pair, as graphs.Graph.arcs and far_pairs._reweighted give them;
+    given that some shortest path of every pair within win has at most
+    hops arcs. The one exact-distance routine:
+    threshold_positive.primal_distances and far_pairs.compute_delta_t
+    call it. Takes no kernel.
 
-    Let W = widest_float_window(n), win = min(cap, W), and T truncate a
-    matrix at win (entries above it become INF). The routine squares
-    D = T(w) exactly r = ceil(log2(hops)) times, D <- T(D min-plus D),
-    and keeps D encoded between squares as _pow2_encode does at [0, win]
-    with s = _digit_bits(n): 2**(-x s) for an entry x, 0.0 for INF. So w
-    is encoded once, and a square is one dgemm e @ e and one lookup by
-    the product's biased exponent fields in the first of
-    _chain_tables(s, win). That lookup is _pow2_decode's digit, exact by
-    _minplus_float's proof (every x is at most win, as there), then T,
-    then _pow2_encode: the chain forms exactly T(window_square(D, 0,
-    win)) at each square. The second table decodes the last product's
-    fields to int64 (x, or INF past win). With no square run it decodes
-    e itself: 2**(-x s) has field 1023 - x s, whose digit is x.
-    Every square adds n**3 to COUNTERS.minplus_relaxations.
+    Precondition: win <= W = widest_float_window(n), which the exactness
+    proof needs; a wider win raises ValueError. The routine neither scans
+    for INF nor falls back to minplus_closure: a caller whose cap passes
+    W does (compute_delta_t).
 
-    If win = cap, D is the answer. Otherwise (the general path's cap of
-    2 (n - 1) M) an INF left in D is a pair past the window or
-    unreachable, so the answer is minplus_closure(w, cap).
+    Let T truncate a matrix at win (entries above it become INF). The
+    routine squares D = T(w) exactly r = ceil(log2(hops)) times,
+    D <- T(D min-plus D), and keeps D encoded between squares as
+    _pow2_encode does at [0, win] with s = _digit_bits(n): 2**(-x s) for
+    an entry x, 0.0 for INF. The arcs are encoded directly: 1.0 on the
+    diagonal (x = 0), 0.0 where there is no arc, and _pow2_table(win, s)
+    at each arc's weight, a weight past win clipping to the table's 0.0
+    slot, which are the bits _pow2_encode gives the weight matrix with a
+    0 diagonal. A square is then one dgemm e @ e and one lookup by the
+    product's biased exponent fields in the first of _chain_tables(s,
+    win). That lookup is _pow2_decode's digit, exact by _minplus_float's
+    proof (every x is at most win <= W, as there), then T, then
+    _pow2_encode: the chain forms exactly T(window_square(D, 0, win)) at
+    each square. The second table decodes the last product's fields to
+    int64 (x, or INF past win). With no square run it decodes e itself:
+    2**(-x s) has field 1023 - x s, whose digit is x. Every square adds
+    n**3 to COUNTERS.minplus_relaxations.
 
     Exactness. A square takes D'[u, v] = min over x of D[u, x] + D[x, v]
     where that is within win, and INF otherwise. Every term is the weight
@@ -536,14 +543,15 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
     j + 1, cut the path into two halves of at most 2**j arcs each, both
     exact and within win, so their sum is a term. Hence after r squares
     every such pair is exact, and every other entry is INF, as D >= dist.
-    So D holds each pair within win exactly and INF elsewhere; when D has
-    no INF, every pair is exact.
     """
-    n = w.shape[0]
-    win = min(cap, widest_float_window(n))
+    if win > widest_float_window(n):
+        raise ValueError(f"window {win} past the widest float window "
+                         f"{widest_float_window(n)} at n = {n}")
     s = _digit_bits(n)
     square, decode = _chain_tables(s, win)
-    e = _pow2_encode(w, 0, win, s)
+    u, v, w = arcs
+    e = np.eye(n)
+    e[u, v] = _pow2_table(win, s).take(w, mode="clip")
     bits = e.view(np.int64) >> 52
     for left in reversed(range(max(hops - 1, 0).bit_length())):
         COUNTERS.minplus_relaxations += n ** 3
@@ -551,10 +559,7 @@ def nonneg_distances(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
         bits >>= 52
         if left:  # the last product is decoded, not re-encoded
             e = square.take(bits)
-    d = decode.take(bits)
-    if win < cap and not is_finite(d).all():
-        return minplus_closure(w, cap)
-    return d
+    return decode.take(bits)
 
 
 def truncate(a: np.ndarray, t: int) -> np.ndarray:

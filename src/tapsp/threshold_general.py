@@ -22,8 +22,8 @@ import numpy as np
 from .approx import additive_approximate
 from .config import MAX_ATTEMPTS, RunConfig
 from .far_pairs import FarDistances, compute_delta_t, hitting_count
-from .graphs import (Graph, johnson_potentials, one_based_pairs, to_matrix,
-                     transitive_closure)
+from .graphs import (Graph, integer_threshold, johnson_potentials,
+                     one_based_pairs, to_matrix, transitive_closure)
 from .matrices import INF, window_square
 from .oracle import brute_threshold, floyd_warshall
 from .partial_distances import PartialDistanceMatrix, build_partial
@@ -54,8 +54,9 @@ class ThresholdReport:
     d: int
     stats: dict = field(default_factory=dict)
     # exact distances on the window pairs (far.delta lowered by each
-    # level's window square), INF elsewhere; None on the positive path
-    # and on shortcuts
+    # level's window square), INF elsewhere; None whenever no window
+    # square ran: on the positive path, on shortcuts, and on general runs
+    # with no partial matrix or no window pair
     window_exact: np.ndarray | None = None
 
     @property
@@ -101,7 +102,9 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng,
     g's Johnson potentials (graphs.johnson_potentials).
 
     A capped run, whose hitting set is all n vertices, has no levels:
-    far.delta is then exact (compute_delta_t), so delta_star = far.delta.
+    far.delta is then exact (compute_delta_t), so delta_star = far.delta,
+    the same array. Its diagonal is already exactly 0 (compute_delta_t),
+    so only a run with levels pins it.
     A capped sample draws nothing and no level derives a stream, so
     uncapped runs keep their random streams.
     """
@@ -110,11 +113,13 @@ def prepare_general(g: Graph, config: RunConfig, rng: Rng,
     far = compute_delta_t(g, sched.t_far, rng.derive(0), h)
     levels = [] if far.hitting.size == g.n else build_levels(g, sched, config, rng)
     delta_star = far.delta
-    for _, est in levels:
-        delta_star = np.minimum(delta_star, est.delta)
-    # distances to self are identically 0 on negative-cycle-free graphs;
-    # no level band covers edge count 0, so pin the diagonal directly
-    np.fill_diagonal(delta_star, 0)
+    if levels:
+        for _, est in levels:
+            delta_star = np.minimum(delta_star, est.delta)
+        # distances to self are identically 0 on negative-cycle-free
+        # graphs; no level band covers edge count 0, and a sampled far
+        # combine need not hold 0 there, so pin the diagonal directly
+        np.fill_diagonal(delta_star, 0)
     return GeneralRun(schedule=sched, far=far,
                       partials=[pdm for pdm, _ in levels],
                       delta_star=delta_star)
@@ -151,29 +156,34 @@ def classify_threshold(run: GeneralRun, d: int, config: RunConfig) -> ThresholdR
 
     delta_star <= far.delta entrywise, so far.delta never reports a
     window pair (delta_star > d): only a partial matrix's window square
-    can. A capped run has none, so it reports exactly delta_star <= d.
+    can. So the window arrays (the squares, window_exact and the pairs
+    they keep) are formed only when the run has partial matrices and the
+    window holds a pair; otherwise the report is exactly delta_star <= d,
+    window_reported is 0 and window_exact is None. A capped run has no
+    partial matrix.
     """
     k_margin = run.schedule.K
     ds = run.delta_star
     accepted = ds <= d
-    window = (ds > d) & (ds <= d + k_margin)
-    exact = run.far.delta
-    if window.any():
+    near = ds <= d + k_margin  # the accepted pairs and the window
+    # count_nonzero is several times faster than a Boolean sum at this size
+    n_accepted = int(np.count_nonzero(accepted))
+    n_window = int(np.count_nonzero(near)) - n_accepted
+    reported, n_kept, window_exact = accepted, 0, None
+    if run.partials and n_window:
+        exact = run.far.delta
         for pdm in run.partials:
             exact = np.minimum(exact, target_distances(
                 pdm, d, k_margin, kernel=config.kernel))
-    window_exact = np.where(window, exact, INF)
-    keep = window_exact <= d
-    reported = accepted | keep
-    # count_nonzero is several times faster than a Boolean sum at this size
-    n_accepted = int(np.count_nonzero(accepted))
-    n_window = int(np.count_nonzero(window))
+        window_exact = np.where(near & ~accepted, exact, INF)
+        keep = window_exact <= d
+        reported = accepted | keep
+        n_kept = int(np.count_nonzero(keep))
     stats = {
         "accepted": n_accepted,
-        # accepted and window pairs are disjoint
         "rejected": ds.size - n_accepted - n_window,
         "window": n_window,
-        "window_reported": int(np.count_nonzero(keep)),
+        "window_reported": n_kept,
         "K": k_margin,
         "levels": len(run.partials),
         "edge_case": None,
@@ -212,8 +222,10 @@ def threshold_apsp_neg(g: Graph, d: int,
     undefined. In verify mode, instances up to config.verify_bound are
     checked against the brute-force oracle and re-run on fresh derived
     seeds until they agree, up to MAX_ATTEMPTS passes. n = 1 and a d
-    outside [-nM, nM] are answered without a run (_edge_case_report).
+    outside [-nM, nM] are answered without a run (_edge_case_report). d
+    is any integer, Python or numpy (graphs.integer_threshold).
     """
+    d = integer_threshold(d)
     config = config or RunConfig()
     rng = Rng(config.seed)
     h = johnson_potentials(g)

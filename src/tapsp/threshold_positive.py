@@ -6,7 +6,7 @@ straight from the primal matrix, the distances capped at a cap >= M + 1
 W)), W = matrices.widest_float_window(n) the widest window the float
 route holds at n (63 at n = 64, 72 at n = 32, 42 at n = 1024). While
 2 cap s <= 1020, s the bit length of 4n - 1, the primal matrix is
-ceil(log2(min(cap, n - 1))) window squares of the weight matrix
+ceil(log2(min(cap, n - 1))) window squares encoded from the arc list
 (matrices.nonneg_distances), and otherwise (W < M + 1) one Floyd-Warshall closure at M + 1
 (matrices.minplus_closure). Past n M, A_k is the reachability matrix.
 Large k in between are built top-down by the paper's halving recursion
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, to_matrix, transitive_closure
+from .graphs import Graph, integer_threshold, to_matrix, transitive_closure
 from .matrices import (float_window_admits, minplus_closure, nonneg_distances,
                        widest_float_window, window_square)
 from .threshold_general import ThresholdReport
@@ -113,22 +113,23 @@ def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
     it at M + 1 or above. Takes no kernel.
 
     When the numpy float route admits the window [0, cap] at n
-    (matrices.float_window_admits), they are matrices.nonneg_distances(w,
-    cap, min(cap, n - 1)) of the weight matrix w: ceil(log2(min(cap,
-    n - 1))) window squares at [0, cap]. With weights >= 1 a path of
-    weight <= cap has at most cap arcs, and a shortest path at most
-    n - 1, which bounds the hops that routine's proof asks for. Otherwise they are matrices.minplus_closure(
-    w, cap): at caps that wide, squaring by fixed-width relaxation loses
-    to Floyd-Warshall. At a cap primal_cap gives, that happens only when
-    W < M + 1, and then cap = M + 1.
+    (matrices.float_window_admits, that is cap <= W), they are
+    matrices.nonneg_distances(n, g.arcs, cap, min(cap, n - 1)), encoded
+    straight from the arc list: ceil(log2(min(cap, n - 1))) window
+    squares at [0, cap]. With weights >= 1 a path of weight <= cap has at
+    most cap arcs, and a shortest path at most n - 1, which bounds the
+    hops that routine's proof asks for. Otherwise they are
+    matrices.minplus_closure(w, cap) of the weight matrix w: at caps that
+    wide, squaring by fixed-width relaxation loses to Floyd-Warshall. At
+    a cap primal_cap gives, that happens only when W < M + 1, and then
+    cap = M + 1.
     """
     _require_positive(g)
-    w = to_matrix(g)
     if cap is None:
         cap = primal_cap(g)
     if not float_window_admits(g.n, cap):
-        return minplus_closure(w, cap)
-    return nonneg_distances(w, cap, min(cap, g.n - 1))
+        return minplus_closure(to_matrix(g), cap)
+    return nonneg_distances(g.n, g.arcs, cap, min(cap, g.n - 1))
 
 
 def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.ndarray:
@@ -196,7 +197,10 @@ def threshold_apsp_pos(g: Graph, d: int, kernel: str = "numpy",
     gives A_k at every target k, as long as its source window is exact:
     its indices up to the cap are, and each one past the cap is a target
     of the next level, exact by induction.
+
+    d is any integer, Python or numpy (graphs.integer_threshold).
     """
+    d = integer_threshold(d)
     _require_positive(g)
     if d < 0:
         return ThresholdReport(reported=np.zeros((g.n, g.n), dtype=bool), d=d,

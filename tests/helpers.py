@@ -185,17 +185,27 @@ def squaring_apsp(w: np.ndarray) -> np.ndarray:
     return d
 
 
-def nonneg_distances_reference(w: np.ndarray, cap: int, hops: int) -> np.ndarray:
+def unreachable_corner_graph(n: int, seed: int) -> Graph:
+    """A mixed graph in which vertex n has no out-arc and vertex 1 no
+    in-arc: an INF row and column in its distance matrix."""
+    full = gen_mixed_ncf(n, min(1.0, 3 / n), 4, seed)
+    arcs = [(u, v, w) for (u, v, w) in full.edges if u != n and v != 1]
+    return make_graph(n, arcs, M=4)
+
+
+def arcs_of(w: np.ndarray) -> tuple:
+    """The arc list (u, v, w[u, v]) of a square weight matrix: its finite
+    off-diagonal entries, 0-based and row-major, in the form
+    matrices.nonneg_distances takes (Graph.arcs' form)."""
+    u, v = np.nonzero((w < INF) & ~np.eye(w.shape[0], dtype=bool))
+    return u, v, w[u, v]
+
+
+def nonneg_distances_reference(w: np.ndarray, win: int, hops: int) -> np.ndarray:
     """matrices.nonneg_distances as a loop of int64 window_square(D, 0,
-    win) squares, win = min(cap, W), each kept untruncated, then
-    truncated at cap or sent to the closure when an entry lies past win.
-    It has no encoded chain."""
-    win = min(cap, matrices.widest_float_window(w.shape[0]))
+    win) squares on the weight matrix w (0 diagonal), each kept
+    untruncated, then truncated at win. It has no encoded chain."""
     d = w.copy()
     for _ in range(max(hops - 1, 0).bit_length()):
         d = matrices.window_square(d, 0, win)
-    if win == cap:
-        return np.where(d <= cap, d, INF)
-    if (d > win).any():
-        return matrices.minplus_closure(w, cap)
-    return d
+    return np.where(d <= win, d, INF)

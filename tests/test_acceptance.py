@@ -285,9 +285,11 @@ def test_criterion_6_component_lemmas():
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, brute_threshold(dist, d))
             win = (ds > d) & (ds <= d + k_margin)
-            assert (rep.window_exact[win] < INF).all()
-            assert np.array_equal(rep.window_exact[win], dist[win])
-            assert (rep.window_exact[~win] == INF).all()
+            # a capped run runs no window square: far.delta holds the
+            # window pairs exactly
+            assert rep.window_exact is None
+            assert (run.far.delta[win] < INF).all()
+            assert np.array_equal(run.far.delta[win], dist[win])
             window_pairs_seen += int(win.sum())
             near = fin & (dist > d) & (dist <= d + k_margin)
             for lev, pdm, _ in levels:

@@ -659,3 +659,25 @@ def test_threshold_runs_the_path_the_mode_picks(mode):
         rep = threshold(g, d, cfg)
         assert np.array_equal(rep.reported, (dist <= d) & is_finite(dist)), d
         assert ("attempts" in rep.stats) == (mode == "general")
+
+
+def test_threshold_takes_any_integer_d_and_rejects_the_rest():
+    # the paper's threshold is an integer: numpy integers convert once, as
+    # a Python int would, on both paths; a float (whole or not), a bool
+    # and a string raise ValueError on every entry point
+    g = make_graph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)])
+    want = floyd_warshall(to_matrix(g)) <= 3
+    for d in (np.int64(3), np.int32(3), 3):
+        for mode in ("positive", "general"):
+            rep = threshold(g, d, RunConfig(mode=mode))
+            assert np.array_equal(rep.reported, want), (d, mode)
+            assert type(rep.d) is int
+        assert np.array_equal(pos_mod.threshold_apsp_pos(g, d).reported, want)
+        assert np.array_equal(threshold_apsp_neg(g, d).reported, want)
+    for d in (3.0, 2.5, True, "3"):
+        for call in (lambda: threshold(g, d, RunConfig(mode="positive")),
+                     lambda: threshold(g, d, RunConfig(mode="general")),
+                     lambda: pos_mod.threshold_apsp_pos(g, d),
+                     lambda: threshold_apsp_neg(g, d)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (level_step_square, lower_strassen_cutoff,
+from helpers import (arcs_of, level_step_square, lower_strassen_cutoff,
                      minplus_reference, nested_coeffs,
                      nonneg_distances_reference, poly_square_direct,
-                     rand_dist_matrix)
+                     rand_dist_matrix, unreachable_corner_graph)
 from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
 from tapsp.far_pairs import sssp_rows
@@ -455,17 +455,10 @@ def _shift_back(dp, h):
     return np.where(is_finite(dp), dp - h[:, None] + h[None, :], INF)
 
 
-def _unreachable_corner_graph(n, seed):
-    # vertex n has no out-arc and vertex 1 no in-arc: an INF row and column
-    full = gen_mixed_ncf(n, min(1.0, 3 / n), 4, seed)
-    arcs = [(u, v, w) for (u, v, w) in full.edges if u != n and v != 1]
-    return make_graph(n, arcs, M=4)
-
-
 def test_minplus_closure_exact_against_floyd_warshall_and_dijkstra():
     for n in (1, 2, 3, 17, 64):
         for seed in range(3):
-            g = _unreachable_corner_graph(n, seed + 20 * n)
+            g = unreachable_corner_graph(n, seed + 20 * n)
             wp, h, cap = _reweighted(g)
             got = minplus_closure(wp, cap)
             assert np.array_equal(got, floyd_warshall(wp)), (n, seed)
@@ -571,10 +564,10 @@ def _capped_oracle(w, cap):
 
 
 def test_nonneg_distances_square_count_follows_the_hop_bound(monkeypatch):
-    # a zero-weight path of n - 1 = 16 arcs: at cap 1 its ends are within
-    # the cap, but 16 arcs apart, so all ceil(log2 16) = 4 squares must run.
-    # A square count taken from the cap (min(cap, n - 1) = 1 hop: none)
-    # misses them, and so does stopping one square early (8 arcs)
+    # a zero-weight path of n - 1 = 16 arcs: at window 1 its ends are
+    # within it, but 16 arcs apart, so all ceil(log2 16) = 4 squares must
+    # run. A square count taken from the window (min(win, n - 1) = 1 hop:
+    # none) misses them, and so does stopping one square early (8 arcs)
     n = 17
     w = full_inf(n, n)
     np.fill_diagonal(w, 0)
@@ -582,67 +575,57 @@ def test_nonneg_distances_square_count_follows_the_hop_bound(monkeypatch):
     w[0, n - 1] = 2
     calls = _count_matrices_calls(monkeypatch, "minplus_closure")
     COUNTERS.reset()
-    got = matrices.nonneg_distances(w, 1, n - 1)
+    got = matrices.nonneg_distances(n, arcs_of(w), 1, n - 1)
     assert np.array_equal(got, _capped_oracle(w, 1))
     assert got[0, n - 1] == 0
     assert calls == {"minplus_closure": 0}
     assert _squares_run(n, calls["minplus_closure"]) == 4
-    assert not is_finite(matrices.nonneg_distances(w, 1, 1)[0, n - 1])
+    assert not is_finite(matrices.nonneg_distances(n, arcs_of(w), 1, 1)[0, n - 1])
 
 
 def test_nonneg_distances_run_every_square_on_a_settled_matrix(monkeypatch):
     # on a complete unit-weight matrix the first square changes nothing,
-    # yet all ceil(log2(n - 1)) squares run, with the cap past the window
-    # and within it: the square count follows n and the hop bound alone
+    # yet all ceil(log2(n - 1)) squares run, at the widest window and
+    # within it: the square count follows n and the hop bound alone
     calls = _count_matrices_calls(monkeypatch, "minplus_closure")
     for n in (3, 16, 64):
         w = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(w, 0)
-        for cap in (10 ** 6, 2):
+        for win in (matrices.widest_float_window(n), 2):
             COUNTERS.reset()
-            assert np.array_equal(matrices.nonneg_distances(w, cap, n - 1), w)
+            got = matrices.nonneg_distances(n, arcs_of(w), win, n - 1)
+            assert np.array_equal(got, w)
             assert calls["minplus_closure"] == 0
-            assert _squares_run(n, 0) == (n - 2).bit_length(), (n, cap)
-
-
-def test_nonneg_distances_past_the_window_run_the_closure(monkeypatch):
-    # a 16-cycle of arcs of weight c: distances reach 15 c, against the
-    # window W = 85 at n = 16 and the cap 2 (n - 1) c. At c = 5 every
-    # distance is within W and the squares alone answer; at c = 7 the
-    # farthest pairs (up to 105) pass W and the closure runs once
-    n = 16
-    assert matrices.widest_float_window(n) == 85
-    calls = _count_matrices_calls(monkeypatch, "minplus_closure")
-    for c, closures in ((5, 0), (7, 1)):
-        w = full_inf(n, n)
-        np.fill_diagonal(w, 0)
-        w[np.arange(n), (np.arange(n) + 1) % n] = c
-        calls["minplus_closure"] = 0
-        COUNTERS.reset()
-        got = matrices.nonneg_distances(w, 2 * (n - 1) * c, n - 1)
-        assert np.array_equal(got, floyd_warshall(w)), c
-        assert calls == {"minplus_closure": closures}, c
-        assert _squares_run(n, closures) == 4, c
+            assert _squares_run(n, 0) == (n - 2).bit_length(), (n, win)
 
 
 def test_nonneg_distances_with_unreachable_pairs(monkeypatch):
-    # an INF row and column: at the general path's cap 2 (n - 1) M, past
-    # the window (72 at n = 17), the squares leave INF entries and the
-    # closure runs; at a cap within the window they are read as past it
+    # an INF row and column: the squares leave them INF at every window,
+    # the widest included, and never call the closure (the capped far
+    # path, compute_delta_t, decides that); pairs past a small window
+    # read INF as well
     calls = _count_matrices_calls(monkeypatch, "minplus_closure")
     for n, seed in ((17, 1), (32, 2)):
-        g = _unreachable_corner_graph(n, seed)
+        g = unreachable_corner_graph(n, seed)
         wp, h, cap = _reweighted(g)
-        assert cap > matrices.widest_float_window(n)
-        calls["minplus_closure"] = 0
-        got = matrices.nonneg_distances(wp, cap, n - 1)
-        assert np.array_equal(got, floyd_warshall(wp)), n
-        assert not is_finite(got[-1, :-1]).any()
-        assert calls["minplus_closure"] == 1
-        for small in (0, 3, 20):
-            assert np.array_equal(matrices.nonneg_distances(wp, small, n - 1),
-                                  _capped_oracle(wp, small)), (n, small)
-        assert calls["minplus_closure"] == 1
+        big_w = matrices.widest_float_window(n)
+        assert cap > big_w
+        for win in (0, 3, 20, big_w):
+            got = matrices.nonneg_distances(n, arcs_of(wp), win, n - 1)
+            assert np.array_equal(got, _capped_oracle(wp, win)), (n, win)
+            assert not is_finite(got[-1, :-1]).any()
+        assert calls["minplus_closure"] == 0
+
+
+def test_nonneg_distances_reject_a_window_past_the_float_window():
+    # the exactness proof needs win <= W: one integer comparison raises
+    # before anything is encoded, so no wider window is silently wrong
+    for n in (2, 16, 64):
+        big_w = matrices.widest_float_window(n)
+        arcs = arcs_of(to_matrix(gen_random(n, 0.5, 1, 4, seed=n)))
+        assert matrices.nonneg_distances(n, arcs, big_w, n - 1).shape == (n, n)
+        with pytest.raises(ValueError, match="widest float window"):
+            matrices.nonneg_distances(n, arcs, big_w + 1, n - 1)
 
 
 @given(st.integers(min_value=1, max_value=24),
@@ -653,12 +636,13 @@ def test_nonneg_distances_with_unreachable_pairs(monkeypatch):
 @settings(max_examples=120, deadline=None)
 def test_nonneg_distances_match_floyd_warshall_property(n, p, top, cap, seed):
     # nonnegative entries up to top, zeros included, caps on either side
-    # of the window (85 at n = 16)
+    # of the window (85 at n = 16), asked at win = min(cap, W)
     gen = np.random.default_rng(seed)
     w = np.where(gen.random((n, n)) < p, gen.integers(0, top + 1, (n, n)), INF)
     np.fill_diagonal(w, 0)
-    got = matrices.nonneg_distances(w, cap, n - 1)
-    assert np.array_equal(got, _capped_oracle(w, cap))
+    win = min(cap, matrices.widest_float_window(n))
+    got = matrices.nonneg_distances(n, arcs_of(w), win, n - 1)
+    assert np.array_equal(got, _capped_oracle(w, win))
 
 
 @given(st.sampled_from((15, 16, 17, 32, 33, 64, 65)),
@@ -672,22 +656,23 @@ def test_nonneg_distances_match_the_window_square_loop_property(
         n, kind, p, cap_at, hops, seed):
     # n either side of each digit-width change (s = 6 bits up to n = 16,
     # 7 up to 32, 8 up to 64, 9 at 65); caps either side of the window W
-    # and at the far path's 2 (n - 1) M; "zeros" draws weights 0 and 1,
-    # and "ties" puts every arc at the top of the window; hops 0 and 1
-    # run no square, None is n - 1
+    # and at the far path's 2 (n - 1) M, asked at win = min(cap, W);
+    # "zeros" draws weights 0 and 1, and "ties" puts every arc at the top
+    # of the window; hops 0 and 1 run no square, None is n - 1
     top = 8
     big_w = matrices.widest_float_window(n)
     cap = {"W-1": big_w - 1, "W": big_w, "W+1": big_w + 1,
            "far": 2 * (n - 1) * top}[cap_at]
+    win = min(cap, big_w)
     gen = np.random.default_rng(seed)
     weights = {"weights": gen.integers(0, top + 1, (n, n)),
                "zeros": gen.integers(0, 2, (n, n)),
-               "ties": np.full((n, n), min(cap, big_w))}[kind]
+               "ties": np.full((n, n), win)}[kind]
     w = np.where(gen.random((n, n)) < p, weights, INF)
     np.fill_diagonal(w, 0)
     hops = n - 1 if hops is None else hops
-    got = matrices.nonneg_distances(w, cap, hops)
-    assert np.array_equal(got, nonneg_distances_reference(w, cap, hops))
+    got = matrices.nonneg_distances(n, arcs_of(w), win, hops)
+    assert np.array_equal(got, nonneg_distances_reference(w, win, hops))
 
 
 def test_nonneg_distances_tables_are_read_only_and_built_once():
@@ -700,7 +685,7 @@ def test_nonneg_distances_tables_are_read_only_and_built_once():
     w = to_matrix(gen_random(n, 0.2, 1, 8, seed=3))
     matrices._chain_tables.cache_clear()
     for _ in range(3):
-        got = matrices.nonneg_distances(w, win, n - 1)
+        got = matrices.nonneg_distances(n, arcs_of(w), win, n - 1)
         assert np.array_equal(got, _capped_oracle(w, win))
     info = matrices._chain_tables.cache_info()
     assert (info.misses, info.hits) == (1, 2)

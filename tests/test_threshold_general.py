@@ -115,11 +115,13 @@ def test_window_pairs_get_resolved_exactly():
         run = prepare_general(g, cfg, Rng(seed), johnson_potentials(g))
         rep = classify_threshold(run, d, cfg)
         assert np.array_equal(rep.reported, _oracle(g, d))
+        # a capped run has no partial matrix, so no window square runs and
+        # its window pairs are resolved by far.delta itself
+        assert run.partials == [] and rep.window_exact is None
         win = _window(run, d)
-        got, want = rep.window_exact[win], dist[win]
+        got, want = run.far.delta[win], dist[win]
         assert (got >= want).all()
         assert np.array_equal(got <= d, want <= d)
-        assert (rep.window_exact[~win] == INF).all()
 
 
 def test_delta_star_window_bound():
@@ -255,7 +257,7 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
     for module in (partial_distances, approx, matrices):
         count(module, "dist_product_fast", "product")
     count(threshold_general, "window_square", "product")
-    count(matrices, "minplus_closure", "closure")
+    count(far_pairs, "minplus_closure", "closure")
 
     # capped: no Dijkstra and no product. Every pair is reachable and its
     # reweighted distance lies within the float window, so the far pairs
@@ -276,6 +278,7 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
         assert calls["dijkstra"] == calls["product"] == 0
         assert calls["closure"] == (0 if is_finite(dist).all() else 1), seed
         assert np.array_equal(run.delta_star, dist), seed
+        assert run.delta_star is run.far.delta
         for d in (-2, 0, 2, 5):
             rep = classify_threshold(run, d, cfg)
             assert np.array_equal(rep.reported, _oracle(g, d)), (seed, d)
@@ -288,9 +291,10 @@ def test_capped_hitting_set_builds_no_levels(monkeypatch):
                                  "rejected": g.n * g.n - accepted - window,
                                  "window_reported": 0, "levels": 0, "K": K,
                                  "edge_case": None}, (seed, d)
+            # no window square ran: far.delta holds the window pairs exactly
+            assert rep.window_exact is None
             win = _window(run, d)
-            assert np.array_equal(rep.window_exact[win], dist[win])
-            assert (rep.window_exact[~win] == INF).all()
+            assert np.array_equal(run.far.delta[win], dist[win])
 
     # uncapped: both Dijkstra directions per sampled vertex, and the levels
     g = sc_mixed_graph(32, 0.1, 3, seed=2)
@@ -317,10 +321,44 @@ def test_sampled_run_without_partials_reports_delta_star_within_d():
             rep = classify_threshold(bare, d, cfg)
             assert np.array_equal(rep.reported, run.delta_star <= d), (seed, d)
             assert rep.stats["window_reported"] == 0
+            # with no partial matrix no window square runs
+            assert rep.window_exact is None
             win = _window(run, d)
-            assert np.array_equal(rep.window_exact, np.where(win, run.far.delta, INF))
+            assert rep.stats["window"] == int(win.sum())
+            assert (run.far.delta[win] > d).all()
             windows += int(win.sum())
     assert windows > 0
+
+
+@pytest.mark.parametrize("beta, n", [(0.0, 32), (0.3, 256)])
+def test_sampled_window_count_is_the_band_population(beta, n):
+    # stats["window"] is counted as (delta_star <= d + K) minus the
+    # accepted pairs, and the window arrays are formed only when the band
+    # is populated: on sampled runs the count must equal the band
+    # d < delta_star <= d + K, for d below every distance, at the
+    # percentiles and past every distance; window_exact is None exactly
+    # when the band is empty
+    g = sc_mixed_graph(n, 3 / n, 3, seed=2)
+    cfg = RunConfig(force_beta=beta)
+    run = prepare_general(g, cfg, Rng(2), johnson_potentials(g))
+    assert run.far.hitting.size < g.n and run.partials
+    ds, K = run.delta_star, run.schedule.K
+    vals = ds[is_finite(ds)]
+    ds_at = [int(vals.min()) - K - 1, int(vals.min()) - 1]
+    ds_at += [int(np.percentile(vals, q, method="lower")) for q in (10, 50, 90)]
+    ds_at += [int(vals.max()), int(vals.max()) + K]
+    dist = floyd_warshall(to_matrix(g))
+    populated = 0
+    for d in ds_at:
+        rep = classify_threshold(run, d, cfg)
+        band = int(((ds > d) & (ds <= d + K)).sum())
+        assert rep.stats["window"] == band, d
+        assert rep.stats["accepted"] == int((ds <= d).sum()), d
+        assert rep.stats["rejected"] == ds.size - rep.stats["accepted"] - band
+        assert (rep.window_exact is None) == (band == 0), d
+        assert np.array_equal(rep.reported, brute_threshold(dist, d)), d
+        populated += band > 0
+    assert 0 < populated < len(ds_at)
 
 
 def test_report_pairs_are_one_based():
