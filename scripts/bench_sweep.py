@@ -1,10 +1,16 @@
 """Operation-count scaling sweep over instance grids.
 
 Drives the bench subcommand across a grid of n values and prints, per
-algorithm, how each op counter grows from one n to the next. With cubic
-kernels the naive min-plus product should show a ratio of 8 per doubling
-of n; Floyd-Warshall likewise. Wall times are printed for context but
-vary run to run; the counters are the stable signal.
+algorithm, how each op counter grows from one n to the next. The naive
+min-plus product counts n**3 relaxations, a ratio of 8 per doubling of
+n. Oracle rows count 0 (Floyd-Warshall touches no counted kernel), so
+they show no ratio and serve as the wall-time baseline. Threshold rows
+at the default d = n M // 4 are the primal distances'
+ceil(log2(min(cap, n - 1))) window squares of n**3 relaxations each, so
+they grow 8 times the ratio of square counts: 10.0-10.7 per doubling
+from n = 8 to 32 at M = 4 (tapsp.cli.cmd_bench says what each count
+holds). Wall times are printed for context but vary run to run; the
+counters are the stable signal.
 
 Example:
     python3 scripts/bench_sweep.py --ns 8,16,32,64 --algos oracle,naive_product,threshold

@@ -19,8 +19,8 @@ tail lines listing entries of the payload (stats, pairs, witnesses,
 matrix rows) and, for diameter under --trace, the search range and
 probes.
 
-Exit codes: 0 success, 2 verification mismatch, 3 input error,
-4 negative cycle.
+Exit codes: 0 success, 2 verification mismatch, 3 input error (a graph
+whose arrays cannot be allocated included), 4 negative cycle.
 """
 
 from __future__ import annotations
@@ -187,6 +187,56 @@ def _parse_grid(raw: str) -> list:
 
 
 def cmd_bench(args) -> int:
+    """CSV rows, one per (n, M, density, algo): the wall time and what the
+    call added to each of matrices.COUNTERS.
+
+    Graphs come from gen_random with weights in [wmin, M] (wmin defaults
+    to 1), or, with --wmin below 1, from gen_mixed_ncf:
+    negative-cycle-free, weights in [-W, W] with W = max(M, -wmin).
+    threshold rows take d from -d, by default n M // 4.
+
+    What the counts mean:
+    - Oracle rows count 0 by design: the oracle layer never touches the
+      counted kernels, so its rows give the baseline. naive_product
+      counts its n**3 relaxations.
+    - A min-plus product (level steps included) counts its l m n
+      relaxations under numpy, whichever route runs it, and bigint
+      ring multiplications (ring_mults) under schoolbook and strassen.
+    - The primal distances take no kernel. While the float route holds
+      their window, they are ceil(log2(min(cap, n - 1))) window squares
+      of n**3 relaxations each under every --kernel, cap being
+      threshold_positive.primal_cap(g, d) = max(M + 1, min(d, W)) for a
+      single threshold call. The default d = n M // 4 lies within the cap
+      on small graphs, so such a positive row is those squares alone, no
+      level: at M = 2, 2 * 8**3 = 1024 at n = 8 and 3 * 16**3 = 12288 at
+      n = 16, and --kernel schoolbook prints the same. A d past the cap
+      adds one product per level, counted as ring_mults under schoolbook
+      and strassen. When W < M + 1 the primal distances are the
+      Floyd-Warshall closure at M + 1, which takes no kernel either and
+      counts n**3 relaxations, n * n per pivot.
+    - bool_ops counts n * n per squaring of the reachability closure
+      (graphs.transitive_closure), which the large-d shortcut of both
+      paths runs, and diameter too, except on a capped general run: such
+      diameter rows read reachability off the exact distances and count
+      0 bool_ops.
+    - General rows (--wmin below 1), while the hitting set covers every
+      vertex, count only the far path's exact distances: n**3
+      relaxations per window square (ceil(log2(n - 1)) of them), n**3
+      more when the closure follows (as it does when some pair is
+      unreachable), and 0 ring_mults under every --kernel, since no
+      level is built and the window is read from exact distances. A
+      capped diameter row counts the relaxations of the threshold row of
+      the same graph, inf answers included. Once the hitting set X
+      samples (--force-beta 0 at n >= 32, say), the levels' products
+      count again, and so does the far-pair combine through X, one
+      min-plus product of n |X| n relaxations under every --kernel.
+    - --verify checks every threshold and diameter row, on both paths,
+      through the same library calls as the subcommands. Rows above
+      verify_bound run unchecked, and stderr says so once for each such
+      n. The oracle counts nothing, so a verified row differs from an
+      unverified one only in wall_s, unless a general row had to retry,
+      which shows in its counts.
+    """
     cfg = _config(args)
     ns = _parse_grid(args.ns)
     ms = _parse_grid(args.ms)
@@ -295,7 +345,7 @@ def main(argv=None) -> int:
     except NegativeCycleError as exc:
         print(f"tapsp: {exc}", file=sys.stderr)
         return 4
-    except (GraphParseError, OSError, ValueError) as exc:
+    except (GraphParseError, OSError, ValueError, MemoryError) as exc:
         print(f"tapsp: error: {exc}", file=sys.stderr)
         return 3
 

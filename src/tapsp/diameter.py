@@ -31,6 +31,9 @@ sources:
   alone (threshold_general.capped).
 - The positive path and sampled general runs run the Boolean closure
   graphs.transitive_closure before any run.
+The capped order has a price: an inf diameter pays the run's squares and
+their closure fallback (far_pairs.compute_delta_t), where the Boolean
+closure alone would answer it.
 
 Positive weights: every probe is the deterministic path over one primal
 matrix built per call at its full cap (threshold_positive.primal_cap), so
@@ -79,6 +82,11 @@ that reports every pair leaves no candidate.
 The probe trace lists each threshold classified once, in order, the two
 certificate probes included; it is empty for a direct answer and for
 +inf.
+
+Under config.verify_due the answer is then checked once against the
+Floyd-Warshall oracle, value and witnesses, the unreachable pairs
+included when the value is +inf (_verify); the probes never run the
+oracle.
 """
 
 from __future__ import annotations

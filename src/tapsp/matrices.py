@@ -45,6 +45,10 @@ square, then one decode. It runs ceil(log2(hops)) squares whatever the
 matrix, returns every pair within win exactly and INF elsewhere, and
 neither scans for INF nor falls back: far_pairs.compute_delta_t, whose
 cap may pass W, owns the minplus_closure fallback. It takes no kernel.
+
+The kernel is the only product setting: every product call, down to
+ring_matmul(a, b, kernel), takes kernel and nothing else, and
+STRASSEN_CUTOFF is read at call time.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ STRASSEN_CUTOFF = 64
 # entries, up to 2b * log2(z) bits each; and the l*n product entries, up to
 # 4b * log2(z) bits each. 2**30 bits (128 MiB) admits every encoded product
 # the tests form: the largest is 3 x 2 x 3 at bound 5461 (3.8e8 bits, nearly
-# all table), the widest 32 x 32 x 32 at bound 260 (1.3e7 bits). A square
-# product at n = 64 passes up to bound about 3000, at n = 512 about 50.
+# all table), the widest 32 x 32 x 32 at bound 260 (1.3e7 bits). A 2 x 2
+# product passes up to bound about 9200, a square one at n = 64 up to
+# about 3000, at n = 512 about 50.
 MAX_ENCODED_BITS = 1 << 30
 
 # Largest (range_a + range_b) * s, s the bits per encoded digit, for which
@@ -303,7 +308,9 @@ def float_window_admits(m: int, width: int, width_b: int | None = None) -> bool:
 def widest_float_window(m: int) -> int:
     """The largest width with float_window_admits(m, width): the widest
     window [lo, lo + width] that window_square multiplies on the float
-    route at inner dimension m, FLOAT_EXP_BUDGET // (2 s)."""
+    route at inner dimension m, FLOAT_EXP_BUDGET // (2 s). At the budget
+    1020 it is 72 at m = 32, 63 at m = 64, 56 at m = 65 .. 128 and 42 at
+    m = 1024."""
     return FLOAT_EXP_BUDGET // (2 * _digit_bits(m))
 
 
@@ -324,8 +331,8 @@ def window_square(d: np.ndarray, lo: int, hi: int,
     hi - lo to the 0.0 slot, which is INF, so C is never formed, and the
     decode offset lo + lo adds the 2 lo. Every encoded exponent lies in
     [0, (hi - lo) s], so _minplus_float's exactness proof holds as it
-    stands. Any other case forms C and calls dist_product_fast at bound
-    hi - lo.
+    stands, and no range scan runs, since the window fixes the range.
+    Any other case forms C and calls dist_product_fast at bound hi - lo.
     """
     if kernel == "numpy" and float_window_admits(d.shape[0], hi - lo):
         return _minplus_float(d, (lo, hi), d, (lo, hi))
@@ -459,7 +466,8 @@ def _minplus_blocked(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     exactly the pairs with no finite term, and map back to INF. The
     largest value formed is the double sentinel top = 2*(3*bound + 1),
     the start value of every result entry, so the relaxation runs in
-    _narrowest_int(top).
+    _narrowest_int(top): int16 up to bound 5460, int32 up to bound
+    357913940, int64 above.
     """
     sentinel = 3 * bound + 1
     dtype = _narrowest_int(2 * sentinel)
@@ -479,7 +487,8 @@ def minplus_closure(w: np.ndarray, cap: int) -> np.ndarray:
     Entries above cap become the sentinel s = cap + 1, and pivot k sets
     d = min(d, d[:, k] + d[k, :]). Every entry stays in [0, s]: min never
     raises a value, and a sum that uses s is at least s. So the relaxation
-    runs in _narrowest_int(2s), 2s being the largest sum.
+    runs in _narrowest_int(2s), 2s being the largest sum: int16 up to
+    cap = 16382, int32 up to cap = 1073741822, int64 above.
 
     Exactness. Let D_k[i, j] be the least weight of an arc sequence from i
     to j, weighed by w, whose inner vertices all lie below k (D_0 = w).
@@ -531,7 +540,10 @@ def nonneg_distances(n: int, arcs: tuple, win: int, hops: int) -> np.ndarray:
     each square. The second table decodes the last product's fields to
     int64 (x, or INF past win). With no square run it decodes e itself:
     2**(-x s) has field 1023 - x s, whose digit is x. Every square adds
-    n**3 to COUNTERS.minplus_relaxations.
+    n**3 to COUNTERS.minplus_relaxations. The square count depends on
+    hops alone, as in the paper's repeated squaring: an exit at a square
+    that changes nothing measured slower at n = 32 and 64, and saved
+    about 20% at n = 128 with two BLAS threads but nothing with one.
 
     Exactness. A square takes D'[u, v] = min over x of D[u, x] + D[x, v]
     where that is within win, and INF otherwise. Every term is the weight

@@ -96,7 +96,9 @@ def primal_cap(g: Graph, d: int | None = None) -> int:
     """The primal matrix's cap for threshold d: max(M + 1, min(d, W)), W
     the widest window the float route holds at n
     (matrices.widest_float_window). d = None, for every threshold at
-    once, gives the widest cap, max(M + 1, W)."""
+    once, gives the widest cap, max(M + 1, W). The primal matrix is
+    window squares while M + 1 <= W, so the largest M that squares is
+    W - 1: 62 at n = 64, 55 at n = 128, 41 at n = 1024."""
     w = widest_float_window(g.n)
     return max(g.M + 1, w if d is None else min(d, w))
 
@@ -116,13 +118,13 @@ def primal_distances(g: Graph, cap: int | None = None) -> np.ndarray:
     (matrices.float_window_admits, that is cap <= W), they are
     matrices.nonneg_distances(n, g.arcs, cap, min(cap, n - 1)), encoded
     straight from the arc list: ceil(log2(min(cap, n - 1))) window
-    squares at [0, cap]. With weights >= 1 a path of weight <= cap has at
-    most cap arcs, and a shortest path at most n - 1, which bounds the
-    hops that routine's proof asks for. Otherwise they are
-    matrices.minplus_closure(w, cap) of the weight matrix w: at caps that
-    wide, squaring by fixed-width relaxation loses to Floyd-Warshall. At
-    a cap primal_cap gives, that happens only when W < M + 1, and then
-    cap = M + 1.
+    squares at [0, cap], none for n <= 2. With weights >= 1 a path of
+    weight <= cap has at most cap arcs, and a shortest path at most
+    n - 1, which bounds the hops that routine's proof asks for.
+    Otherwise they are matrices.minplus_closure(w, cap) of the weight
+    matrix w: at caps that wide, squaring by fixed-width relaxation
+    loses to Floyd-Warshall. At a cap primal_cap gives, that happens
+    only when W < M + 1, and then cap = M + 1.
     """
     _require_positive(g)
     if cap is None:
@@ -158,6 +160,11 @@ def level_step(dist: np.ndarray, source: tuple, kernel: str = "numpy") -> np.nda
     Soundness: every term of R[u, v] is max(dist[u, w], t_lo) +
     max(dist[w, v], t_lo) >= dist(u, w) + dist(w, v), so R bounds the
     distances from above and a pair it reports at any k is within k.
+
+    Under numpy, window_square takes the float route when
+    float_window_admits(n, t_hi - t_lo); a level's window is at most
+    2M + 2 wide (level_plan), so every level step of an M up to
+    (W - 2) // 2 (30 at n = 64) takes it, W = widest_float_window(n).
 
     The caller keeps minimum(primal, R), and (minimum <= k) =
     (primal <= k) | (R <= k). For k up to the primal cap, R <= k implies

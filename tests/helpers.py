@@ -14,6 +14,39 @@ from tapsp.schedule import build_schedule
 from tapsp.threshold_general import build_levels
 from tapsp.threshold_positive import level_step
 
+# matrices.FLOAT_EXP_BUDGET as documented, and a narrower budget that is
+# just as exact; the route tests run at both
+FLOAT_BUDGETS = (1020, 600)
+
+
+def at_float_budgets(monkeypatch):
+    """Yield each of FLOAT_BUDGETS, with matrices.FLOAT_EXP_BUDGET set to
+    it while the loop body runs. A test that loops over it derives every
+    budget-dependent input from the package's own functions
+    (widest_float_window, primal_cap, _digit_bits), so it checks a route
+    rule rather than one budget's numbers."""
+    for budget in FLOAT_BUDGETS:
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "FLOAT_EXP_BUDGET", budget)
+            yield budget
+
+
+def float_level_m(n: int) -> int:
+    """The largest M whose positive level steps all take the float route
+    at n: a level's source window is at most 2M + 2 wide
+    (threshold_positive.level_plan), and window_square takes the float
+    route up to matrices.widest_float_window(n)."""
+    return (matrices.widest_float_window(n) - 2) // 2
+
+
+def cycle_weights_about_the_window(n: int) -> tuple:
+    """Arc weights (within, past) for an n-cycle of equal arcs, whose
+    largest distance is (n - 1) times the weight: within
+    matrices.widest_float_window(n) for the first, past it for the
+    second."""
+    within = matrices.widest_float_window(n) // (n - 1)
+    return within, within + 1
+
 
 def lower_strassen_cutoff(monkeypatch, cutoff: int) -> dict:
     """Set matrices.STRASSEN_CUTOFF to cutoff so that small products under
@@ -183,6 +216,17 @@ def squaring_apsp(w: np.ndarray) -> np.ndarray:
     for _ in range(rounds):
         d = np.minimum(d, dist_product_naive(d, d))
     return d
+
+
+def strip_wall_column(csv: str) -> list:
+    """The rows of bench CSV text as column lists, each without its sixth
+    column, wall_s: the one field of bench output that varies between
+    runs."""
+    rows = []
+    for line in csv.splitlines():
+        cols = line.split(",")
+        rows.append(cols[:5] + cols[6:])
+    return rows
 
 
 def unreachable_corner_graph(n: int, seed: int) -> Graph:

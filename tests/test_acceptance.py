@@ -16,7 +16,7 @@ import numpy as np
 
 from helpers import (level_step_square, mixed_graph, nested_coeffs,
                      poly_square_direct, rand_dist_matrix, sc_mixed_graph,
-                     sc_positive_graph, schedule_levels)
+                     sc_positive_graph, schedule_levels, strip_wall_column)
 from tapsp import matrices
 from tapsp.config import RunConfig
 from tapsp.diameter import diameter
@@ -382,14 +382,6 @@ def _run_cli(args: list, cwd: str) -> bytes:
     return proc.stdout
 
 
-def _strip_wall_column(csv: bytes) -> list:
-    rows = []
-    for line in csv.decode().splitlines():
-        cols = line.split(",")
-        rows.append(cols[:5] + cols[6:])
-    return rows
-
-
 def test_criterion_8_cli_determinism(tmp_path):
     start = time.monotonic()
     pos = tmp_path / "pos.gr"
@@ -420,7 +412,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     bench = ["bench", "--ns", "8,16", "--ms", "2", "--densities", "0.5",
              "--algos", "oracle,naive_product,threshold", "--seed", "2"]
     # wall_s is a measured time; every other column must be byte-stable
-    rows = [_strip_wall_column(_run_cli(bench + ["--threads", t], cwd))
+    rows = [strip_wall_column(_run_cli(bench + ["--threads", t], cwd).decode())
             for t in ("1", "4", "1", "4")]
     assert rows[0] == rows[1] == rows[2] == rows[3]
 

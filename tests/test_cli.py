@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import strip_wall_column
 from tapsp.cli import _add_common, _config, build_parser, main
 from tapsp.config import ENV_FIELDS, ENV_PREFIX, KERNELS, RunConfig, config_from_env
 from tapsp.graphs import (gen_mixed_ncf, gen_random, make_graph, parse_graph,
@@ -375,6 +376,23 @@ def test_weight_past_the_headroom_exits_3(tmp_path, capsys, weight):
         assert captured.err.startswith("tapsp: error: n*M = "), args
 
 
+def test_graph_too_large_to_allocate_exits_3(tmp_path, capsys):
+    # the parser accepts a billion vertices with no arc, and each command
+    # then asks numpy for an n x n matrix (an identity of 6.94 EiB, a
+    # reachability matrix of 3.47 EiB), larger than any address space, so
+    # the request fails at once. It is an input error, not a crash.
+    # --mode general is left out: its O(n) arrays of 8 GB each are
+    # allocated one by one and can exhaust the machine first
+    path = tmp_path / "huge.gr"
+    path.write_text("p sp 1000000000 0\n")
+    for args in (["threshold", str(path), "-d", "1"], ["diameter", str(path)]):
+        assert main(args) == 3, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tapsp: error: "), args
+        assert captured.err.count("\n") == 1, args
+
+
 def test_weights_within_the_headroom_run(tmp_path, capsys):
     path = tmp_path / "small.gr"
     path.write_text("p sp 3 3\na 1 2 8\na 2 3 1\na 3 1 1\n")
@@ -416,8 +434,7 @@ def test_bench_capped_general_row_counts_window_squares(capsys):
 def _bench_rows(argv, capsys) -> list:
     # every column but wall_s
     assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    return [cols[:5] + cols[6:] for cols in (ln.split(",") for ln in lines)]
+    return strip_wall_column(capsys.readouterr().out)[1:]
 
 
 @pytest.mark.parametrize("wmin", [[], ["--wmin", "-2"]])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (mixed_graph, sc_mixed_graph, two_scc_graph,
+from helpers import (at_float_budgets, cycle_weights_about_the_window,
+                     mixed_graph, sc_mixed_graph, two_scc_graph,
                      unreachable_corner_graph)
 from tapsp import far_pairs, matrices
 from tapsp.far_pairs import compute_delta_t, hitting_set, sssp_rows
@@ -111,23 +112,29 @@ def test_delta_t_dominates_and_caps_exactly(monkeypatch):
 
 def test_capped_delta_t_past_the_window_runs_the_closure(monkeypatch):
     # a 16-cycle of arcs of weight c: distances reach 15 c, against the
-    # window W = 85 at n = 16 and the cap 2 (n - 1) c. At c = 5 every
-    # distance is within W and the squares alone answer; at c = 7 the
-    # farthest pairs (up to 105) pass W and the closure runs once, at the
-    # cap. The squares run either way: all ceil(log2 15) = 4 of them
+    # window W (85 at n = 16 under the documented budget) and the cap
+    # 2 (n - 1) c. At the lighter weight every distance is within W and
+    # the squares alone answer; at the heavier one the farthest pairs pass
+    # W and the closure runs once, at the cap. The squares run either way:
+    # all ceil(log2 15) = 4 of them
     n = 16
-    assert matrices.widest_float_window(n) == 85
     closures = _count_closures(monkeypatch)
-    for c, want in ((5, []), (7, [2 * (n - 1) * 7])):
-        g = make_graph(n, [(i, i % n + 1, c) for i in range(1, n + 1)], M=c)
-        closures.clear()
-        COUNTERS.reset()
-        far = compute_delta_t(g, 1, Rng(0), johnson_potentials(g))
-        assert far.hitting.size == n
-        assert np.array_equal(far.delta, floyd_warshall(to_matrix(g))), c
-        assert closures == want, c
-        # each square and the closure add n**3 relaxations
-        assert COUNTERS.minplus_relaxations // n ** 3 - len(want) == 4, c
+    for budget in at_float_budgets(monkeypatch):
+        big_w = matrices.widest_float_window(n)
+        if budget == 1020:
+            assert big_w == 85
+        within, past = cycle_weights_about_the_window(n)
+        assert (n - 1) * within <= big_w < (n - 1) * past
+        for c, want in ((within, []), (past, [2 * (n - 1) * past])):
+            g = make_graph(n, [(i, i % n + 1, c) for i in range(1, n + 1)], M=c)
+            closures.clear()
+            COUNTERS.reset()
+            far = compute_delta_t(g, 1, Rng(0), johnson_potentials(g))
+            assert far.hitting.size == n
+            assert np.array_equal(far.delta, floyd_warshall(to_matrix(g))), (budget, c)
+            assert closures == want, (budget, c)
+            # each square and the closure add n**3 relaxations
+            assert COUNTERS.minplus_relaxations // n ** 3 - len(want) == 4, (budget, c)
 
 
 def test_capped_delta_t_with_unreachable_pairs_runs_the_closure(monkeypatch):

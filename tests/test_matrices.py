@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (arcs_of, level_step_square, lower_strassen_cutoff,
+from helpers import (arcs_of, at_float_budgets, float_level_m,
+                     level_step_square, lower_strassen_cutoff,
                      minplus_reference, nested_coeffs,
                      nonneg_distances_reference, poly_square_direct,
                      rand_dist_matrix, unreachable_corner_graph)
@@ -401,18 +402,24 @@ def test_float_route_edge_operands(monkeypatch):
 
 
 def test_level_steps_take_the_float_route(monkeypatch):
-    # level-step operands lie in [0, 2M + 2]: at n = 64, s = 8, and the
-    # rule admits every M up to 30. Levels run past the primal cap, 63
-    # at n = 64 for both M
+    # level-step operands lie in [0, 2M + 2]: at n = 64, s = 8, and under
+    # the documented budget the rule admits every M up to 30, the largest
+    # M below taken here. Levels run past the primal cap (63 at n = 64
+    # for both M under that budget)
     fallbacks = _fallback_calls(monkeypatch)
-    cap = 63
-    for m_bound, seed in ((8, 1), (30, 2)):
-        g = gen_random(64, 3 / 64, 1, m_bound, seed=seed)
-        dist = floyd_warshall(to_matrix(g))
-        for d in (cap + 1, 2 * cap, cap + 10 * m_bound, 64 * m_bound):
-            report = threshold_apsp_pos(g, d)
-            assert report.stats["levels"] > 0
-            assert np.array_equal(report.reported, dist <= d), (m_bound, d)
+    n = 64
+    for budget in at_float_budgets(monkeypatch):
+        if budget == 1020:
+            assert (matrices.widest_float_window(n), float_level_m(n)) == (63, 30)
+        for m_bound, seed in ((8, 1), (float_level_m(n), 2)):
+            g = gen_random(n, 3 / n, 1, m_bound, seed=seed)
+            cap = threshold_positive.primal_cap(g)
+            assert cap == matrices.widest_float_window(n)
+            dist = floyd_warshall(to_matrix(g))
+            for d in (cap + 1, 2 * cap, cap + 10 * m_bound, n * m_bound):
+                report = threshold_apsp_pos(g, d)
+                assert report.stats["levels"] > 0
+                assert np.array_equal(report.reported, dist <= d), (budget, m_bound, d)
     assert fallbacks == []
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import f_set_based, lower_strassen_cutoff, sc_positive_graph
+from helpers import (at_float_budgets, f_set_based, lower_strassen_cutoff,
+                     sc_positive_graph)
 from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
 from tapsp.graphs import gen_random, make_graph, to_matrix
-from tapsp.matrices import FLOAT_EXP_BUDGET, INF, dist_product_naive
+from tapsp.matrices import INF, dist_product_naive
 from tapsp.oracle import brute_threshold, floyd_warshall
 from tapsp.threshold_positive import (f_set, level_plan, level_step,
                                       primal_distances, threshold_apsp_pos)
@@ -136,10 +137,10 @@ def test_primal_route_rule_at_the_float_budget(monkeypatch):
     # the default cap is max(M + 1, W), W = FLOAT_EXP_BUDGET // (2 s) the
     # widest float window at n: while M + 1 <= W the primal is window
     # squares at W, one more unit of M takes the closure at M + 1. Either
-    # way it is the oracle's distances capped at that cap. At n = 64
-    # (s = 8) W = 63, at n = 65 and 128 (s = 9) W = 56. A unit path whose
-    # last vertex lies at the cap needs every one of the
-    # ceil(log2(min(cap, n - 1))) squares.
+    # way it is the oracle's distances capped at that cap. Under the
+    # documented budget, at n = 64 (s = 8) W = 63, at n = 65 and 128
+    # (s = 9) W = 56. A unit path whose last vertex lies at the cap needs
+    # every one of the ceil(log2(min(cap, n - 1))) squares.
     closures = []
     real = threshold_positive.minplus_closure
 
@@ -148,33 +149,36 @@ def test_primal_route_rule_at_the_float_budget(monkeypatch):
         return real(w, cap)
 
     monkeypatch.setattr(threshold_positive, "minplus_closure", counted)
-    for n in (1, 2, 3, 17, 64, 65, 128):
-        s = _digit_bits(n)
-        widest = FLOAT_EXP_BUDGET // (2 * s)
-        assert matrices.widest_float_window(n) == widest
-        assert matrices.float_window_admits(n, widest)
-        assert not matrices.float_window_admits(n, widest + 1)
-        for m_bound in (1, 8, widest - 1, widest, widest + 1):
-            graphs = [gen_random(n, min(1.0, 3 / n), 1, m_bound, seed=seed)
-                      for seed in range(2)]
-            graphs += [_cut_corner(g) for g in graphs]
-            graphs.append(make_graph(n, [(i, i + 1, 1) for i in range(1, n)],
-                                     M=m_bound))
-            for g in graphs:
-                float_route = g.M + 1 <= widest
-                cap = max(g.M + 1, widest)
-                assert threshold_positive.primal_cap(g) == cap
-                before = len(closures)
-                got = primal_distances(g)
-                assert closures[before:] == ([] if float_route else [g.M + 1]), (n, g.M)
-                dist = floyd_warshall(to_matrix(g))
-                want = np.where(dist <= cap, dist, INF)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, want), (n, g.M)
-    assert matrices.widest_float_window(64) == 63
-    assert matrices.widest_float_window(65) == 56
-    assert matrices.widest_float_window(32) == 72
-    assert matrices.widest_float_window(1024) == 42
+    for budget in at_float_budgets(monkeypatch):
+        for n in (1, 2, 3, 17, 64, 65, 128):
+            s = _digit_bits(n)
+            widest = budget // (2 * s)
+            assert matrices.widest_float_window(n) == widest
+            assert matrices.float_window_admits(n, widest)
+            assert not matrices.float_window_admits(n, widest + 1)
+            for m_bound in (1, 8, widest - 1, widest, widest + 1):
+                graphs = [gen_random(n, min(1.0, 3 / n), 1, m_bound, seed=seed)
+                          for seed in range(2)]
+                graphs += [_cut_corner(g) for g in graphs]
+                graphs.append(make_graph(n, [(i, i + 1, 1) for i in range(1, n)],
+                                         M=m_bound))
+                for g in graphs:
+                    float_route = g.M + 1 <= widest
+                    cap = max(g.M + 1, widest)
+                    assert threshold_positive.primal_cap(g) == cap
+                    before = len(closures)
+                    got = primal_distances(g)
+                    assert closures[before:] == ([] if float_route else [g.M + 1]), (
+                        budget, n, g.M)
+                    dist = floyd_warshall(to_matrix(g))
+                    want = np.where(dist <= cap, dist, INF)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want), (budget, n, g.M)
+        if budget == 1020:
+            assert matrices.widest_float_window(64) == 63
+            assert matrices.widest_float_window(65) == 56
+            assert matrices.widest_float_window(32) == 72
+            assert matrices.widest_float_window(1024) == 42
 
 
 def test_primal_at_an_explicit_cap_matches_the_oracle():
@@ -209,7 +213,7 @@ def test_window_square_matches_the_first_index_square_property(
     dist = floyd_warshall(to_matrix(g))
     cap = (m_bound + 1, 3 * m_bound, int(INF))[cap_pick]
     dist = np.where(dist <= cap, dist, INF)
-    width = FLOAT_EXP_BUDGET // (2 * _digit_bits(n)) + int(past_edge)
+    width = matrices.widest_float_window(n) + int(past_edge)
     t_hi = t_lo + width
     assert matrices.float_window_admits(n, width) == (not past_edge)
     products = []
