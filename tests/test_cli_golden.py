@@ -1,8 +1,11 @@
 """Golden CLI output: the full stdout of each command on two small graphs,
-as text and under --json, pinned byte for byte."""
+as text and under --json, pinned byte for byte, and tapsp bench CSV on a
+few grids, pinned but for wall_s."""
 
 import pytest
+from helpers import strip_wall_column
 
+from tapsp import matrices
 from tapsp.cli import main
 
 # strongly connected, weights 1..4: the positive path and a probed diameter
@@ -83,3 +86,66 @@ def test_cli_output_is_pinned(tmp_path, capsys, graph, command, as_json):
     captured = capsys.readouterr()
     assert captured.out == (payload + "\n" if as_json else "\n".join(text) + "\n")
     assert captured.err == ""
+
+
+# tapsp bench rows without wall_s, each case "argv | STRASSEN_CUTOFF":
+# every algo and both paths, positive rows within the primal cap (the
+# default d) and past it (-d 100) under each kernel, Strassen with a
+# cutoff low enough to recurse, and general rows capped and sampled
+BENCH_GOLDEN = {
+    ("--ns 8,16 --ms 2,8 --algos oracle,naive_product,threshold,diameter", 64): """\
+8,2,0.3,oracle,0,0,0,0
+8,2,0.3,naive_product,0,0,512,0
+8,2,0.3,threshold,0,0,1024,0
+8,2,0.3,diameter,0,0,1536,192
+8,8,0.3,oracle,0,0,0,0
+8,8,0.3,naive_product,0,0,512,0
+8,8,0.3,threshold,0,0,1536,0
+8,8,0.3,diameter,0,0,1536,192
+16,2,0.3,oracle,0,0,0,0
+16,2,0.3,naive_product,0,0,4096,0
+16,2,0.3,threshold,0,0,12288,0
+16,2,0.3,diameter,0,0,16384,1024
+16,8,0.3,oracle,0,0,0,0
+16,8,0.3,naive_product,0,0,4096,0
+16,8,0.3,threshold,0,0,16384,0
+16,8,0.3,diameter,0,0,16384,1024
+""",
+    ("--ns 16 --ms 8 -d 100 --algos threshold,diameter", 64): """\
+16,8,0.3,threshold,0,0,20480,0
+16,8,0.3,diameter,0,0,16384,1024
+""",
+    ("--ns 8,16 --ms 2 --algos threshold,diameter --kernel schoolbook", 64): """\
+8,2,0.3,threshold,0,0,1024,0
+8,2,0.3,diameter,0,0,1536,192
+16,2,0.3,threshold,0,0,12288,0
+16,2,0.3,diameter,0,0,16384,1024
+""",
+    ("--ns 16 --ms 8 -d 100 --algos threshold --kernel schoolbook", 64): """\
+16,8,0.3,threshold,0,4096,16384,0
+""",
+    ("--ns 16 --ms 2,8 -d 100 --algos threshold --kernel strassen", 4): """\
+16,2,0.3,threshold,0,0,0,1024
+16,8,0.3,threshold,0,3136,16384,0
+""",
+    ("--ns 8,32 --ms 4 --wmin -4 --algos threshold,diameter", 64): """\
+8,4,0.3,threshold,0,0,1536,0
+8,4,0.3,diameter,0,0,1536,0
+32,4,0.3,threshold,0,0,163840,0
+32,4,0.3,diameter,0,0,163840,0
+""",
+    ("--ns 32 --ms 4 --wmin -4 --algos threshold,diameter --force-beta 0", 64): """\
+32,4,0.3,threshold,0,0,2781184,0
+32,4,0.3,diameter,0,0,3174400,5120
+""",
+}
+
+
+@pytest.mark.parametrize("argv,cutoff", list(BENCH_GOLDEN))
+def test_bench_csv_is_pinned(monkeypatch, capsys, argv, cutoff):
+    monkeypatch.setattr(matrices, "STRASSEN_CUTOFF", cutoff)
+    assert main(["bench", "--densities", "0.3", *argv.split()]) == 0
+    rows = strip_wall_column(capsys.readouterr().out)
+    assert rows[0] == ("n,M,density,algo,seed,ring_mults,minplus_relaxations,"
+                       "bool_ops").split(",")
+    assert "".join(",".join(r) + "\n" for r in rows[1:]) == BENCH_GOLDEN[argv, cutoff]
