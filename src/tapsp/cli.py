@@ -37,7 +37,7 @@ from .diameter import diameter, threshold
 from .graphs import (Graph, GraphParseError, NegativeCycleError, gen_mixed_ncf,
                      gen_random, one_based_pairs, parse_graph, to_matrix,
                      write_graph)
-from .matrices import COUNTERS, INF, dist_product_naive
+from .matrices import INF, counting, dist_product_naive
 from .oracle import brute_threshold, floyd_warshall
 from .threshold_general import VerifyMismatchError
 
@@ -135,11 +135,10 @@ def cmd_threshold(args) -> int:
     mode = pick_mode(g, cfg)
     rep = threshold(g, args.d, config=cfg)
     _say_verify_skipped(g, cfg)
-    stats = {k: v for k, v in rep.stats.items()
-             if isinstance(v, (int, float, str, bool, type(None)))}
     payload = {"command": "threshold", "mode": mode, "n": g.n, "M": g.M,
-               "d": args.d, "count": rep.count, "stats": stats}
-    tail = [f"stat {k}: {stats[k]}" for k in sorted(stats)] if args.trace else []
+               "d": args.d, "count": rep.count, "stats": rep.stats}
+    tail = ([f"stat {k}: {v}" for k, v in sorted(rep.stats.items())]
+            if args.trace else [])
     tail += _with_pairs(args, payload, rep.pairs())
     _print(args, payload, ("mode", "n", "M", "d", "count"), tail)
     return 0
@@ -187,8 +186,8 @@ def _parse_grid(raw: str) -> list:
 
 
 def cmd_bench(args) -> int:
-    """CSV rows, one per (n, M, density, algo): the wall time and what the
-    call added to each of matrices.COUNTERS.
+    """CSV rows, one per (n, M, density, algo): the wall time and the
+    op counts of the call, from a matrices.counting() block around it.
 
     Graphs come from gen_random with weights in [wmin, M] (wmin defaults
     to 1), or, with --wmin below 1, from gen_mixed_ncf:
@@ -256,23 +255,22 @@ def cmd_bench(args) -> int:
                      else gen_mixed_ncf(n, density, max(m_bound, -wmin), cfg.seed))
                 w = to_matrix(g)
                 for algo in algos:
-                    COUNTERS.reset()
                     start = time.perf_counter()
-                    if algo == "oracle":
-                        floyd_warshall(w)
-                    elif algo == "naive_product":
-                        dist_product_naive(w, w)
-                    elif algo == "threshold":
-                        d = args.d if args.d is not None else (n * m_bound) // 4
-                        threshold(g, d, config=cfg)
-                    else:
-                        diameter(g, config=cfg)
+                    with counting() as counts:
+                        if algo == "oracle":
+                            floyd_warshall(w)
+                        elif algo == "naive_product":
+                            dist_product_naive(w, w)
+                        elif algo == "threshold":
+                            d = args.d if args.d is not None else (n * m_bound) // 4
+                            threshold(g, d, config=cfg)
+                        else:
+                            diameter(g, config=cfg)
                     wall = time.perf_counter() - start
-                    snap = COUNTERS.snapshot()
                     writer.write(
                         f"{n},{m_bound},{density},{algo},{cfg.seed},{wall:.6f},"
-                        f"{snap['ring_mults']},{snap['minplus_relaxations']},"
-                        f"{snap['bool_ops']}\n")
+                        f"{counts['ring_mults']},{counts['minplus_relaxations']},"
+                        f"{counts['bool_ops']}\n")
                     if algo in ("threshold", "diameter") and n not in told:
                         told.add(n)
                         _say_verify_skipped(g, cfg)

@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .matrices import COUNTERS, INF, minplus_identity
+from .matrices import INF, count, minplus_identity
 from .sampling import Rng
 
 # Largest accepted n * M. Apart from the masked INF + INF, the largest
@@ -393,6 +393,6 @@ def transitive_closure(g: Graph) -> np.ndarray:
     reach[u, v] = 1.0
     steps = 1 if n <= 2 else int(np.ceil(np.log2(n)))
     for _ in range(steps):
-        COUNTERS.bool_ops += n * n
+        count("bool_ops", n * n)
         reach = np.minimum(reach @ reach, 1.0)
     return reach > 0

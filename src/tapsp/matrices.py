@@ -49,13 +49,21 @@ cap may pass W, owns the minplus_closure fallback. It takes no kernel.
 The kernel is the only product setting: every product call, down to
 ring_matmul(a, b, kernel), takes kernel and nothing else, and
 STRASSEN_CUTOFF is read at call time.
+
+Operation counts belong to the caller that asks for them: inside a
+counting() block, each counted kernel adds its work (ring
+multiplications, min-plus relaxations, Boolean ops) to the block's
+Counter; outside every block nothing is recorded, and no kernel takes a
+recorder.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
@@ -85,28 +93,35 @@ class EntryBoundError(ValueError):
     """A matrix entry exceeded the declared bound for an encoded product."""
 
 
-@dataclass
-class OpCounters:
-    """Cumulative operation counts, used by the bench command and tests."""
-
-    ring_mults: int = 0
-    minplus_relaxations: int = 0
-    bool_ops: int = 0
-
-    def reset(self) -> None:
-        self.ring_mults = 0
-        self.minplus_relaxations = 0
-        self.bool_ops = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "ring_mults": self.ring_mults,
-            "minplus_relaxations": self.minplus_relaxations,
-            "bool_ops": self.bool_ops,
-        }
+# the Counter of the innermost open counting() block, None outside all
+_COUNTS = contextvars.ContextVar("tapsp_counts", default=None)
 
 
-COUNTERS = OpCounters()
+@contextlib.contextmanager
+def counting():
+    """Count the operations that calls inside the block perform: yields
+    a fresh collections.Counter, to which each count(op, k) in this
+    context adds k at key op until the block closes. Outside every block
+    nothing is counted. A nested block counts into its own Counter only,
+    and the enclosing block's resumes when it closes.
+
+    The keys: "ring_mults" (bigint ring multiplications, l m n per
+    schoolbook product), "minplus_relaxations" (l m n per min-plus
+    product on any route, n**3 per nonneg_distances square) and
+    "bool_ops" (n * n per square of graphs.transitive_closure). A key
+    never counted reads 0."""
+    token = _COUNTS.set(Counter())
+    try:
+        yield _COUNTS.get()
+    finally:
+        _COUNTS.reset(token)
+
+
+def count(op: str, k: int) -> None:
+    """Add k to op in the innermost open counting() block, if any."""
+    counts = _COUNTS.get()
+    if counts is not None:
+        counts[op] += k
 
 
 def full_inf(rows: int, cols: int) -> np.ndarray:
@@ -135,7 +150,7 @@ def dist_product_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_inner(a, b)
     l, m = a.shape
     n = b.shape[1]
-    COUNTERS.minplus_relaxations += l * m * n
+    count("minplus_relaxations", l * m * n)
     out = full_inf(l, n)
     for k in range(m):
         col = a[:, k]
@@ -163,9 +178,7 @@ def ring_matmul(a: np.ndarray, b: np.ndarray, kernel: str = "schoolbook") -> np.
 def _schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     l, m = a.shape
     n = b.shape[1]
-    COUNTERS.ring_mults += l * m * n
-    if l == 0 or m == 0 or n == 0:
-        return np.zeros((l, n), dtype=object)
+    count("ring_mults", l * m * n)
     return np.dot(a, b)
 
 
@@ -391,7 +404,7 @@ def _minplus_float(a: np.ndarray, ra: tuple, b: np.ndarray,
     """
     l, m = a.shape
     n = b.shape[1]
-    COUNTERS.minplus_relaxations += l * m * n
+    count("minplus_relaxations", l * m * n)
     s = _digit_bits(m)
     ea = _pow2_encode(a, *ra, s)
     eb = ea if b is a else _pow2_encode(b, *rb, s)
@@ -449,7 +462,7 @@ def _relax(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dimension at a time: out = min(out, a[:, k] + b[k, :]). With
     out = a = b it is in-place Floyd-Warshall."""
     l, m = a.shape
-    COUNTERS.minplus_relaxations += l * m * b.shape[1]
+    count("minplus_relaxations", l * m * b.shape[1])
     tmp = np.empty_like(out)
     for k in range(m):
         np.add(a[:, k, None], b[k], out=tmp)
@@ -539,8 +552,8 @@ def nonneg_distances(n: int, arcs: tuple, win: int, hops: int) -> np.ndarray:
     _pow2_encode: the chain forms exactly T(window_square(D, 0, win)) at
     each square. The second table decodes the last product's fields to
     int64 (x, or INF past win). With no square run it decodes e itself:
-    2**(-x s) has field 1023 - x s, whose digit is x. Every square adds
-    n**3 to COUNTERS.minplus_relaxations. The square count depends on
+    2**(-x s) has field 1023 - x s, whose digit is x. Every square counts
+    n**3 minplus_relaxations (see counting). The square count depends on
     hops alone, as in the paper's repeated squaring: an exit at a square
     that changes nothing measured slower at n = 32 and 64, and saved
     about 20% at n = 128 with two BLAS threads but nothing with one.
@@ -566,7 +579,7 @@ def nonneg_distances(n: int, arcs: tuple, win: int, hops: int) -> np.ndarray:
     e[u, v] = _pow2_table(win, s).take(w, mode="clip")
     bits = e.view(np.int64) >> 52
     for left in reversed(range(max(hops - 1, 0).bit_length())):
-        COUNTERS.minplus_relaxations += n ** 3
+        count("minplus_relaxations", n ** 3)
         bits = (e @ e).view(np.int64)
         bits >>= 52
         if left:  # the last product is decoded, not re-encoded

@@ -9,7 +9,7 @@ from helpers import (at_float_budgets, cycle_weights_about_the_window,
 from tapsp import far_pairs, matrices
 from tapsp.far_pairs import compute_delta_t, hitting_set, sssp_rows
 from tapsp.graphs import gen_mixed_ncf, johnson_potentials, make_graph, to_matrix
-from tapsp.matrices import COUNTERS, INF, is_finite
+from tapsp.matrices import INF, counting, is_finite
 from tapsp.oracle import floyd_warshall, min_edge_counts
 from tapsp.sampling import Rng
 
@@ -128,13 +128,13 @@ def test_capped_delta_t_past_the_window_runs_the_closure(monkeypatch):
         for c, want in ((within, []), (past, [2 * (n - 1) * past])):
             g = make_graph(n, [(i, i % n + 1, c) for i in range(1, n + 1)], M=c)
             closures.clear()
-            COUNTERS.reset()
-            far = compute_delta_t(g, 1, Rng(0), johnson_potentials(g))
+            with counting() as counts:
+                far = compute_delta_t(g, 1, Rng(0), johnson_potentials(g))
             assert far.hitting.size == n
             assert np.array_equal(far.delta, floyd_warshall(to_matrix(g))), (budget, c)
             assert closures == want, (budget, c)
             # each square and the closure add n**3 relaxations
-            assert COUNTERS.minplus_relaxations // n ** 3 - len(want) == 4, (budget, c)
+            assert counts["minplus_relaxations"] // n ** 3 - len(want) == 4, (budget, c)
 
 
 def test_capped_delta_t_with_unreachable_pairs_runs_the_closure(monkeypatch):

@@ -1,5 +1,6 @@
 import re
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,9 @@ from tapsp import matrices, threshold_positive
 from tapsp.config import KERNELS
 from tapsp.far_pairs import sssp_rows
 from tapsp.graphs import (MAX_SPAN, gen_mixed_ncf, gen_random,
-                          johnson_potentials, make_graph, to_matrix)
-from tapsp.matrices import (COUNTERS, INF, EntryBoundError, dist_product_fast,
+                          johnson_potentials, make_graph, to_matrix,
+                          transitive_closure)
+from tapsp.matrices import (INF, EntryBoundError, counting, dist_product_fast,
                             dist_product_naive, full_inf, is_finite,
                             minplus_closure, minplus_identity, ring_matmul,
                             scale_div_ceil, truncate)
@@ -125,9 +127,39 @@ def test_fast_zero_inner_dimension():
 def test_ring_matmul_counts_multiplications():
     a = np.ones((3, 4), dtype=object)
     b = np.ones((4, 5), dtype=object)
-    COUNTERS.reset()
-    ring_matmul(a, b)
-    assert COUNTERS.ring_mults == 3 * 4 * 5
+    with counting() as counts:
+        ring_matmul(a, b)
+    assert counts["ring_mults"] == 3 * 4 * 5
+
+
+def test_counts_exist_only_inside_a_counting_block():
+    # a closed block's Counter keeps what it counted, and library calls
+    # outside every block (a product, a closure, a whole threshold call)
+    # reach no Counter
+    a = np.zeros((3, 3), dtype=np.int64)
+    g = gen_random(8, 0.4, 1, 3, seed=1)
+    with counting() as counts:
+        dist_product_naive(a, a)
+    assert counts == Counter(minplus_relaxations=27)
+    assert matrices._COUNTS.get() is None
+    dist_product_naive(a, a)
+    transitive_closure(g)
+    threshold_apsp_pos(g, 6)
+    assert counts == Counter(minplus_relaxations=27)
+    assert matrices._COUNTS.get() is None
+
+
+def test_a_nested_counting_block_counts_into_its_own_counter_only():
+    a = np.zeros((3, 3), dtype=np.int64)
+    ones = np.ones((2, 2), dtype=object)
+    with counting() as outer:
+        dist_product_naive(a, a)
+        with counting() as inner:
+            ring_matmul(ones, ones)
+            transitive_closure(make_graph(4, [(1, 2, 1)], M=1))
+        dist_product_naive(a, a)
+    assert inner == Counter(ring_mults=8, bool_ops=2 * 16)
+    assert outer == Counter(minplus_relaxations=2 * 27)
 
 
 def test_strassen_equals_schoolbook(monkeypatch):
@@ -162,9 +194,9 @@ def test_strassen_thin_product_counts_schoolbook_mults():
     gen = np.random.default_rng(6)
     a = gen.integers(-9, 9, size=(3, 100)).astype(object)
     b = gen.integers(-9, 9, size=(100, 5)).astype(object)
-    COUNTERS.reset()
-    got = ring_matmul(a, b, kernel="strassen")
-    assert COUNTERS.ring_mults == 3 * 100 * 5
+    with counting() as counts:
+        got = ring_matmul(a, b, kernel="strassen")
+    assert counts["ring_mults"] == 3 * 100 * 5
     assert np.array_equal(got, ring_matmul(a, b, kernel="schoolbook"))
 
 
@@ -558,11 +590,11 @@ def _count_matrices_calls(monkeypatch, *names) -> dict:
     return calls
 
 
-def _squares_run(n: int, closures: int) -> int:
-    """The squares nonneg_distances ran on an n x n matrix since COUNTERS
-    was reset: each adds n**3 minplus_relaxations, as does each of the
-    closures."""
-    return COUNTERS.minplus_relaxations // n ** 3 - closures
+def _squares_run(counts: Counter, n: int, closures: int) -> int:
+    """The squares nonneg_distances ran on an n x n matrix in the
+    counting() block that yielded counts: each adds n**3
+    minplus_relaxations, as does each of the closures."""
+    return counts["minplus_relaxations"] // n ** 3 - closures
 
 
 def _capped_oracle(w, cap):
@@ -581,12 +613,12 @@ def test_nonneg_distances_square_count_follows_the_hop_bound(monkeypatch):
     w[np.arange(n - 1), np.arange(1, n)] = 0
     w[0, n - 1] = 2
     calls = _count_matrices_calls(monkeypatch, "minplus_closure")
-    COUNTERS.reset()
-    got = matrices.nonneg_distances(n, arcs_of(w), 1, n - 1)
+    with counting() as counts:
+        got = matrices.nonneg_distances(n, arcs_of(w), 1, n - 1)
     assert np.array_equal(got, _capped_oracle(w, 1))
     assert got[0, n - 1] == 0
     assert calls == {"minplus_closure": 0}
-    assert _squares_run(n, calls["minplus_closure"]) == 4
+    assert _squares_run(counts, n, calls["minplus_closure"]) == 4
     assert not is_finite(matrices.nonneg_distances(n, arcs_of(w), 1, 1)[0, n - 1])
 
 
@@ -599,11 +631,11 @@ def test_nonneg_distances_run_every_square_on_a_settled_matrix(monkeypatch):
         w = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(w, 0)
         for win in (matrices.widest_float_window(n), 2):
-            COUNTERS.reset()
-            got = matrices.nonneg_distances(n, arcs_of(w), win, n - 1)
+            with counting() as counts:
+                got = matrices.nonneg_distances(n, arcs_of(w), win, n - 1)
             assert np.array_equal(got, w)
             assert calls["minplus_closure"] == 0
-            assert _squares_run(n, 0) == (n - 2).bit_length(), (n, win)
+            assert _squares_run(counts, n, 0) == (n - 2).bit_length(), (n, win)
 
 
 def test_nonneg_distances_with_unreachable_pairs(monkeypatch):
@@ -785,8 +817,7 @@ def test_numpy_kernel_counts_work():
     gen = np.random.default_rng(10)
     a = rand_dist_matrix(gen, 3, 4, 5)
     b = rand_dist_matrix(gen, 4, 6, 5)
-    COUNTERS.reset()
-    dist_product_fast(a, b, bound=5, kernel="numpy")
-    assert COUNTERS.snapshot() == {"ring_mults": 0,
-                                   "minplus_relaxations": 3 * 4 * 6,
-                                   "bool_ops": 0}
+    with counting() as counts:
+        dist_product_fast(a, b, bound=5, kernel="numpy")
+    assert counts == Counter(ring_mults=0, minplus_relaxations=3 * 4 * 6,
+                             bool_ops=0)
