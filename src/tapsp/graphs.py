@@ -12,9 +12,7 @@ cheapest one. The text format follows the DIMACS shortest-path layout:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
-from numbers import Integral
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,70 +61,82 @@ class NegativeCycleError(Exception):
         super().__init__(message)
 
 
-def _integer(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
+def _integer(x) -> int | None:
+    """x as a Python int if it is an integer, else None: the one integer
+    rule for n, M, every arc entry and the threshold d. Python and numpy
+    integers pass, and so does anything else with __index__ (a 0-d
+    integer array); bools, floats and float-valued numpy scalars do not.
+    The test is operator.index: an isinstance check against
+    numbers.Integral took about 0.8 us a value under CPython 3.11
+    (timeit), some 50 times as long."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
 
 
 def integer_threshold(d) -> int:
-    """d as a Python int: the paper's threshold is an integer, so any
-    integer d (Python or numpy, not bool) converts once, and any other d
-    raises ValueError. The test is operator.index, as every threshold
-    call pays it: an isinstance check against numbers.Integral took
-    about 0.8 us a call under CPython 3.11 (timeit), some 50 times as
-    long."""
-    if not isinstance(d, bool):
-        try:
-            return operator.index(d)
-        except TypeError:
-            pass
-    raise ValueError(f"threshold d = {d!r} must be an integer")
+    """d as a Python int, by _integer's rule: the paper's threshold is an
+    integer, so any other d raises ValueError."""
+    out = _integer(d)
+    if out is None:
+        raise ValueError(f"threshold d = {d!r} must be an integer")
+    return out
 
 
 @dataclass(frozen=True)
 class Graph:
+    """n vertices, edges (u, v, w) with 1-based vertices and |w| <= M.
+
+    Validation converts n, M and every arc entry by _integer and sets
+    arcs: the edges as read-only int64 arrays (u, v, w), 0-based
+    vertices, in edges order. n and M are stored as Python ints."""
+
     n: int
     edges: tuple
     M: int
+    arcs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a float would be truncated silently once the arcs become int64, a
         # bool written as True; the bounds compare Python ints, since numpy
         # integers wrap past 2^63
-        if not all(_integer(x) for x in (self.n, self.M)):
+        n, M = _integer(self.n), _integer(self.M)
+        if n is None or M is None:
             raise ValueError(f"n = {self.n!r} and M = {self.M!r} must be integers")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if self.M < 1:
+        if M < 1:
             raise ValueError("weight bound M must be a positive integer")
-        span = int(self.n) * int(self.M)
-        if span > MAX_SPAN:
-            raise ValueError(f"n*M = {span} exceeds the limit {MAX_SPAN}")
+        if n * M > MAX_SPAN:
+            raise ValueError(f"n*M = {n * M} exceeds the limit {MAX_SPAN}")
         seen = set()
-        for (u, v, w) in self.edges:
-            if not all(_integer(x) for x in (u, v, w)):
-                raise ValueError(f"arc ({u!r},{v!r},{w!r}) has a non-integer entry")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"arc ({u},{v}) out of range 1..{self.n}")
+        flat = []
+        for arc in self.edges:
+            u, v, w = map(_integer, arc)
+            if None in (u, v, w):
+                raise ValueError(f"arc {arc!r} has a non-integer entry")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"arc ({u},{v}) out of range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if abs(int(w)) > self.M:
-                raise ValueError(f"weight {w} exceeds bound {self.M}")
+            if abs(w) > M:
+                raise ValueError(f"weight {w} exceeds bound {M}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate arc ({u},{v})")
             seen.add((u, v))
+            flat += (u - 1, v - 1, w)
+        a = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 3).T.copy()
+        a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "arcs", (a[0], a[1], a[2]))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def arcs(self) -> tuple:
-        """The edges as read-only int64 arrays (u, v, w), 0-based
-        vertices, in edges order."""
-        a = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T.copy()
-        a[:2] -= 1
-        a.flags.writeable = False
-        return a[0], a[1], a[2]
 
     def positive_weights(self) -> bool:
         return bool((self.arcs[2] >= 1).all())
@@ -165,7 +175,6 @@ def parse_graph(text: str, max_weight: int | None = None) -> Graph:
     n = None
     m = None
     arcs = []
-    raw_arcs = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -198,14 +207,13 @@ def parse_graph(text: str, max_weight: int | None = None) -> Graph:
             if max_weight is not None and abs(w) > max_weight:
                 raise GraphParseError(
                     f"weight {w} exceeds declared bound {max_weight}", lineno)
-            raw_arcs += 1
             arcs.append((u, v, w))
         else:
             raise GraphParseError(f"unknown record {parts[0]!r}", lineno)
     if n is None:
         raise GraphParseError("missing problem line")
-    if raw_arcs != m:
-        raise GraphParseError(f"problem line declares {m} arcs, found {raw_arcs}")
+    if len(arcs) != m:
+        raise GraphParseError(f"problem line declares {m} arcs, found {len(arcs)}")
     return make_graph(n, arcs, M=max_weight)
 
 

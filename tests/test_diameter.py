@@ -12,7 +12,7 @@ from tapsp.diameter import diameter, threshold
 from tapsp.far_pairs import compute_delta_t
 from tapsp.graphs import (MAX_SPAN, NegativeCycleError, find_negative_cycle,
                           gen_random, johnson_potentials, make_graph, to_matrix)
-from tapsp.matrices import is_finite
+from tapsp.matrices import INF, is_finite
 from tapsp.oracle import floyd_warshall
 from tapsp.sampling import Rng
 from tapsp.schedule import build_schedule
@@ -392,6 +392,42 @@ def test_broken_first_run_is_caught_and_searched_again(monkeypatch):
         assert sorted(res.witnesses) == wit
         assert calls["prepare_general"] == 2
     assert len(hitting) == 8 and max(hitting) < 32
+
+
+def test_window_with_an_inf_entry_searches_the_whole_range(monkeypatch):
+    # an INF entry in delta_star bounds nothing from above, so the search
+    # opens at [0, M(n - 1)]; the broken run never reports that pair, the
+    # certificate rejects the search, and a fresh run answers exactly
+    def inf_first(run, call):
+        if call == 1:
+            run.delta_star = run.delta_star.copy()
+            run.delta_star[0, 1] = INF
+        return run
+
+    searches = []
+    orig = dia_mod._search
+
+    def search(lo, hi, classify, exact):
+        out = orig(lo, hi, classify, exact)
+        searches.append((lo, hi, out))
+        return out
+
+    calls = {}
+    _count_calls(monkeypatch, dia_mod, "prepare_general", calls, inf_first)
+    monkeypatch.setattr(dia_mod, "_search", search)
+    hitting = _record_hitting(monkeypatch)
+    for seed in range(3):
+        g = sampled_graph(seed + 80)
+        want, wit = _oracle_diameter(g)
+        calls.clear()
+        searches.clear()
+        res = diameter(g, SAMPLED.with_(seed=seed))
+        assert (res.value, sorted(res.witnesses)) == (want, wit)
+        assert calls["prepare_general"] == 2
+        (lo, hi, first), (_, _, second) = searches
+        assert (lo, hi) == (0, g.M * (g.n - 1)) and first is None
+        assert second is res and res.lo <= want <= res.hi
+    assert len(hitting) == 6 and max(hitting) < 32
 
 
 def test_exact_under_forced_beta():

@@ -99,6 +99,13 @@ def test_gen_random_no_neg_cycle_flag():
     assert find_negative_cycle(g) is None
 
 
+def test_gen_random_gives_up_after_max_attempts():
+    # every complete graph with all-negative weights has a negative cycle
+    with pytest.raises(ValueError, match="in 2 attempts"):
+        gen_random(3, 1.0, -3, -1, seed=0, require_no_neg_cycle=True,
+                   max_attempts=2)
+
+
 def test_detect_negative_cycle_two_cycles():
     assert find_negative_cycle(make_graph(2, [(1, 2, -1), (2, 1, -1)])) is not None
     assert find_negative_cycle(make_graph(2, [(1, 2, -1), (2, 1, 1)])) is None

@@ -7,7 +7,7 @@ from helpers import (lower_strassen_cutoff, mixed_graph, sc_mixed_graph,
                      schedule_levels)
 from tapsp import (approx, far_pairs, graphs, matrices, partial_distances,
                    threshold_general)
-from tapsp.config import KERNELS, RunConfig
+from tapsp.config import KERNELS, MAX_ATTEMPTS, RunConfig
 from tapsp.graphs import (NegativeCycleError, find_negative_cycle,
                           johnson_potentials, make_graph, to_matrix)
 from tapsp.matrices import INF, dist_product_naive, is_finite, window_square
@@ -201,6 +201,26 @@ def test_verify_retry_returns_on_agreement():
     rep = threshold_apsp_neg(g, 3, config=cfg)
     assert rep.stats["attempts"] >= 1
     assert np.array_equal(rep.reported, _oracle(g, 3))
+
+
+def test_verify_raises_once_every_attempt_disagrees(monkeypatch):
+    # an oracle that never agrees: every attempt runs on a fresh seed,
+    # then the call raises, naming n, d and the seed
+    g = mixed_graph(10, 0.4, 2, seed=8)
+    monkeypatch.setattr(threshold_general, "oracle_report",
+                        lambda g, d, config: np.zeros((g.n, g.n), dtype=bool))
+    seeds = []
+    orig = threshold_general.prepare_general
+
+    def counted(g, config, rng, h):
+        seeds.append(rng.seed)
+        return orig(g, config, rng, h)
+
+    monkeypatch.setattr(threshold_general, "prepare_general", counted)
+    with pytest.raises(VerifyMismatchError,
+                       match=rf"after {MAX_ATTEMPTS} attempts \(n=10, d=3, seed=5\)"):
+        threshold_apsp_neg(g, 3, config=RunConfig(seed=5))
+    assert len(seeds) == len(set(seeds)) == MAX_ATTEMPTS
 
 
 def test_verify_skipped_above_bound():
